@@ -15,21 +15,21 @@ the derivative engine.
 from .grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
     Context, Grammar, GrammarNode, ParserSettings,
-    become_node, current_context, describe_node, grammar_to_text,
+    become_node, current_context, describe_node,
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
     node_children, normalize_grammar, reachable_nodes, use_context,
 )
 from .reductions import (
-    Reduction, compose, constant, lift_left, lift_right,
+    Reduction, compose, lift_left, lift_right,
     pair_left, pair_left_null, pair_right, production, reassociate,
 )
 from .forest import (
     EMPTY_SET, FNode, ForestSet, INFINITE, Leaf, Pair, Prod,
-    amb_node, apply_reduction, count_parses, defer_node, enumerate_trees,
+    amb_node, count_parses, defer_node, enumerate_trees,
     forest_to_json, leaf_node, pair_node, parse_null, prod_node, tree_text,
 )
 from .nullability import is_nullable, is_nullable_naive
-from .derivation import derive, parse, recognize, timed_parse
+from .derivation import derive, parse, recognize
 from .oracle import (
     BnfGrammar, Ref, Term, earley_count, earley_recognize, enumerate_language,
 )
@@ -46,17 +46,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ALT", "EMPTY", "EPSILON", "RED", "SEQ", "TOKEN", "WILDCARD",
     "Context", "Grammar", "GrammarNode", "ParserSettings",
-    "become_node", "current_context", "describe_node", "grammar_to_text",
+    "become_node", "current_context", "describe_node",
     "mk_alt", "mk_empty", "mk_eps", "mk_red", "mk_seq", "mk_token",
     "node_children", "normalize_grammar", "reachable_nodes", "use_context",
-    "Reduction", "compose", "constant", "lift_left", "lift_right",
+    "Reduction", "compose", "lift_left", "lift_right",
     "pair_left", "pair_left_null", "pair_right", "production", "reassociate",
     "EMPTY_SET", "FNode", "ForestSet", "INFINITE", "Leaf", "Pair", "Prod",
-    "amb_node", "apply_reduction", "count_parses", "defer_node",
+    "amb_node", "count_parses", "defer_node",
     "enumerate_trees", "forest_to_json", "leaf_node", "pair_node",
     "parse_null", "prod_node", "tree_text",
     "is_nullable", "is_nullable_naive",
-    "derive", "parse", "recognize", "timed_parse",
+    "derive", "parse", "recognize",
     "BnfGrammar", "Ref", "Term",
     "earley_count", "earley_recognize", "enumerate_language",
     "GrammarError", "build_graph", "load_bnf", "load_grammar",

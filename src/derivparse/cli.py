@@ -10,7 +10,9 @@ Subcommands:
 Grammar files use the format described in the loader module; token files are
 whitespace-separated terminal labels.  Engine variants are selected with
 --memo, --compaction, --nullability, and --debug-names.  Exit codes: 0 accept,
-1 reject, 2 usage or load error.
+1 reject, 2 usage or load error, 3 internal error (a crash, never a verdict).
+
+`parse --count` counts in one pass linear in the forest's size.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from .derivation import parse, recognize
 from .forest import count_parses, forest_to_json
@@ -204,6 +207,10 @@ def main(argv=None) -> int:
         return _fail(f"{args.grammar}:{e}")
     except OSError as e:
         return _fail(str(e))
+    except Exception as e:  # a crash must not read as "reject"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ caches are cleared first, so parses are independent.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from .forest import ForestSet, parse_null
@@ -244,10 +243,3 @@ def parse(g: Grammar, tokens: Iterable[str]) -> ForestSet:
         result = parse_null(node)
         g.created_nodes = ctx.created
         return result
-
-
-def timed_parse(g: Grammar, tokens: list) -> tuple:
-    """(forest, wall seconds) for one parse; used by the benchmark driver."""
-    t0 = time.perf_counter()
-    fs = parse(g, tokens)
-    return fs, time.perf_counter() - t0

@@ -9,10 +9,11 @@ A forest node denotes a set of parse trees:
   defer  an unapplied Reduction over a child set
 
 Forests may be cyclic (a cyclic grammar parse can denote infinitely many
-trees), so everything here that walks a forest is iterative and
-cycle-aware.  parse_null extracts the forest of empty-word parses from a
-grammar node using the same shell-first construction the derivative engine
-uses for its own cycles.
+trees).  One iterative, cycle-aware postorder walk serves every consumer:
+counting, digests, enumeration and JSON export are folds over it.
+parse_null extracts the forest of empty-word parses from a grammar node
+using the same shell-first construction the derivative engine uses for its
+own cycles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import grammar as _g
 from . import reductions
@@ -275,6 +276,71 @@ def parse_null(node) -> ForestSet:
     return node.pn_memo
 
 
+# --- the forest walk ---------------------------------------------------------
+
+# Stands in for an empty payload forest.  The engine never builds one (pair
+# payloads are epsilon results, which are never empty, and a null-pairing
+# payload is a nullable node, whose parse_null is never empty), but a
+# reduction built by hand may carry one: as an edge it makes the deferred
+# node count 0 and enumerate nothing, as the reduction itself does.
+_NO_TREES = amb_node([])
+
+
+def _payload_roots(red: Reduction) -> list:
+    """Roots of every forest a reduction's payload references (lazy ones
+    forced through parse_null); an empty payload forest is _NO_TREES."""
+    out = []
+    stack = [red]
+    while stack:
+        r = stack.pop()
+        k = r.kind
+        if k == reductions.COMPOSE:
+            g, f = r.payload
+            stack.append(g)
+            stack.append(f)
+        elif k in (reductions.LIFT_LEFT, reductions.LIFT_RIGHT):
+            stack.append(r.payload)
+        elif k in (reductions.PAIR_LEFT, reductions.PAIR_RIGHT):
+            out.append(r.payload.root or _NO_TREES)
+        elif k == reductions.PAIR_LEFT_NULL:
+            out.append(parse_null(r.payload).root or _NO_TREES)
+    return out
+
+
+def _fchildren(n: FNode) -> tuple:
+    k = n.kind
+    if k == PAIR:
+        return (n.left, n.right)
+    if k == PROD or k == AMB:
+        return tuple(n.children or ())
+    if k == DEFER:
+        return (n.left,) + tuple(_payload_roots(n.red))
+    return ()
+
+
+def _postorder(root: FNode) -> list:
+    """Every node reachable from `root` once, as (node, children) pairs in
+    depth-first postorder; the only forest walk, every consumer folds over
+    it.  A child that does not come before its parent is a back edge, so the
+    forest is cyclic exactly when some child comes later than its parent."""
+    out = []
+    seen = {root.id}
+    kids = _fchildren(root)
+    stack = [(root, kids, iter(kids))]
+    while stack:
+        n, kids, it = stack[-1]
+        for c in it:
+            if c.id not in seen:
+                seen.add(c.id)
+                ck = _fchildren(c)
+                stack.append((c, ck, iter(ck)))
+                break
+        else:
+            stack.pop()
+            out.append((n, kids))
+    return out
+
+
 # --- counting ---------------------------------------------------------------
 
 class _Infinite:
@@ -301,217 +367,59 @@ def _add(a, b):
     return a + b
 
 
-def _reduction_count(red: Reduction) -> Callable:
-    """The effect of a reduction on a distinct-tree count, as a function.
-
-    All loader-produced reductions are multiplicity-preserving or
-    multiplicative (pairing against a known set).  The constant tag collapses
-    any non-empty input to one tree; a constant nested under a lift would
-    need the companion component's count to be exact, which the loader never
-    produces, so that corner is approximated by the plain constant rule.
-    """
-    stages = []
-    stack = [red]
-    while stack:
-        r = stack.pop()
-        k = r.kind
-        if k == reductions.COMPOSE:
-            g, f = r.payload
-            stack.append(g)
-            stack.append(f)
-        elif k in (reductions.LIFT_LEFT, reductions.LIFT_RIGHT):
-            stack.append(r.payload)
-        elif k in (reductions.PAIR_LEFT, reductions.PAIR_RIGHT):
-            m = count_parses(r.payload)
-            stages.append(("mul", m))
-        elif k == reductions.PAIR_LEFT_NULL:
-            m = count_parses(parse_null(r.payload))
-            stages.append(("mul", m))
-        elif k == reductions.CONSTANT:
-            stages.append(("collapse", None))
-        else:  # reassociate, production: bijective on tuples
-            pass
-
-    def run(x):
-        for op, m in stages:
-            if op == "mul":
-                x = _mul(m, x)
-            else:
-                x = 0 if x == 0 else 1
-        return x
-
-    return run
-
-
 def count_parses(fs: ForestSet):
-    """How many distinct trees the forest denotes; INFINITE for cyclic pumps."""
+    """How many distinct trees the forest denotes; INFINITE for cyclic pumps.
+
+    One fold over the postorder, linear in forest size: an ambiguity node
+    sums its children, every other node multiplies them (a deferred node's
+    children are its inner forest and its reduction's payload forests).  A
+    child not folded yet is a back edge, so a cycle pumps: INFINITE.
+    """
     root = fs.root
     if root is None:
         return 0
     counts: dict = {}
-    onstack: set = set()
-    ENTER, COMBINE = 0, 1
-    work = [(ENTER, root)]
-    while work:
-        phase, n = work.pop()
-        nid = n.id
-        if phase == ENTER:
-            if nid in counts or nid in onstack:
-                continue
-            k = n.kind
-            if k == LEAF:
-                counts[nid] = 1
-                continue
-            onstack.add(nid)
-            work.append((COMBINE, n))
-            if k == PAIR:
-                work.append((ENTER, n.left))
-                work.append((ENTER, n.right))
-            elif k == DEFER:
-                work.append((ENTER, n.left))
-            else:
-                for c in n.children:
-                    work.append((ENTER, c))
+    for n, kids in _postorder(root):
+        if n.kind == AMB:
+            v = 0
+            for c in kids:
+                v = _add(v, counts.get(c.id, INFINITE))
         else:
-            onstack.discard(nid)
-            k = n.kind
-            if k == PAIR:
-                v = _mul(counts.get(n.left.id, INFINITE),
-                         counts.get(n.right.id, INFINITE))
-            elif k == PROD:
-                v = 1
-                for c in n.children:
-                    v = _mul(v, counts.get(c.id, INFINITE))
-            elif k == AMB:
-                v = 0
-                for c in n.children:
-                    v = _add(v, counts.get(c.id, INFINITE))
-            else:  # DEFER
-                v = _reduction_count(n.red)(counts.get(n.left.id, INFINITE))
-            counts[nid] = v
+            v = 1
+            for c in kids:
+                v = _mul(v, counts.get(c.id, INFINITE))
+        counts[n.id] = v
     return counts[root.id]
 
 
 # --- enumeration ------------------------------------------------------------
 
-def _payload_roots(red: Reduction) -> list:
-    """Roots of every forest a reduction's payload references (lazy ones
-    forced through parse_null)."""
-    out = []
-    stack = [red]
-    while stack:
-        r = stack.pop()
-        k = r.kind
-        if k == reductions.COMPOSE:
-            g, f = r.payload
-            stack.append(g)
-            stack.append(f)
-        elif k in (reductions.LIFT_LEFT, reductions.LIFT_RIGHT):
-            stack.append(r.payload)
-        elif k in (reductions.PAIR_LEFT, reductions.PAIR_RIGHT):
-            if r.payload.root is not None:
-                out.append(r.payload.root)
-        elif k == reductions.PAIR_LEFT_NULL:
-            fs = parse_null(r.payload)
-            if fs.root is not None:
-                out.append(fs.root)
-    return out
-
-
-def _fchildren(n: FNode) -> tuple:
-    k = n.kind
-    if k == PAIR:
-        return (n.left, n.right)
-    if k == PROD or k == AMB:
-        return tuple(n.children or ())
-    if k == DEFER:
-        return (n.left,) + tuple(_payload_roots(n.red))
-    return ()
-
-
-def _is_cyclic(root: FNode) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    stack = [(root, None)]
-    while stack:
-        n, it = stack.pop()
-        if it is None:
-            c = color.get(n.id, WHITE)
-            if c == GRAY:
-                return True
-            if c == BLACK:
-                continue
-            color[n.id] = GRAY
-            it = iter(_fchildren(n))
-        advanced = False
-        for child in it:
-            cc = color.get(child.id, WHITE)
-            if cc == GRAY:
-                return True
-            if cc == WHITE:
-                stack.append((n, it))
-                stack.append((child, None))
-                advanced = True
-                break
-        if not advanced:
-            color[n.id] = BLACK
-    return False
-
-
-def _forest_digests(root: FNode) -> dict:
-    """Structural digest per node (ids excluded, so stable across runs);
-    cycles are cut with a fixed marker at back edges."""
+def _forest_digests(order: list) -> tuple:
+    """(structural digest per node id, whether the forest is cyclic) from one
+    postorder.  Ids are excluded, so digests are stable across runs; a back
+    edge hashes as a fixed marker."""
     digests: dict = {}
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-    stack = [(root, None)]
-    while stack:
-        n, it = stack.pop()
-        if it is None:
-            c = color.get(n.id, WHITE)
-            if c == BLACK:
-                continue
-            if c == GRAY:
-                continue
-            color[n.id] = GRAY
-            it = iter(_fchildren(n))
-        advanced = False
-        for child in it:
-            cc = color.get(child.id, WHITE)
-            if cc == WHITE:
-                stack.append((n, it))
-                stack.append((child, None))
-                advanced = True
-                break
-        if advanced:
-            continue
-        color[n.id] = BLACK
+    cyclic = False
+    for n, kids in order:
         h = hashlib.sha1()
         h.update(n.kind.encode())
         if n.label is not None:
             h.update(b"\x00" + str(n.label).encode())
         if n.kind == DEFER:
             h.update(b"\x00" + n.red.describe().encode())
-        for child in _fchildren(n):
+        for c in kids:
+            d = digests.get(c.id)
+            if d is None:
+                cyclic = True
+                d = b"cycle"
             h.update(b"\x01")
-            h.update(digests.get(child.id, b"cycle"))
+            h.update(d)
         digests[n.id] = h.digest()
-    return digests
+    return digests, cyclic
 
 
 def _dedup(trees):
     return list(dict.fromkeys(trees))
-
-
-def apply_reduction(red: Reduction, tree, *, limit: int = 64) -> list:
-    """Apply one reduction to one resolved tree; one-to-many, total."""
-
-    def enum_root(r: Optional[FNode]) -> list:
-        if r is None:
-            return []
-        return enumerate_trees(ForestSet(r), limit)
-
-    return _apply(red, tree, enum_root)
 
 
 def _apply(red: Reduction, t, enum_root) -> list:
@@ -537,8 +445,6 @@ def _apply(red: Reduction, t, enum_root) -> list:
         if len(parts) != arity:
             parts = [t]
         return [Prod(name, tuple(parts))]
-    if k == reductions.CONSTANT:
-        return [red.payload]
     if k == reductions.COMPOSE:
         g, f = red.payload
         out = []
@@ -603,16 +509,18 @@ def _combine(n: FNode, lists, enum_root, limit: int, digests) -> list:
 def enumerate_trees(fs: ForestSet, limit: int) -> list:
     """Up to `limit` fully resolved trees, deterministically ordered.
 
-    Acyclic forests are enumerated bottom-up (exact first-`limit` in the
-    canonical order).  Cyclic forests are enumerated by iteratively deepened
-    depth budgets until the limit is reached or the result stabilizes.
+    The order depends only on the forest's structure, never on node ids, so
+    it is stable across runs.  Acyclic forests are enumerated bottom-up
+    (exact first-`limit` in the canonical order).  Cyclic forests are
+    enumerated by iteratively deepened depth budgets until the limit is
+    reached or the result stabilizes.
     """
     root = fs.root
     if root is None or limit <= 0:
         return []
-    digests = _forest_digests(root)
-    if not _is_cyclic(root):
-        order = _postorder(root)
+    order = _postorder(root)
+    digests, cyclic = _forest_digests(order)
+    if not cyclic:
         table: dict = {}
 
         def lists(c):
@@ -623,13 +531,12 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
                 return []
             return table[r.id]
 
-        for n in order:
+        for n, _ in order:
             table[n.id] = _combine(n, lists, enum_root, limit, digests)
         return table[root.id][:limit]
 
     # cyclic: deepening rounds
-    node_count = len(_postorder(root))
-    max_depth = 2 * node_count + 16
+    max_depth = 2 * len(order) + 16
     prev = None
     depth = 2
     while True:
@@ -667,32 +574,6 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
         depth *= 2
 
 
-def _postorder(root: FNode) -> list:
-    out = []
-    done = set()
-    GRAY = object()
-    state: dict = {}
-    stack = [(root, None)]
-    while stack:
-        n, it = stack.pop()
-        if it is None:
-            if n.id in done or state.get(n.id) is GRAY:
-                continue
-            state[n.id] = GRAY
-            it = iter(_fchildren(n))
-        advanced = False
-        for child in it:
-            if child.id not in done and state.get(child.id) is not GRAY:
-                stack.append((n, it))
-                stack.append((child, None))
-                advanced = True
-                break
-        if not advanced:
-            done.add(n.id)
-            out.append(n)
-    return out
-
-
 # --- serialization ----------------------------------------------------------
 
 def forest_to_json(fs: ForestSet) -> dict:
@@ -704,22 +585,12 @@ def forest_to_json(fs: ForestSet) -> dict:
     root = fs.root
     if root is None:
         return {"root": None, "nodes": []}
-    nodes = _postorder(root)
-    nodes.sort(key=lambda n: n.id)
     out = []
-    for n in nodes:
-        entry = {"id": n.id, "kind": n.kind, "label": None, "children": []}
-        if n.kind == LEAF:
-            entry["label"] = n.label
-        elif n.kind == PAIR:
-            entry["children"] = [n.left.id, n.right.id]
-        elif n.kind == PROD:
-            entry["label"] = n.label
-            entry["children"] = [c.id for c in n.children]
-        elif n.kind == AMB:
-            entry["children"] = [c.id for c in n.children]
-        else:
-            entry["label"] = n.red.describe()
-            entry["children"] = [c.id for c in _fchildren(n)]
-        out.append(entry)
+    for n, kids in sorted(_postorder(root), key=lambda p: p[0].id):
+        out.append({
+            "id": n.id,
+            "kind": n.kind,
+            "label": n.red.describe() if n.kind == DEFER else n.label,
+            "children": [c.id for c in kids],
+        })
     return {"root": root.id, "nodes": out}

@@ -527,10 +527,3 @@ def describe_node(n: GrammarNode, *, max_depth: int = 6) -> str:
         return f"(red#{x.id} {go(x.left, depth + 1, s)})"
 
     return go(n, 0, frozenset())
-
-
-def grammar_to_text(g: Grammar) -> str:
-    lines = [f"start = {g.start} ;"]
-    for name, node in g.nonterminal_table.items():
-        lines.append(f"# {name}: {describe_node(node)}")
-    return "\n".join(lines) + "\n"

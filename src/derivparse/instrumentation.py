@@ -208,8 +208,3 @@ def name_node(parent: Optional[NodeName], token: Optional[str], rule: str) -> No
             )
         return NodeName(parent.base, parent.parts + (token,), len(parent.parts))
     raise NamingError(f"unknown naming rule: {rule!r}")
-
-
-def stripped_parts(name: NodeName) -> tuple:
-    """The token labels with the marker ignored (for substring checks)."""
-    return name.parts

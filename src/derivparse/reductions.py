@@ -1,12 +1,13 @@
 """The closed algebra of tree rewrites carried by reduction nodes.
 
 A reduction is a tag plus a payload, never an opaque Python callable: the
-forest layer interprets tags when trees are finally materialized, and the
-counting layer knows each tag's effect on distinct-tree counts without
-running it.  Compaction composes and floats reductions, so the set of tags
-must be closed under those rewrites; that is why the two lift tags exist
-(floating a reduction out of one side of a concatenation applies it to just
-that pair component).
+forest layer interprets tags when trees are finally materialized.  Every tag
+either maps trees one to one or pairs them against a payload forest, so a
+reduction multiplies a distinct-tree count by its payload forests' counts,
+and counting never runs it.  Compaction composes and floats reductions, so
+the set of tags must be closed under those rewrites; that is why the two
+lift tags exist (floating a reduction out of one side of a concatenation
+applies it to just that pair component).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, tree set taken lazily from 
 REASSOCIATE = "reassociate"        # (t1, (t2, t3)) -> ((t1, t2), t3)
 PRODUCTION = "production"          # right-nested tuple of k children -> named production tree
 COMPOSE = "compose"                # g after f
-CONSTANT = "constant"              # every tree -> one fixed tree
 LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
 
@@ -52,8 +52,6 @@ class Reduction:
             return f"({g.describe()} . {f.describe()})"
         if k in (LIFT_LEFT, LIFT_RIGHT):
             return f"{k}({self.payload.describe()})"
-        if k == PAIR_LEFT_NULL:
-            return f"{k}(#{self.payload.id})"
         return k
 
     def __repr__(self) -> str:
@@ -89,10 +87,6 @@ def production(name: str, arity: int) -> Reduction:
 def compose(g: Reduction, f: Reduction) -> Reduction:
     """g after f."""
     return Reduction(COMPOSE, (g, f))
-
-
-def constant(tree) -> Reduction:
-    return Reduction(CONSTANT, tree)
 
 
 def lift_left(f: Reduction) -> Reduction:

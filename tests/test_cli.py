@@ -94,6 +94,17 @@ def test_missing_file_is_a_usage_error(ws, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_internal_error_is_not_a_reject(ws, capsys, monkeypatch):
+    def crash(g, toks):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("derivparse.cli.recognize", crash)
+    assert main(["recognize", g(ws), str(ws / "w4.txt")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RecursionError")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,13 +1,14 @@
 """Parse forests: null parses, counting, enumeration, JSON export."""
 
 import json
+from math import comb
 
 import pytest
 
 from derivparse import (
     Context, INFINITE, Leaf, Pair, Prod,
-    count_parses, enumerate_trees, forest_to_json, load_grammar, parse,
-    parse_null, recognize, tree_text, use_context,
+    count_parses, enumerate_trees, forest_to_json, load_grammar, mk_token,
+    pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse.forest import EMPTY_SET, ForestSet
 
@@ -60,6 +61,19 @@ def test_catalan_counts():
     for n in range(1, 10):
         fs = parse(g, ["a"] * n)
         assert count_parses(fs) == CATALAN[n - 1], n
+    # one pass over the shared forest: exact far beyond enumerable sizes;
+    # n tokens have Catalan(n - 1) = comb(2n - 2, n - 1) / n parses
+    assert count_parses(parse(g, ["a"] * 200)) == comb(398, 199) // 200
+    wild = load_grammar("start = L ;\nL : L L | '.' ;")
+    fs = parse(wild, [f"t{i}" for i in range(40)])
+    assert count_parses(fs) == comb(78, 39) // 40
+
+
+def test_deferred_node_with_empty_payload_counts_zero():
+    # pairing against no trees leaves no trees, whatever the inner count
+    fs = ForestSet.single_leaf("a").apply(pair_left(EMPTY_SET))
+    assert count_parses(fs) == 0
+    assert enumerate_trees(fs, 10) == []
 
 
 def test_infinitely_ambiguous_count():
@@ -85,6 +99,22 @@ def test_enumeration_is_capped_but_counting_is_not():
     got = enumerate_trees(fs, 5)
     assert len(got) == 5
     assert len({tree_text(t) for t in got}) == 5
+
+
+def test_enumeration_order_does_not_depend_on_node_ids():
+    g = load_grammar("start = S ;\nS : S S | 'a' ;")
+
+    def first_trees():
+        return [tree_text(t) for t in enumerate_trees(parse(g, ["a"] * 7), 5)]
+
+    expected = first_trees()
+    for shift in (1, 2, 3, 17, 100):
+        # throwaway nodes move every later grammar and forest node id
+        with use_context(Context()):
+            for _ in range(shift):
+                mk_token("x")
+                ForestSet.single_leaf("x")
+        assert first_trees() == expected, shift
 
 
 def test_enumeration_of_infinite_forest_terminates():

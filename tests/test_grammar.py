@@ -13,7 +13,7 @@ from derivparse import (
 )
 from derivparse.forest import ForestSet
 from derivparse.grammar import new_alt, new_seq
-from derivparse.reductions import constant
+from derivparse.reductions import production
 from conftest import all_strings, random_grammar_source
 
 
@@ -61,7 +61,7 @@ def test_seq_reassociates_left_nesting():
 
 
 def test_seq_floats_left_reduction_out():
-    inner = mk_red(mk_token("a"), constant(Leaf("k")))
+    inner = mk_red(mk_token("a"), production("K", 1))
     n = mk_seq(inner, mk_token("b"))
     assert n.form == RED
     assert n.left.form == SEQ
@@ -69,15 +69,15 @@ def test_seq_floats_left_reduction_out():
 
 
 def test_red_collapses_empty_and_epsilon():
-    assert mk_red(mk_empty(), constant(Leaf("k"))).form == EMPTY
-    folded = mk_red(eps(), constant(Leaf("k")))
+    assert mk_red(mk_empty(), production("K", 1)).form == EMPTY
+    folded = mk_red(eps(), production("K", 1))
     assert folded.form == EPSILON
-    assert [tree_text(t) for t in enumerate_trees(folded.results, 10)] == ["k"]
+    assert [tree_text(t) for t in enumerate_trees(folded.results, 10)] == ["K[_]"]
 
 
 def test_red_composes_with_inner_red():
-    inner = mk_red(mk_token("a"), constant(Leaf("x")))
-    outer = mk_red(inner, constant(Leaf("y")))
+    inner = mk_red(mk_token("a"), production("X", 1))
+    outer = mk_red(inner, production("Y", 1))
     assert outer.form == RED
     assert outer.left.form == TOKEN  # single layer left
 

@@ -8,7 +8,7 @@ from derivparse import (
     CSV_FIELDS, Counters, NamingError, NodeName,
     emit, fresh_name, load_grammar, name_node, parse, recognize,
 )
-from derivparse.instrumentation import EXTEND, FRESH, MARK, MARK_EXTEND, stripped_parts
+from derivparse.instrumentation import EXTEND, FRESH, MARK, MARK_EXTEND
 
 
 def test_counters_reset():
@@ -120,11 +120,6 @@ def test_names_hash_by_value():
     assert a != NodeName("g0", ("a", "b"), None)
 
 
-def test_stripped_parts_is_token_tuple():
-    n = NodeName("g0", ("tok1", "tok2"), 1)
-    assert stripped_parts(n) == ("tok1", "tok2")
-
-
 def _collect_names(g, tokens):
     g.settings.debug_names = True
     g.settings.collect_nodes = True
@@ -139,7 +134,7 @@ def test_engine_names_are_suffix_contiguous():
     names = _collect_names(g, toks)
     assert names
     for nm in names:
-        parts = stripped_parts(nm)
+        parts = nm.parts
         if not parts:
             continue
         assert len(parts) <= len(toks)
