@@ -15,7 +15,7 @@ the derivative engine.
 from .grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
     Context, Grammar, GrammarNode, ParserSettings,
-    become_node, current_context, describe_node,
+    become_node, describe_node,
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
     node_children, normalize_grammar, reachable_nodes, use_context,
 )
@@ -46,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALT", "EMPTY", "EPSILON", "RED", "SEQ", "TOKEN", "WILDCARD",
     "Context", "Grammar", "GrammarNode", "ParserSettings",
-    "become_node", "current_context", "describe_node",
+    "become_node", "describe_node",
     "mk_alt", "mk_empty", "mk_eps", "mk_red", "mk_seq", "mk_token",
     "node_children", "normalize_grammar", "reachable_nodes", "use_context",
     "Reduction", "compose", "lift_left", "lift_right",

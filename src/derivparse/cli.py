@@ -26,7 +26,7 @@ import traceback
 
 from .derivation import parse, recognize
 from .forest import count_parses, forest_to_json
-from .instrumentation import CSV_FIELDS, emit
+from .instrumentation import CSV_FIELDS, csv_row, emit
 from .loader import GrammarError, load_grammar
 
 # deep derivations recurse; 20k-token inputs need headroom
@@ -154,19 +154,9 @@ def _cmd_bench(args) -> int:
             print(f"error: {path}: {e}", file=sys.stderr)
             continue
         spt = (sum(per_parse) / len(per_parse)) / max(1, len(toks))
-        row = (
-            name,
-            str(len(toks)),
-            str(snap.nodes_created),
-            str(snap.derive_calls_cached),
-            str(snap.derive_calls_uncached),
-            str(snap.nullable_visits),
-            str(snap.compactions),
-            repr(spt),
-            "1" if not fs.is_empty() else "0",
-            str(count_parses(fs)),
-        )
-        print(",".join(row), flush=True)
+        accept = "1" if not fs.is_empty() else "0"
+        print(f"{csv_row(snap, name, len(toks), spt)},{accept},"
+              f"{count_parses(fs)}", flush=True)
     return 0
 
 

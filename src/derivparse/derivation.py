@@ -19,6 +19,12 @@ grammars would degrade to quadratic.  Discarded shells keep
 in_progress=True; they are unreachable and only the created-node registry
 ever sees them.
 
+Debug names turn compaction off.  One minting rule (_minted_name) names a
+derivative node from the node and token it was derived for: where the node
+is cached (_put), or where it is built for the one node never cached, the
+first branch of a nullable-left Seq's choice.  Every memo hit is checked
+against the same minting.
+
 recognize/parse fold derive over the input inside the grammar's context;
 caches are cleared first, so parses are independent.
 """
@@ -44,7 +50,18 @@ def _nullable(node, settings) -> bool:
     return is_nullable(node)
 
 
+def _minted_name(n, c, node):
+    """The debug name of `node`, minted for n's derivative by c: n's name
+    extended by c, with the split marker on the choice a nullable-left Seq
+    derives into.  Names turn compaction off, so that choice is exactly the
+    Alt a Seq derives into."""
+    rule = MARK_EXTEND if n.form == SEQ and node.form == ALT else EXTEND
+    return name_node(n.name, c, rule)
+
+
 def _put(n, c, res, settings) -> None:
+    if settings.debug_names and n.name is not None:
+        res.name = _minted_name(n, c, res)
     if settings.memo_full:
         m = n.d_map
         if m is None:
@@ -68,16 +85,13 @@ def _settle(n, c, shell, repl, settings):
     return shell
 
 
-def _check_hit_name(n, c, hit, settings) -> None:
-    if n.name is None or hit.name is None:
+def _check_hit_name(n, c, hit) -> None:
+    if n.name is None:
         return
-    if n.form == SEQ and _nullable(n.left, settings):
-        expected = name_node(n.name, c, MARK_EXTEND)
-    else:
-        expected = name_node(n.name, c, EXTEND)
+    expected = _minted_name(n, c, hit)
     if hit.name != expected:
         raise NamingError(
-            f"memo hit named {hit.name.text()!r}, minting gives {expected.text()!r}"
+            f"memo hit named {hit.name!r}, minting gives {expected.text()!r}"
         )
 
 
@@ -98,32 +112,22 @@ def _derive(n, c, ctx):
         if hit.in_progress:
             hit.leaked = True
         if st.debug_names:
-            _check_hit_name(n, c, hit, st)
+            _check_hit_name(n, c, hit)
         return hit
     ctx.counters.derive_calls_uncached += 1
-    naming = st.debug_names
     form = n.form
-    if form == TOKEN:
-        if n.label == c or n.label == WILDCARD:
+    if form == TOKEN or form == EMPTY or form == EPSILON:
+        if form == TOKEN and (n.label == c or n.label == WILDCARD):
             res = mk_eps(ForestSet.single_leaf(c))
         else:
             res = mk_empty()
-        if naming and n.name is not None:
-            res.name = name_node(n.name, c, EXTEND)
         _put(n, c, res, st)
         return res
-    if form == EMPTY or form == EPSILON:
-        res = mk_empty()
-        if naming and n.name is not None:
-            res.name = name_node(n.name, c, EXTEND)
-        _put(n, c, res, st)
-        return res
+    naming = st.debug_names
     compacting = st.compaction and not naming
     if form == ALT:
         shell = new_alt(None, None)
         shell.in_progress = True
-        if naming and n.name is not None:
-            shell.name = name_node(n.name, c, EXTEND)
         _put(n, c, shell, st)
         dl = _derive(n.left, c, ctx)
         dr = _derive(n.right, c, ctx)
@@ -138,8 +142,6 @@ def _derive(n, c, ctx):
     if form == RED:
         shell = new_red(None, n.fn)
         shell.in_progress = True
-        if naming and n.name is not None:
-            shell.name = name_node(n.name, c, EXTEND)
         _put(n, c, shell, st)
         dc = _derive(n.left, c, ctx)
         if compacting:
@@ -153,8 +155,6 @@ def _derive(n, c, ctx):
     if not _nullable(n.left, st):
         shell = new_seq(None, n.right)
         shell.in_progress = True
-        if naming and n.name is not None:
-            shell.name = name_node(n.name, c, EXTEND)
         _put(n, c, shell, st)
         dl = _derive(n.left, c, ctx)
         if compacting:
@@ -167,32 +167,24 @@ def _derive(n, c, ctx):
     # nullable left half: the derivative may consume c in either half, so
     # the result is a choice; its first branch extends the left parse, the
     # second starts the right half, pairing in the left half's empty-word
-    # trees (threaded lazily; skipped entirely in the pure naming engine)
+    # trees (threaded lazily; skipped entirely in the pure naming engine).
+    # Only the choice is cached, so the first branch needs no shell, and it
+    # is the one derivative node named outside _put.
     alt_shell = new_alt(None, None)
     alt_shell.in_progress = True
-    if naming and n.name is not None:
-        alt_shell.name = name_node(n.name, c, MARK_EXTEND)
     _put(n, c, alt_shell, st)
-    seq_shell = new_seq(None, n.right)
-    seq_shell.in_progress = True
-    if naming and n.name is not None:
-        seq_shell.name = name_node(n.name, c, EXTEND)
     dl = _derive(n.left, c, ctx)
-    left = None
-    if compacting:
-        left = _compact_seq(dl, n.right)
+    left = _compact_seq(dl, n.right) if compacting else None
     if left is None:
-        seq_shell.left = dl
-        seq_shell.in_progress = False
-        left = seq_shell
+        left = new_seq(dl, n.right)
+        if naming and n.name is not None:
+            left.name = _minted_name(n, c, left)
     dr = _derive(n.right, c, ctx)
     if naming:
         right = dr
     else:
         inj = pair_left_null(n.left)
-        right = None
-        if compacting:
-            right = _compact_red(dr, inj)
+        right = _compact_red(dr, inj) if compacting else None
         if right is None:
             right = new_red(dr, inj)
     if compacting:

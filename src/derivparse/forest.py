@@ -31,6 +31,9 @@ from .reductions import Reduction
 
 # --- resolved trees ---------------------------------------------------------
 
+# Pair and Prod hash once, when built: enumeration dedups whole trees, and an
+# uncached dataclass hash would walk the subtree on every lookup.
+
 @dataclass(frozen=True)
 class Leaf:
     label: str
@@ -41,11 +44,23 @@ class Pair:
     left: object
     right: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True)
 class Prod:
     name: str
     children: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def tree_text(t) -> str:

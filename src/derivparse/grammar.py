@@ -5,13 +5,16 @@ the empty word carrying a set of result trees, a single token, concatenation,
 choice, and reduction (a child plus a tree rewrite).  Nonterminal references
 are direct object references, which is where the cycles come from.
 
-Construction goes through the mk_* constructors.  These apply local,
-non-iterating simplification rules ("compaction"): each call fires at most one
-structural rule plus at most one follow-up rule while building a replacement
-reduction node.  Rules that inspect a node still under construction simply
-decline.  normalize_grammar applies the same rules plus the right-child rules
-exhaustively to a loaded grammar so the per-token engine never needs to look
-at a concatenation's right child.
+Compaction is one table of local simplification rules (_compact_alt,
+_compact_seq, _compact_red): each maps a form and its children to a
+replacement node, firing at most one structural rule plus at most one
+follow-up rule, and declines on nodes still under construction.  The table
+is used in two ways.  The mk_* constructors (and the derivative engine)
+build the replacement instead of a new node.  normalize_grammar sweeps a
+loaded grammar and copies each replacement into the rewritten node with
+become_node until nothing fires, so no reachable concatenation is left with
+an Empty, Epsilon or reduction right child; derivatives of such a grammar
+never have one either, so the right-child rules fire only at load time.
 """
 
 from __future__ import annotations
@@ -99,13 +102,6 @@ class ParserSettings:
         self.naive_nullability = naive_nullability
         self.debug_names = debug_names
         self.collect_nodes = collect_nodes
-
-    def copy(self) -> "ParserSettings":
-        return ParserSettings(
-            memo_full=self.memo_full, compaction=self.compaction,
-            naive_nullability=self.naive_nullability,
-            debug_names=self.debug_names, collect_nodes=self.collect_nodes,
-        )
 
 
 class Context:
@@ -203,7 +199,8 @@ def _fire(rule: str) -> None:
 
 
 def _red_limited(child: GrammarNode, fn) -> GrammarNode:
-    """Build a reduction of `child`, firing at most one leaf rule."""
+    """Build a reduction of `child`; an Empty or Epsilon child folds it away
+    (red-empty, red-epsilon), so this is both a rule and a follow-up."""
     f = child.form
     if f == EMPTY:
         _fire("red-empty")
@@ -242,15 +239,25 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
     if f == SEQ:
         # ((p1 . p2) . p3) -> (p1 . (p2 . p3)) plus a reassociation rewrite
         _fire("seq-associate")
-        return _red_limited(
-            new_seq(left.left, new_seq(left.right, right)),
-            reductions.reassociate(),
-        )
+        return new_red(new_seq(left.left, new_seq(left.right, right)),
+                       reductions.reassociate())
     if f == RED:
         # ((p -> f) . q) -> (p . q) -> lift-left(f)
         _fire("seq-float-left")
-        return _red_limited(new_seq(left.left, right),
-                            reductions.lift_left(left.fn))
+        return new_red(new_seq(left.left, right), reductions.lift_left(left.fn))
+    # right-child rules: a normalized grammar and its derivatives never have
+    # these right children, so these fire only while a grammar loads
+    f = right.form
+    if f == EMPTY:
+        _fire("seq-empty-right")
+        return right
+    if f == EPSILON:
+        _fire("seq-epsilon-right")
+        return new_red(left, reductions.pair_right(right.results))
+    if f == RED:
+        # (p . (q -> f)) -> (p . q) -> lift-right(f)
+        _fire("seq-float-right")
+        return new_red(new_seq(left, right.left), reductions.lift_right(right.fn))
     return None
 
 
@@ -258,12 +265,8 @@ def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
     if child.in_progress:
         return None
     f = child.form
-    if f == EMPTY:
-        _fire("red-empty")
-        return child
-    if f == EPSILON:
-        _fire("red-epsilon")
-        return mk_eps(child.results.apply(fn))
+    if f == EMPTY or f == EPSILON:
+        return _red_limited(child, fn)
     if f == RED:
         _fire("red-compose")
         return _red_limited(child.left, reductions.compose(fn, child.fn))
@@ -321,7 +324,7 @@ def reachable_nodes(root: GrammarNode) -> list:
 _SWEEP_CAP = 1000
 
 
-def _collapse_dead(root: GrammarNode) -> int:
+def _collapse_dead(root: GrammarNode) -> None:
     """Rewrite every node denoting the empty language to an Empty node.
 
     "Denotes the empty language" is the complement of a least fixed point:
@@ -353,102 +356,43 @@ def _collapse_dead(root: GrammarNode) -> int:
             if ok:
                 producing.add(n.id)
                 changed = True
-    dead = 0
-    for n in nodes:
-        if n.id not in producing and n.form != EMPTY:
-            n.form = EMPTY
-            n.left = None
-            n.right = None
-            n.label = None
-            n.results = None
-            n.fn = None
-            n.n_value = NV_NOT
-            dead += 1
+    dead = [n for n in nodes if n.id not in producing and n.form != EMPTY]
+    if dead:
+        empty = mk_empty()
+        for n in dead:
+            become_node(n, empty)
             _fire("dead-subgraph")
-    return dead
-
-
-def _shape(n: GrammarNode) -> tuple:
-    return (n.form, id(n.left), id(n.right), id(n.label), id(n.results), id(n.fn))
-
-
-def _become(n: GrammarNode, form: int, *, left=None, right=None, label=None,
-            results=None, fn=None, n_value=NV_UNKNOWN) -> bool:
-    before = _shape(n)
-    n.form = form
-    n.left = left
-    n.right = right
-    n.label = label
-    n.results = results
-    n.fn = fn
-    n.n_value = n_value
-    return _shape(n) != before
 
 
 def become_node(dst: GrammarNode, src: GrammarNode) -> bool:
     """Overwrite dst's structural fields with src's.  dst keeps its identity
-    (and id), so existing references to dst now see src's structure."""
-    return _become(dst, src.form, left=src.left, right=src.right,
-                   label=src.label, results=src.results, fn=src.fn,
-                   n_value=src.n_value)
+    (and id), so existing references to dst now see src's structure.
+    Returns whether that structure changed: a node becoming itself (or a
+    copy of its own shape) is no change, which lets normalization stop."""
+    changed = (dst.form != src.form or dst.left is not src.left
+               or dst.right is not src.right or dst.label != src.label
+               or dst.results is not src.results or dst.fn is not src.fn)
+    dst.form = src.form
+    dst.left = src.left
+    dst.right = src.right
+    dst.label = src.label
+    dst.results = src.results
+    dst.fn = src.fn
+    dst.n_value = src.n_value
+    return changed
 
 
 def _normalize_step(n: GrammarNode) -> bool:
     form = n.form
     if form == ALT:
-        l, r = n.left, n.right
-        if l.form == EMPTY and r is not n:
-            _fire("alt-empty-left")
-            return become_node(n, r)
-        if r.form == EMPTY and l is not n:
-            _fire("alt-empty-right")
-            return become_node(n, l)
-        if l.form == EPSILON and r.form == EPSILON:
-            _fire("alt-epsilon-merge")
-            return _become(n, EPSILON, results=l.results.union(r.results),
-                           n_value=NV_NULLABLE)
+        repl = _compact_alt(n.left, n.right)
+    elif form == SEQ:
+        repl = _compact_seq(n.left, n.right)
+    elif form == RED:
+        repl = _compact_red(n.left, n.fn)
+    else:
         return False
-    if form == SEQ:
-        l, r = n.left, n.right
-        if l.form == EMPTY or r.form == EMPTY:
-            _fire("seq-empty-left" if l.form == EMPTY else "seq-empty-right")
-            return _become(n, EMPTY, n_value=NV_NOT)
-        if l.form == EPSILON:
-            _fire("seq-epsilon-left")
-            return _become(n, RED, left=r, fn=reductions.pair_left(l.results))
-        if l.form == SEQ:
-            _fire("seq-associate")
-            return _become(n, RED,
-                           left=new_seq(l.left, new_seq(l.right, r)),
-                           fn=reductions.reassociate())
-        if l.form == RED:
-            _fire("seq-float-left")
-            return _become(n, RED, left=new_seq(l.left, r),
-                           fn=reductions.lift_left(l.fn))
-        if r.form == EPSILON:
-            _fire("seq-epsilon-right")
-            return _become(n, RED, left=l, fn=reductions.pair_right(r.results))
-        if r.form == RED:
-            _fire("seq-float-right")
-            return _become(n, RED, left=new_seq(l, r.left),
-                           fn=reductions.lift_right(r.fn))
-        return False
-    if form == RED:
-        c = n.left
-        if c.form == EMPTY:
-            _fire("red-empty")
-            return _become(n, EMPTY, n_value=NV_NOT)
-        if c.form == EPSILON:
-            _fire("red-epsilon")
-            return _become(n, EPSILON, results=c.results.apply(n.fn),
-                           n_value=NV_NULLABLE)
-        if c.form == RED:
-            _fire("red-compose")
-            n.fn = reductions.compose(n.fn, c.fn)
-            n.left = c.left
-            return True
-        return False
-    return False
+    return repl is not None and become_node(n, repl)
 
 
 class Grammar:

@@ -103,21 +103,27 @@ class Counters:
         )
 
 
+def csv_row(counters: Counters, file: str, tokens: int,
+            seconds_per_token: float) -> str:
+    """The CSV_FIELDS columns of one row, without a line end."""
+    return ",".join((
+        file,
+        str(tokens),
+        str(counters.nodes_created),
+        str(counters.derive_calls_cached),
+        str(counters.derive_calls_uncached),
+        str(counters.nullable_visits),
+        str(counters.compactions),
+        repr(seconds_per_token),
+    ))
+
+
 def emit(counters: Counters, fmt: str, *, file: str = "", tokens: int = 0,
          seconds_per_token: float = 0.0) -> str:
     """Render counters as a CSV row (with header) or a JSON object."""
     if fmt == "csv":
-        row = (
-            file,
-            str(tokens),
-            str(counters.nodes_created),
-            str(counters.derive_calls_cached),
-            str(counters.derive_calls_uncached),
-            str(counters.nullable_visits),
-            str(counters.compactions),
-            repr(seconds_per_token),
-        )
-        return ",".join(CSV_FIELDS) + "\n" + ",".join(row) + "\n"
+        row = csv_row(counters, file, tokens, seconds_per_token)
+        return ",".join(CSV_FIELDS) + "\n" + row + "\n"
     if fmt == "json":
         data = counters.as_dict()
         data["file"] = file

@@ -1,6 +1,7 @@
 """Parse forests: null parses, counting, enumeration, JSON export."""
 
 import json
+import time
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ from derivparse import (
     pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse.forest import EMPTY_SET, ForestSet
+from test_acceptance import ARITH_SRC, expr_tokens
 
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -195,3 +197,19 @@ def test_ambiguity_nodes_have_at_least_two_children():
 def test_tree_text_orders_pairs_and_prods():
     t = Prod("P", (Pair(Leaf("a"), Leaf("b")),))
     assert tree_text(t) == "P[(a,b)]"
+
+
+def test_first_tree_of_an_unambiguous_forest_takes_linear_time():
+    # enumeration dedups whole trees; a tree that rehashed its subtree on
+    # every lookup made this quadratic (ratio about 13 for 4x the tokens)
+    g = load_grammar(ARITH_SRC)
+    best = {}
+    for n in (600, 2400):
+        fs = parse(g, expr_tokens(n))
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            enumerate_trees(fs, 1)
+            times.append(time.perf_counter() - t0)
+        best[n] = min(times)
+    assert best[2400] / best[600] <= 8, best

@@ -7,14 +7,15 @@ import pytest
 from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
     Context, Leaf,
-    become_node, describe_node, enumerate_trees, load_grammar, mk_alt,
-    mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
-    reachable_nodes, recognize, tree_text, use_context,
+    become_node, describe_node, enumerate_trees, load_bnf, load_grammar,
+    mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
+    parse, reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse.forest import ForestSet
-from derivparse.grammar import new_alt, new_seq
+from derivparse.grammar import _normalize_step, new_alt, new_red, new_seq
 from derivparse.reductions import production
 from conftest import all_strings, random_grammar_source
+from test_acceptance import FIXED_CORPUS, _probe_words
 
 
 def eps(label: str = "_"):
@@ -90,6 +91,63 @@ def test_compaction_declines_on_under_construction_nodes():
     assert n.form == SEQ
 
 
+K = production("K", 1)
+
+# one hand-built (form, child, child-or-reduction) per local rule, chosen so
+# that this rule and no other fires on it
+RULE_CASES = {
+    "alt-empty-left": lambda: (ALT, mk_empty(), mk_token("a")),
+    "alt-empty-right": lambda: (ALT, mk_token("a"), mk_empty()),
+    "alt-epsilon-merge": lambda: (ALT, eps("x"), eps("y")),
+    "seq-empty-left": lambda: (SEQ, mk_empty(), mk_token("a")),
+    "seq-epsilon-left": lambda: (SEQ, eps(), mk_token("a")),
+    "seq-associate": lambda: (SEQ, new_seq(mk_token("a"), mk_token("b")),
+                              mk_token("c")),
+    "seq-float-left": lambda: (SEQ, new_red(mk_token("a"), K), mk_token("b")),
+    "seq-empty-right": lambda: (SEQ, mk_token("a"), mk_empty()),
+    "seq-epsilon-right": lambda: (SEQ, mk_token("a"), eps()),
+    "seq-float-right": lambda: (SEQ, mk_token("a"), new_red(mk_token("b"), K)),
+    "red-empty": lambda: (RED, mk_empty(), K),
+    "red-epsilon": lambda: (RED, eps(), K),
+    "red-compose": lambda: (RED, new_red(mk_token("a"), K), production("Y", 1)),
+}
+
+RAW = {ALT: new_alt, SEQ: new_seq, RED: new_red}
+BUILT = {ALT: mk_alt, SEQ: mk_seq, RED: mk_red}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CASES))
+def test_normalizing_a_node_fires_the_construction_rule(rule, ctx):
+    form, x, y = RULE_CASES[rule]()
+    n = RAW[form](x, y)
+    ctx.counters.reset()
+    assert _normalize_step(n)
+    assert ctx.counters.compaction_firings == {rule: 1}
+    assert not _normalize_step(n)  # one rule reached the normal form
+    built = BUILT[form](x, y)
+    assert n.form == built.form
+    if n.form == RED:
+        assert n.left.form == built.left.form
+
+
+def test_parsing_a_normalized_grammar_fires_no_right_child_rule():
+    # the normal form has no Empty/Epsilon/reduction right child, and every
+    # derivative keeps it, so the right-child rules never fire while parsing
+    right_rules = {"seq-empty-right", "seq-epsilon-right", "seq-float-right"}
+    rng = random.Random(0x5EC)
+    sources = FIXED_CORPUS + [random_grammar_source(rng) for _ in range(30)]
+    fired = 0
+    for src in sources:
+        g = load_grammar(src)
+        g.counters.reset()
+        for w in _probe_words(load_bnf(src), "ab"):
+            parse(g, list(w))
+        firings = g.counters.compaction_firings
+        assert not right_rules & firings.keys(), (src, firings)
+        fired += sum(firings.values())
+    assert fired > 0
+
+
 def test_become_node_redirects_existing_references():
     a = mk_token("a")
     holder = new_alt(a, a)
@@ -98,6 +156,7 @@ def test_become_node_redirects_existing_references():
     assert holder.left.form == TOKEN
     assert holder.left.label == "b"
     assert holder.left is a
+    assert not become_node(a, a)  # normalization stops on a self-replacement
 
 
 def test_reachable_nodes_terminates_on_cycles():
