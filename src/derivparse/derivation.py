@@ -19,11 +19,10 @@ grammars would degrade to quadratic.  Discarded shells keep
 in_progress=True; they are unreachable and only the created-node registry
 ever sees them.
 
-Debug names turn compaction off.  One minting rule (_minted_name) names a
-derivative node from the node and token it was derived for: where the node
-is cached (_put), or where it is built for the one node never cached, the
-first branch of a nullable-left Seq's choice.  Every memo hit is checked
-against the same minting.
+Debug names turn compaction off.  _name is the one place a derivative node
+is named: where it is cached (_put), and for the one node never cached, the
+first branch of a nullable-left Seq's choice.  The rule follows from the
+node derived from (_mint_rule), and every memo hit is checked against it.
 
 recognize/parse fold derive over the input inside the grammar's context;
 caches are cleared first, so parses are independent.
@@ -50,18 +49,20 @@ def _nullable(node, settings) -> bool:
     return is_nullable(node)
 
 
-def _minted_name(n, c, node):
-    """The debug name of `node`, minted for n's derivative by c: n's name
-    extended by c, with the split marker on the choice a nullable-left Seq
-    derives into.  Names turn compaction off, so that choice is exactly the
-    Alt a Seq derives into."""
-    rule = MARK_EXTEND if n.form == SEQ and node.form == ALT else EXTEND
-    return name_node(n.name, c, rule)
+def _mint_rule(n, st) -> str:
+    """A nullable-left Seq derives into a choice, named with the split mark."""
+    return MARK_EXTEND if n.form == SEQ and _nullable(n.left, st) else EXTEND
+
+
+def _name(node, n, c, rule) -> None:
+    """The one place a derivative node gets its debug name."""
+    if n.name is not None:
+        node.name = name_node(n.name, c, rule)
 
 
 def _put(n, c, res, settings) -> None:
-    if settings.debug_names and n.name is not None:
-        res.name = _minted_name(n, c, res)
+    if settings.debug_names:
+        _name(res, n, c, _mint_rule(n, settings))
     if settings.memo_full:
         m = n.d_map
         if m is None:
@@ -85,10 +86,10 @@ def _settle(n, c, shell, repl, settings):
     return shell
 
 
-def _check_hit_name(n, c, hit) -> None:
+def _check_hit_name(n, c, hit, settings) -> None:
     if n.name is None:
         return
-    expected = _minted_name(n, c, hit)
+    expected = name_node(n.name, c, _mint_rule(n, settings))
     if hit.name != expected:
         raise NamingError(
             f"memo hit named {hit.name!r}, minting gives {expected.text()!r}"
@@ -112,7 +113,7 @@ def _derive(n, c, ctx):
         if hit.in_progress:
             hit.leaked = True
         if st.debug_names:
-            _check_hit_name(n, c, hit)
+            _check_hit_name(n, c, hit, st)
         return hit
     ctx.counters.derive_calls_uncached += 1
     form = n.form
@@ -168,8 +169,8 @@ def _derive(n, c, ctx):
     # the result is a choice; its first branch extends the left parse, the
     # second starts the right half, pairing in the left half's empty-word
     # trees (threaded lazily; skipped entirely in the pure naming engine).
-    # Only the choice is cached, so the first branch needs no shell, and it
-    # is the one derivative node named outside _put.
+    # Only the choice is cached, so the first branch needs no shell and is
+    # named here, without the split marker.
     alt_shell = new_alt(None, None)
     alt_shell.in_progress = True
     _put(n, c, alt_shell, st)
@@ -177,8 +178,8 @@ def _derive(n, c, ctx):
     left = _compact_seq(dl, n.right) if compacting else None
     if left is None:
         left = new_seq(dl, n.right)
-        if naming and n.name is not None:
-            left.name = _minted_name(n, c, left)
+        if naming:
+            _name(left, n, c, EXTEND)
     dr = _derive(n.right, c, ctx)
     if naming:
         right = dr

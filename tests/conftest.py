@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from derivparse import enumerate_language
+
 # deep grammars on long inputs recurse past the default limit
 sys.setrecursionlimit(20000)
 
@@ -48,3 +50,50 @@ def all_strings(sigma: str, max_len: int):
 @pytest.fixture
 def rng():
     return random.Random(0xD0E)
+
+
+WORST_SRC = "start = L ;\nL : L L | '.' ;\n"
+CATALAN_SRC = "start = S ;\nS : S S | 'a' ;\n"
+ARITH_SRC = (
+    "start = E ;\n"
+    "E : T '+' E | T ;\n"
+    "T : F '*' T | F ;\n"
+    "F : '-' F | '(' E ')' | 'n' ;\n"
+)
+
+# fixed grammars exercised corpus-wide, plus seeded random ones where a
+# criterion asks for volume
+FIXED_CORPUS = [
+    WORST_SRC,
+    CATALAN_SRC,
+    ARITH_SRC,
+    "start = P ;\nP : '(' P ')' P | ;\n",
+    "start = P ;\nP : 'a' P 'a' | 'b' P 'b' | 'a' | 'b' | ;\n",
+    "start = S ;\nS : A A A ;\nA : 'a' | ;\n",
+    "start = S ;\nS : S | 'a' ;\n",
+    "start = N ;\nN : E N | 'x' ;\nE : ;\n",
+]
+
+
+def distinct_tokens(n: int) -> list:
+    return [str(i) for i in range(n)]
+
+
+def expr_tokens(n: int) -> list:
+    """An arithmetic token stream of exactly n tokens (n even)."""
+    toks = ["-", "n"]
+    ops = ["+", "*"]
+    i = 0
+    while len(toks) < n:
+        toks.extend([ops[i % 2], "n"])
+        i += 1
+    assert len(toks) == n
+    return toks
+
+
+def probe_words(bg, extra_sigma: str) -> list:
+    """Up to 40 shortest words of the language, then up to 15 words over
+    extra_sigma that it rejects."""
+    words = sorted(enumerate_language(bg, 4), key=lambda w: (len(w), w))
+    rejected = [w for w in all_strings(extra_sigma, 3) if w not in set(words)]
+    return words[:40] + rejected[:15]

@@ -22,56 +22,14 @@ from derivparse import (
 )
 from derivparse.cli import main as cli_main
 from derivparse.instrumentation import MARK
-from conftest import all_strings, random_grammar_source
+from conftest import (
+    ARITH_SRC, CATALAN_SRC, FIXED_CORPUS, WORST_SRC, all_strings,
+    distinct_tokens, expr_tokens, probe_words, random_grammar_source,
+)
 
 
 def _report(num: int, name: str, detail: str) -> None:
     print(f"criterion {num} ({name}): PASS  [{detail}]")
-
-
-WORST_SRC = "start = L ;\nL : L L | '.' ;\n"
-CATALAN_SRC = "start = S ;\nS : S S | 'a' ;\n"
-ARITH_SRC = (
-    "start = E ;\n"
-    "E : T '+' E | T ;\n"
-    "T : F '*' T | F ;\n"
-    "F : '-' F | '(' E ')' | 'n' ;\n"
-)
-
-# fixed grammars exercised corpus-wide, plus seeded random ones where a
-# criterion asks for volume
-FIXED_CORPUS = [
-    WORST_SRC,
-    CATALAN_SRC,
-    ARITH_SRC,
-    "start = P ;\nP : '(' P ')' P | ;\n",
-    "start = P ;\nP : 'a' P 'a' | 'b' P 'b' | 'a' | 'b' | ;\n",
-    "start = S ;\nS : A A A ;\nA : 'a' | ;\n",
-    "start = S ;\nS : S | 'a' ;\n",
-    "start = N ;\nN : E N | 'x' ;\nE : ;\n",
-]
-
-
-def distinct_tokens(n: int) -> list:
-    return [str(i) for i in range(n)]
-
-
-def expr_tokens(n: int) -> list:
-    """An arithmetic token stream of exactly n tokens (n even)."""
-    toks = ["-", "n"]
-    ops = ["+", "*"]
-    i = 0
-    while len(toks) < n:
-        toks.extend([ops[i % 2], "n"])
-        i += 1
-    assert len(toks) == n
-    return toks
-
-
-def _probe_words(bg, extra_sigma: str) -> list:
-    words = sorted(enumerate_language(bg, 4), key=lambda w: (len(w), w))
-    rejected = [w for w in all_strings(extra_sigma, 3) if w not in set(words)]
-    return words[:40] + rejected[:15]
 
 
 def _outputs(src: str, words, **settings) -> list:
@@ -235,7 +193,7 @@ def test_criterion_5_memo_mode_equivalence(tmp_path, capsys):
     sources = FIXED_CORPUS + [random_grammar_source(rng) for _ in range(20)]
     for src in sources:
         bg = load_bnf(src)
-        words = _probe_words(bg, "ab")
+        words = probe_words(bg, "ab")
         single = _outputs(src, words, memo_full=False)
         full = _outputs(src, words, memo_full=True)
         assert single == full, src
@@ -298,7 +256,7 @@ def test_criterion_6_compaction_soundness_and_normal_form():
     sources = FIXED_CORPUS + [random_grammar_source(rng) for _ in range(20)]
     for src in sources:
         bg = load_bnf(src)
-        words = _probe_words(bg, "ab")
+        words = probe_words(bg, "ab")
         plain = _outputs(src, words, compaction=True)
         off = _outputs(src, words, compaction=False)
         assert plain == off, src

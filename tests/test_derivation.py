@@ -2,15 +2,17 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivparse import (
     ALT, SEQ,
-    Context,
-    derive, is_nullable, load_grammar, mk_token,
-    recognize, use_context,
+    Context, ForestSet, Leaf, NamingError, ParserSettings,
+    derive, fresh_name, is_nullable, load_grammar, mk_empty, mk_eps, mk_token,
+    name_node, recognize, use_context,
 )
 from derivparse.grammar import new_alt, new_seq
+from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import all_strings, random_grammar_source
 
 
@@ -139,3 +141,35 @@ def test_membership_matches_brute_force_enumeration(seed, salt):
     words = enumerate_language(load_bnf(src), 4)
     for w in all_strings("abc", 4):
         assert recognize(g, list(w)) == (w in words), (src, w)
+
+
+# the node a memo hit was cached for, and the rule its derivative is named by
+HIT_OWNERS = {
+    "token": (lambda: mk_token("a"), EXTEND),
+    "seq": (lambda: new_seq(mk_token("a"), mk_token("b")), EXTEND),
+    "nullable-left seq": (
+        lambda: new_seq(mk_eps(ForestSet.from_tree(Leaf("_"))), mk_token("b")),
+        MARK_EXTEND),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(HIT_OWNERS))
+@pytest.mark.parametrize("hit_form", ["empty", "alt"])
+@pytest.mark.parametrize("rule", [EXTEND, MARK_EXTEND])
+def test_memo_hit_name_is_checked_against_the_owner(owner, hit_form, rule):
+    # the expected name follows from the node the hit was cached for, not
+    # from the form of the cached node, so a planted misnamed hit is caught
+    make, minted = HIT_OWNERS[owner]
+    with use_context(Context(settings=ParserSettings(debug_names=True))):
+        n = make()
+        n.name = fresh_name()
+        hit = mk_empty()
+        if hit_form == "alt":
+            hit = new_alt(mk_empty(), mk_empty())
+        hit.name = name_node(n.name, "a", rule)
+        n.d_key, n.d_val = "a", hit
+        if rule == minted:
+            assert derive(n, "a") is hit
+        else:
+            with pytest.raises(NamingError):
+                derive(n, "a")

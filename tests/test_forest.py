@@ -1,7 +1,6 @@
 """Parse forests: null parses, counting, enumeration, JSON export."""
 
 import json
-import time
 from math import comb
 
 import pytest
@@ -12,7 +11,7 @@ from derivparse import (
     pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse.forest import EMPTY_SET, ForestSet
-from test_acceptance import ARITH_SRC, expr_tokens
+from conftest import ARITH_SRC, expr_tokens
 
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -199,17 +198,20 @@ def test_tree_text_orders_pairs_and_prods():
     assert tree_text(t) == "P[(a,b)]"
 
 
-def test_first_tree_of_an_unambiguous_forest_takes_linear_time():
+def test_first_tree_of_a_forest_takes_linear_hash_work(monkeypatch):
     # enumeration dedups whole trees; a tree that rehashed its subtree on
-    # every lookup made this quadratic (ratio about 13 for 4x the tokens)
+    # every lookup made this quadratic (ratio about 16 for 4x the tokens)
+    calls = [0]
+    for cls in (Pair, Prod):
+        def counted(self, _hash=cls.__hash__):
+            calls[0] += 1
+            return _hash(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
     g = load_grammar(ARITH_SRC)
-    best = {}
-    for n in (600, 2400):
+    work = {}
+    for n in (100, 400):
         fs = parse(g, expr_tokens(n))
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            enumerate_trees(fs, 1)
-            times.append(time.perf_counter() - t0)
-        best[n] = min(times)
-    assert best[2400] / best[600] <= 8, best
+        calls[0] = 0
+        assert len(enumerate_trees(fs, 1)) == 1
+        work[n] = calls[0]
+    assert work[400] <= 6 * work[100], work

@@ -6,7 +6,7 @@ import pytest
 
 from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
-    Context, Leaf,
+    Context, Grammar, Leaf,
     become_node, describe_node, enumerate_trees, load_bnf, load_grammar,
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
     parse, reachable_nodes, recognize, tree_text, use_context,
@@ -14,8 +14,9 @@ from derivparse import (
 from derivparse.forest import ForestSet
 from derivparse.grammar import _normalize_step, new_alt, new_red, new_seq
 from derivparse.reductions import production
-from conftest import all_strings, random_grammar_source
-from test_acceptance import FIXED_CORPUS, _probe_words
+from conftest import (
+    FIXED_CORPUS, all_strings, probe_words, random_grammar_source,
+)
 
 
 def eps(label: str = "_"):
@@ -140,7 +141,7 @@ def test_parsing_a_normalized_grammar_fires_no_right_child_rule():
     for src in sources:
         g = load_grammar(src)
         g.counters.reset()
-        for w in _probe_words(load_bnf(src), "ab"):
+        for w in probe_words(load_bnf(src), "ab"):
             parse(g, list(w))
         firings = g.counters.compaction_firings
         assert not right_rules & firings.keys(), (src, firings)
@@ -226,6 +227,31 @@ def test_normalization_preserves_the_language():
         cooked = load_grammar(src)
         for w in words:
             assert recognize(raw, list(w)) == recognize(cooked, list(w)), (src, w)
+
+
+def _raw_right_children():
+    # load_grammar builds through mk_seq, which already applies the
+    # right-child rules, so an unnormalized graph that still has Epsilon,
+    # reduction and Empty right children is built by hand
+    tail = new_seq(mk_token("b"), eps("x"))
+    body = new_seq(mk_token("a"), new_red(tail, production("K", 2)))
+    dead = new_seq(mk_token("b"), mk_empty())
+    nullable = new_seq(new_alt(mk_token("a"), eps("n")), eps("y"))
+    return Grammar(new_alt(body, new_alt(dead, nullable)), "S")
+
+
+def test_engine_agrees_before_and_after_normalizing_right_children():
+    raw = _raw_right_children()
+    assert {n.right.form for n in reachable_nodes(raw.root) if n.form == SEQ} \
+        >= {EMPTY, EPSILON, RED}
+    cooked = normalize_grammar(_raw_right_children())
+    _check_normal_form(cooked.root)
+    for w in all_strings("ab", 3):
+        assert recognize(raw, list(w)) == recognize(cooked, list(w)), w
+        raw_trees, cooked_trees = (
+            sorted(tree_text(t) for t in enumerate_trees(parse(g, list(w)), 5))
+            for g in (raw, cooked))
+        assert raw_trees == cooked_trees, w
 
 
 def test_size_accounting_updates_after_normalization():
