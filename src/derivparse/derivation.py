@@ -19,6 +19,17 @@ grammars would degrade to quadratic.  Discarded shells keep
 in_progress=True; they are unreachable and only the created-node registry
 ever sees them.
 
+A leaked shell can close a cycle that denotes the empty language, such as
+X = red(seq(X, t)), which no local rule sees.  So every finished shell is
+checked for productivity: it takes the productive mark from its children
+(or from the replacement it copied) when they prove it, and a leaked shell
+left unmarked runs the dead-subgraph fixed point (grammar.collapse_dead),
+which collapses a dead cycle to Empty; its parents then drop it by the
+local Empty rules.  A node built over a shell still under construction
+cannot be marked when built, and may be cut off from the cycle it leaned
+on; a memo hit on such a node runs the same fixed point before returning
+it.  Both run under compaction only.
+
 Debug names turn compaction off.  _name is the one place a derivative node
 is named: where it is cached (_put), and for the one node never cached, the
 first branch of a nullable-left Seq's choice.  The rule follows from the
@@ -35,8 +46,9 @@ from typing import Iterable
 from .forest import ForestSet, parse_null
 from .grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
-    Grammar, become_node, current_context, mk_empty, mk_eps, new_alt, new_red,
-    new_seq, reachable_nodes, _compact_alt, _compact_red, _compact_seq,
+    Grammar, become_node, collapse_dead, current_context, mk_empty, mk_eps,
+    new_alt, new_red, new_seq, reachable_nodes,
+    _compact_alt, _compact_red, _compact_seq,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, fresh_name, name_node
 from .nullability import is_nullable, is_nullable_naive
@@ -73,19 +85,6 @@ def _put(n, c, res, settings) -> None:
         n.d_val = res
 
 
-def _settle(n, c, shell, repl, settings):
-    """Install a compacted replacement for a freshly filled shell.  Unleaked:
-    the cache entry is redirected and the shell discarded.  Leaked: the shell
-    is already referenced as a child somewhere, so the replacement's
-    structure is copied into it, keeping its identity."""
-    if not shell.leaked:
-        _put(n, c, repl, settings)
-        return repl
-    become_node(shell, repl)
-    shell.in_progress = False
-    return shell
-
-
 def _check_hit_name(n, c, hit, settings) -> None:
     if n.name is None:
         return
@@ -110,8 +109,13 @@ def _derive(n, c, ctx):
         hit = n.d_val if n.d_key == c else None
     if hit is not None:
         ctx.counters.derive_calls_cached += 1
-        if hit.in_progress:
-            hit.leaked = True
+        if not hit.productive:
+            if hit.in_progress:
+                hit.leaked = True
+            elif hit.form != EMPTY and st.compaction and not st.debug_names:
+                # built while a child was under construction, which may
+                # have been proven dead since
+                collapse_dead(hit)
         if st.debug_names:
             _check_hit_name(n, c, hit, st)
         return hit
@@ -126,76 +130,82 @@ def _derive(n, c, ctx):
         return res
     naming = st.debug_names
     compacting = st.compaction and not naming
+    # read n once: the dead-subgraph rule may rewrite n to Empty while its
+    # children are derived, and its old structure has the same language
+    l, r = n.left, n.right
     if form == ALT:
         shell = new_alt(None, None)
         shell.in_progress = True
         _put(n, c, shell, st)
-        dl = _derive(n.left, c, ctx)
-        dr = _derive(n.right, c, ctx)
-        if compacting:
-            repl = _compact_alt(dl, dr)
-            if repl is not None:
-                return _settle(n, c, shell, repl, st)
-        shell.left = dl
-        shell.right = dr
-        shell.in_progress = False
-        return shell
-    if form == RED:
-        shell = new_red(None, n.fn)
+        dl = _derive(l, c, ctx)
+        dr = _derive(r, c, ctx)
+        repl = _compact_alt(dl, dr) if compacting else None
+        if repl is None:
+            shell.left = dl
+            shell.right = dr
+            shell.productive = dl.productive or dr.productive
+    elif form == RED:
+        fn = n.fn
+        shell = new_red(None, fn)
         shell.in_progress = True
         _put(n, c, shell, st)
-        dc = _derive(n.left, c, ctx)
-        if compacting:
-            repl = _compact_red(dc, n.fn)
-            if repl is not None:
-                return _settle(n, c, shell, repl, st)
-        shell.left = dc
-        shell.in_progress = False
-        return shell
-    # SEQ
-    if not _nullable(n.left, st):
-        shell = new_seq(None, n.right)
+        dc = _derive(l, c, ctx)
+        repl = _compact_red(dc, fn) if compacting else None
+        if repl is None:
+            shell.left = dc
+            shell.productive = dc.productive
+    elif not _nullable(l, st):
+        shell = new_seq(None, r)
         shell.in_progress = True
         _put(n, c, shell, st)
-        dl = _derive(n.left, c, ctx)
-        if compacting:
-            repl = _compact_seq(dl, n.right)
-            if repl is not None:
-                return _settle(n, c, shell, repl, st)
-        shell.left = dl
-        shell.in_progress = False
-        return shell
-    # nullable left half: the derivative may consume c in either half, so
-    # the result is a choice; its first branch extends the left parse, the
-    # second starts the right half, pairing in the left half's empty-word
-    # trees (threaded lazily; skipped entirely in the pure naming engine).
-    # Only the choice is cached, so the first branch needs no shell and is
-    # named here, without the split marker.
-    alt_shell = new_alt(None, None)
-    alt_shell.in_progress = True
-    _put(n, c, alt_shell, st)
-    dl = _derive(n.left, c, ctx)
-    left = _compact_seq(dl, n.right) if compacting else None
-    if left is None:
-        left = new_seq(dl, n.right)
-        if naming:
-            _name(left, n, c, EXTEND)
-    dr = _derive(n.right, c, ctx)
-    if naming:
-        right = dr
+        dl = _derive(l, c, ctx)
+        repl = _compact_seq(dl, r) if compacting else None
+        if repl is None:
+            shell.left = dl
+            shell.productive = dl.productive and r.productive
     else:
-        inj = pair_left_null(n.left)
-        right = _compact_red(dr, inj) if compacting else None
-        if right is None:
-            right = new_red(dr, inj)
-    if compacting:
-        repl = _compact_alt(left, right)
-        if repl is not None:
-            return _settle(n, c, alt_shell, repl, st)
-    alt_shell.left = left
-    alt_shell.right = right
-    alt_shell.in_progress = False
-    return alt_shell
+        # nullable left half: the derivative may consume c in either half,
+        # so the result is a choice; its first branch extends the left
+        # parse, the second starts the right half, pairing in the left
+        # half's empty-word trees (threaded lazily; skipped entirely in the
+        # pure naming engine).  Only the choice is cached, so the first
+        # branch needs no shell and is named here, without the split marker.
+        shell = new_alt(None, None)
+        shell.in_progress = True
+        _put(n, c, shell, st)
+        dl = _derive(l, c, ctx)
+        left = _compact_seq(dl, r) if compacting else None
+        if left is None:
+            left = new_seq(dl, r)
+            if naming:
+                _name(left, n, c, EXTEND)
+        dr = _derive(r, c, ctx)
+        if naming:
+            right = dr
+        else:
+            inj = pair_left_null(l)
+            right = _compact_red(dr, inj) if compacting else None
+            if right is None:
+                right = new_red(dr, inj)
+        repl = _compact_alt(left, right) if compacting else None
+        if repl is None:
+            shell.left = left
+            shell.right = right
+            shell.productive = left.productive or right.productive
+    if repl is not None:
+        # an unleaked shell is discarded and the cache entry redirected; a
+        # leaked one is already some node's child, so it takes on the
+        # replacement's structure and keeps its identity
+        if not shell.leaked:
+            _put(n, c, repl, st)
+            return repl
+        become_node(shell, repl)
+    shell.in_progress = False
+    # a leaked shell that its children do not prove productive may close a
+    # cycle that denotes the empty language
+    if not shell.productive and compacting and shell.leaked:
+        collapse_dead(shell)
+    return shell
 
 
 # --- whole-input operations --------------------------------------------------

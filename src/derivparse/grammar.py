@@ -15,6 +15,13 @@ loaded grammar and copies each replacement into the rewritten node with
 become_node until nothing fires, so no reachable concatenation is left with
 an Empty, Epsilon or reduction right child; derivatives of such a grammar
 never have one either, so the right-child rules fire only at load time.
+
+One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
+language, but no node on it has an Empty child.  The dead-subgraph rule
+(collapse_dead) is one productivity fixed point, over the nodes not yet
+marked productive, that rewrites every node it proves dead to Empty.
+normalize_grammar runs it over the loaded grammar, and the derivative engine
+from every cycle-closing node that finishes unproductive.
 """
 
 from __future__ import annotations
@@ -47,15 +54,16 @@ class GrammarNode:
 
     The remaining slots are engine state: the nullability cell, the derivative
     cache (single-entry pair or full dict, depending on the active mode), the
-    under-construction flag with its leak mark, the empty-word parse memo, and
-    the optional debug name.
+    under-construction flag with its leak mark, the productive mark (set only
+    once the node's language is proven non-empty), the empty-word parse memo,
+    and the optional debug name.
     """
 
     __slots__ = (
         "id", "form", "left", "right", "label", "results", "fn",
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
-        "in_progress", "leaked", "pn_memo", "name",
+        "in_progress", "leaked", "productive", "pn_memo", "name",
     )
 
     def __init__(self, form: int):
@@ -74,6 +82,7 @@ class GrammarNode:
         self.d_map = None
         self.in_progress = False
         self.leaked = False
+        self.productive = False
         self.pn_memo = None
         self.name = None
 
@@ -163,6 +172,7 @@ def mk_eps(results) -> GrammarNode:
     n = _new(EPSILON)
     n.results = results
     n.n_value = NV_NULLABLE
+    n.productive = True
     return n
 
 
@@ -170,13 +180,21 @@ def mk_token(label: str) -> GrammarNode:
     n = _new(TOKEN)
     n.label = label
     n.n_value = NV_NOT
+    n.productive = True
     return n
 
+
+# The productive mark by the local rule: tokens and epsilon are productive, a
+# choice if either child is, a concatenation if both are, a reduction if its
+# child is.  A shell (None children) stays unmarked until its builder fills
+# it, and a node under construction is never marked, so no mark leans on one.
 
 def new_alt(left, right) -> GrammarNode:
     n = _new(ALT)
     n.left = left
     n.right = right
+    if left is not None:
+        n.productive = left.productive or right.productive
     return n
 
 
@@ -184,6 +202,8 @@ def new_seq(left, right) -> GrammarNode:
     n = _new(SEQ)
     n.left = left
     n.right = right
+    if left is not None:
+        n.productive = left.productive and right.productive
     return n
 
 
@@ -191,6 +211,8 @@ def new_red(child, fn) -> GrammarNode:
     n = _new(RED)
     n.left = child
     n.fn = fn
+    if child is not None:
+        n.productive = child.productive
     return n
 
 
@@ -324,44 +346,74 @@ def reachable_nodes(root: GrammarNode) -> list:
 _SWEEP_CAP = 1000
 
 
-def _collapse_dead(root: GrammarNode) -> None:
-    """Rewrite every node denoting the empty language to an Empty node.
+def collapse_dead(root: GrammarNode) -> None:
+    """The dead-subgraph rule: rewrite every node below root that denotes the
+    empty language to Empty.
 
-    "Denotes the empty language" is the complement of a least fixed point:
-    a node produces a word if it is a token or epsilon, a choice with a
-    producing child, a concatenation of two producing children, or a
-    reduction of a producing child.  Degenerate recursions like S : 'a' S ;
-    (no base case) land here, which is also what makes the rewrite sweeps
-    below terminate on cyclic graphs.
+    A node is productive (its language is not empty) by the least fixed
+    point of the local rule that sets the marks (see new_alt).  The walk
+    collects the unmarked nodes below root and stops at the rest: a marked
+    node is productive, Empty is not, and a node under construction counts
+    as productive, since its children are not known yet, but proves
+    nothing.  Nodes proven productive without a node under construction get
+    the mark, so no later walk enters them; those not productive even with
+    every node under construction counted are dead.  Degenerate recursions
+    like S : 'a' S ; (no base case) and derivative cycles like
+    X = red(seq(X, t)) land here.  A dead node's derivative cache is
+    dropped, so no stale entry keeps dead structure alive.
     """
-    nodes = reachable_nodes(root)
-    producing: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n.id in producing:
-                continue
-            form = n.form
-            if form == TOKEN or form == EPSILON:
-                ok = True
-            elif form == ALT:
-                ok = n.left.id in producing or n.right.id in producing
-            elif form == SEQ:
-                ok = n.left.id in producing and n.right.id in producing
-            elif form == RED:
-                ok = n.left.id in producing
+    if root.productive or root.in_progress or root.form == EMPTY:
+        return
+    inner = [root]
+    seen = {root}
+    parents: dict = {}
+    proven = []    # marked frontier
+    pending = []   # frontier under construction
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        for c in node_children(n):
+            ps = parents.get(c)
+            if ps is None:
+                parents[c] = [n]
             else:
-                ok = False
-            if ok:
-                producing.add(n.id)
-                changed = True
-    dead = [n for n in nodes if n.id not in producing and n.form != EMPTY]
+                ps.append(n)
+            if c in seen:
+                continue
+            seen.add(c)
+            if c.productive:
+                proven.append(c)
+            elif c.in_progress:
+                pending.append(c)
+            elif c.form != EMPTY:
+                inner.append(c)
+                stack.append(c)
+    live = set(proven)
+    _spread(proven, live, parents)
+    for n in inner:
+        if n in live:
+            n.productive = True
+    live.update(pending)
+    _spread(pending, live, parents)
+    dead = [n for n in inner if n not in live]
     if dead:
         empty = mk_empty()
         for n in dead:
             become_node(n, empty)
+            n.d_key = n.d_val = n.d_map = None
             _fire("dead-subgraph")
+
+
+def _spread(work: list, live: set, parents: dict) -> None:
+    """Close `live` under the local productivity rule, upward from `work`."""
+    while work:
+        c = work.pop()
+        for p in parents.get(c, ()):
+            if p in live or (p.form == SEQ
+                             and not (p.left in live and p.right in live)):
+                continue
+            live.add(p)
+            work.append(p)
 
 
 def become_node(dst: GrammarNode, src: GrammarNode) -> bool:
@@ -379,6 +431,7 @@ def become_node(dst: GrammarNode, src: GrammarNode) -> bool:
     dst.results = src.results
     dst.fn = src.fn
     dst.n_value = src.n_value
+    dst.productive = src.productive
     return changed
 
 
@@ -428,10 +481,13 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
 
     Accepts a Grammar or a bare root node; rewrites in place and returns the
     argument.  Terminates on cyclic graphs because empty-language subgraphs
-    are collapsed first (see _collapse_dead); a sweep cap guards the rest.
+    are collapsed first (see collapse_dead, run from every node not yet
+    marked, which leaves every reachable node marked or Empty); a sweep cap
+    guards the rest.
     """
     root = g.root if isinstance(g, Grammar) else g
-    _collapse_dead(root)
+    for n in reachable_nodes(root):
+        collapse_dead(n)
     for _ in range(_SWEEP_CAP):
         changed = False
         for n in reachable_nodes(root):

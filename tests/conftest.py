@@ -60,6 +60,14 @@ ARITH_SRC = (
     "T : F '*' T | F ;\n"
     "F : '-' F | '(' E ')' | 'n' ;\n"
 )
+# the same language, left-recursive: the shape whose derivatives build
+# cycles that denote the empty language
+ARITH_LEFT_SRC = (
+    "start = E ;\n"
+    "E : E '+' T | T ;\n"
+    "T : T '*' F | F ;\n"
+    "F : '-' F | '(' E ')' | 'n' ;\n"
+)
 
 # fixed grammars exercised corpus-wide, plus seeded random ones where a
 # criterion asks for volume

@@ -23,8 +23,9 @@ from derivparse import (
 from derivparse.cli import main as cli_main
 from derivparse.instrumentation import MARK
 from conftest import (
-    ARITH_SRC, CATALAN_SRC, FIXED_CORPUS, WORST_SRC, all_strings,
-    distinct_tokens, expr_tokens, probe_words, random_grammar_source,
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, FIXED_CORPUS, WORST_SRC,
+    all_strings, distinct_tokens, expr_tokens, probe_words,
+    random_grammar_source,
 )
 
 
@@ -335,6 +336,19 @@ def test_criterion_8_linear_practical_smoke():
             assert seconds < 30.0, seconds
     ratio = spt[20000] / spt[2000]
     assert ratio <= 3.0, spt
+
+    # left recursion, counted: its derivatives close cycles that denote the
+    # empty language, which must be collapsed for the graph to stay flat
+    g = load_grammar(ARITH_LEFT_SRC)
+    npt = {}
+    for n in (100, 400):
+        before = g.counters.nodes_created
+        fs = parse(g, expr_tokens(n))
+        assert count_parses(fs) == 1, n
+        npt[n] = (g.counters.nodes_created - before) / n
+    growth = npt[400] / npt[100]
+    assert growth <= 1.25, npt
     _report(8, "linear-practical smoke",
             f"seconds/token {spt[2000]:.2e} @2k vs {spt[20000]:.2e} @20k, "
-            f"ratio {ratio:.2f}")
+            f"ratio {ratio:.2f}; left-recursive nodes/token "
+            f"{npt[100]:.1f} @100 vs {npt[400]:.1f} @400, ratio {growth:.2f}")

@@ -12,7 +12,9 @@ from derivparse import (
     parse, reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse.forest import ForestSet
-from derivparse.grammar import _normalize_step, new_alt, new_red, new_seq
+from derivparse.grammar import (
+    _normalize_step, collapse_dead, new_alt, new_red, new_seq,
+)
 from derivparse.reductions import production
 from conftest import (
     FIXED_CORPUS, all_strings, probe_words, random_grammar_source,
@@ -185,6 +187,33 @@ def test_dead_collapse_keeps_live_siblings():
     g = load_grammar("start = S ;\nS : D | 'a' ;\nD : 'x' D ;")
     assert recognize(g, ["a"])
     assert not recognize(g, ["x"])
+
+
+def test_every_node_of_a_normalized_grammar_is_marked_productive():
+    # so the dead-subgraph walk run while deriving never enters the grammar
+    rng = random.Random(31)
+    for _ in range(60):
+        g = load_grammar(random_grammar_source(rng))
+        if g.root.form != EMPTY:
+            assert all(n.productive for n in reachable_nodes(g.root))
+
+
+def test_node_under_construction_counts_as_productive_but_proves_nothing(ctx):
+    pending = new_alt(None, None)
+    pending.in_progress = True
+    cycle = new_red(None, production("X", 2))   # X = red(seq(X, 'b'))
+    cycle.left = new_seq(cycle, mk_token("b"))
+    top = new_alt(cycle, pending)
+    collapse_dead(top)
+    assert cycle.form == EMPTY  # dead whatever the pending node becomes
+    assert top.form == ALT and not top.productive
+    assert ctx.counters.compaction_firings["dead-subgraph"] == 2
+    pending.left, pending.right = mk_token("a"), mk_token("c")
+    pending.in_progress = False
+    pending.productive = True
+    collapse_dead(top)
+    assert top.form == ALT and top.productive
+    assert ctx.counters.compaction_firings["dead-subgraph"] == 2
 
 
 NORMAL_RIGHT_BAN = (EMPTY, EPSILON, RED)
