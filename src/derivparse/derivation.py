@@ -35,7 +35,8 @@ is named: where it is cached (_put), and for the one node never cached, the
 first branch of a nullable-left Seq's choice.  The rule follows from the
 node derived from (_mint_rule), and every memo hit is checked against it.
 
-recognize/parse fold derive over the input inside the grammar's context;
+recognize and parse share one fold of derive over the input (_run), inside
+the grammar's activation, whose Context binds the engine variant once;
 caches are cleared first, so parses are independent.
 """
 
@@ -46,7 +47,7 @@ from typing import Iterable
 from .forest import ForestSet, parse_null
 from .grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
-    Grammar, become_node, collapse_dead, current_context, mk_empty, mk_eps,
+    Grammar, _active, become_node, collapse_dead, mk_empty, mk_eps,
     new_alt, new_red, new_seq, reachable_nodes,
     _compact_alt, _compact_red, _compact_seq,
 )
@@ -55,15 +56,15 @@ from .nullability import is_nullable, is_nullable_naive
 from .reductions import pair_left_null
 
 
-def _nullable(node, settings) -> bool:
-    if settings.naive_nullability:
+def _nullable(node, ctx) -> bool:
+    if ctx.naive_nullability:
         return is_nullable_naive(node)
     return is_nullable(node)
 
 
-def _mint_rule(n, st) -> str:
+def _mint_rule(n, ctx) -> str:
     """A nullable-left Seq derives into a choice, named with the split mark."""
-    return MARK_EXTEND if n.form == SEQ and _nullable(n.left, st) else EXTEND
+    return MARK_EXTEND if n.form == SEQ and _nullable(n.left, ctx) else EXTEND
 
 
 def _name(node, n, c, rule) -> None:
@@ -72,10 +73,10 @@ def _name(node, n, c, rule) -> None:
         node.name = name_node(n.name, c, rule)
 
 
-def _put(n, c, res, settings) -> None:
-    if settings.debug_names:
-        _name(res, n, c, _mint_rule(n, settings))
-    if settings.memo_full:
+def _put(n, c, res, ctx) -> None:
+    if ctx.naming:
+        _name(res, n, c, _mint_rule(n, ctx))
+    if ctx.memo_full:
         m = n.d_map
         if m is None:
             m = n.d_map = {}
@@ -85,24 +86,13 @@ def _put(n, c, res, settings) -> None:
         n.d_val = res
 
 
-def _check_hit_name(n, c, hit, settings) -> None:
-    if n.name is None:
-        return
-    expected = name_node(n.name, c, _mint_rule(n, settings))
-    if hit.name != expected:
-        raise NamingError(
-            f"memo hit named {hit.name!r}, minting gives {expected.text()!r}"
-        )
-
-
 def derive(n, c: str):
     """One-token derivative of a grammar node, under the ambient context."""
-    return _derive(n, c, current_context())
+    return _derive(n, c, _active.ctx)
 
 
 def _derive(n, c, ctx):
-    st = ctx.settings
-    if st.memo_full:
+    if ctx.memo_full:
         m = n.d_map
         hit = m.get(c) if m is not None else None
     else:
@@ -112,12 +102,15 @@ def _derive(n, c, ctx):
         if not hit.productive:
             if hit.in_progress:
                 hit.leaked = True
-            elif hit.form != EMPTY and st.compaction and not st.debug_names:
+            elif hit.form != EMPTY and ctx.compacting:
                 # built while a child was under construction, which may
                 # have been proven dead since
                 collapse_dead(hit)
-        if st.debug_names:
-            _check_hit_name(n, c, hit, st)
+        if ctx.naming and n.name is not None:
+            expected = name_node(n.name, c, _mint_rule(n, ctx))
+            if hit.name != expected:
+                raise NamingError(f"memo hit named {hit.name!r}, "
+                                  f"minting gives {expected.text()!r}")
         return hit
     ctx.counters.derive_calls_uncached += 1
     form = n.form
@@ -126,17 +119,17 @@ def _derive(n, c, ctx):
             res = mk_eps(ForestSet.single_leaf(c))
         else:
             res = mk_empty()
-        _put(n, c, res, st)
+        _put(n, c, res, ctx)
         return res
-    naming = st.debug_names
-    compacting = st.compaction and not naming
+    naming = ctx.naming
+    compacting = ctx.compacting
     # read n once: the dead-subgraph rule may rewrite n to Empty while its
     # children are derived, and its old structure has the same language
     l, r = n.left, n.right
     if form == ALT:
         shell = new_alt(None, None)
         shell.in_progress = True
-        _put(n, c, shell, st)
+        _put(n, c, shell, ctx)
         dl = _derive(l, c, ctx)
         dr = _derive(r, c, ctx)
         repl = _compact_alt(dl, dr) if compacting else None
@@ -148,16 +141,16 @@ def _derive(n, c, ctx):
         fn = n.fn
         shell = new_red(None, fn)
         shell.in_progress = True
-        _put(n, c, shell, st)
+        _put(n, c, shell, ctx)
         dc = _derive(l, c, ctx)
         repl = _compact_red(dc, fn) if compacting else None
         if repl is None:
             shell.left = dc
             shell.productive = dc.productive
-    elif not _nullable(l, st):
+    elif not _nullable(l, ctx):
         shell = new_seq(None, r)
         shell.in_progress = True
-        _put(n, c, shell, st)
+        _put(n, c, shell, ctx)
         dl = _derive(l, c, ctx)
         repl = _compact_seq(dl, r) if compacting else None
         if repl is None:
@@ -172,7 +165,7 @@ def _derive(n, c, ctx):
         # branch needs no shell and is named here, without the split marker.
         shell = new_alt(None, None)
         shell.in_progress = True
-        _put(n, c, shell, st)
+        _put(n, c, shell, ctx)
         dl = _derive(l, c, ctx)
         left = _compact_seq(dl, r) if compacting else None
         if left is None:
@@ -197,7 +190,7 @@ def _derive(n, c, ctx):
         # leaked one is already some node's child, so it takes on the
         # replacement's structure and keeps its identity
         if not shell.leaked:
-            _put(n, c, repl, st)
+            _put(n, c, repl, ctx)
             return repl
         become_node(shell, repl)
     shell.in_progress = False
@@ -218,31 +211,29 @@ def _prepare(g: Grammar, ctx) -> None:
         n.d_map = None
         n.pn_memo = None
         n.leaked = False
-    if ctx.settings.debug_names:
+    if ctx.naming:
         for n in nodes:
             if n.name is None:
                 n.name = fresh_name()
 
 
-def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
+def _run(g: Grammar, tokens: Iterable[str], finish):
+    """Derive g by each token in turn, then finish(last derivative, ctx)."""
     with g.activate() as ctx:
         _prepare(g, ctx)
         node = g.root
         for c in tokens:
             node = _derive(node, c, ctx)
-        ok = _nullable(node, ctx.settings)
+        result = finish(node, ctx)
         g.created_nodes = ctx.created
-        return ok
+        return result
+
+
+def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
+    return _run(g, tokens, _nullable)
 
 
 def parse(g: Grammar, tokens: Iterable[str]) -> ForestSet:
     if g.settings.debug_names:
         raise ValueError("tree extraction is not supported with debug names on")
-    with g.activate() as ctx:
-        _prepare(g, ctx)
-        node = g.root
-        for c in tokens:
-            node = _derive(node, c, ctx)
-        result = parse_null(node)
-        g.created_nodes = ctx.created
-        return result
+    return _run(g, tokens, lambda node, ctx: parse_null(node))

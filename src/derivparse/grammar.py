@@ -115,45 +115,53 @@ class ParserSettings:
 
 class Context:
     """What the free-function constructors and engines consult: counters to
-    bump, settings to honor, and an optional registry of every node created."""
+    bump, an optional registry of every node created, and the settings,
+    resolved into plain switch fields when the context is created (debug
+    names turn compaction off).  So a switch changed on g.settings while g
+    is active applies from the next activation."""
 
-    __slots__ = ("counters", "settings", "created")
+    __slots__ = ("counters", "settings", "created",
+                 "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
                  settings: Optional[ParserSettings] = None,
                  created: Optional[list] = None):
+        st = settings if settings is not None else ParserSettings()
         self.counters = counters if counters is not None else Counters()
-        self.settings = settings if settings is not None else ParserSettings()
+        self.settings = st
         self.created = created
+        self.memo_full = st.memo_full
+        self.naming = st.debug_names
+        self.compacting = st.compaction and not self.naming
+        self.naive_nullability = st.naive_nullability
 
 
-_tls = threading.local()
+class _Active(threading.local):
+    """The active context, per thread; each thread starts with a default one."""
+
+    def __init__(self) -> None:
+        self.ctx = Context()
 
 
-def current_context() -> Context:
-    ctx = getattr(_tls, "ctx", None)
-    if ctx is None:
-        ctx = Context()
-        _tls.ctx = ctx
-    return ctx
+_active = _Active()
 
 
 @contextmanager
 def use_context(ctx: Context):
-    prev = getattr(_tls, "ctx", None)
-    _tls.ctx = ctx
+    prev = _active.ctx
+    _active.ctx = ctx
     try:
         yield ctx
     finally:
-        _tls.ctx = prev
+        _active.ctx = prev
 
 
 # --- constructors -----------------------------------------------------------
 
 def _new(form: int) -> GrammarNode:
-    ctx = current_context()
+    ctx = _active.ctx
     node = GrammarNode(form)
-    ctx.counters.record_node(FORM_NAMES[form])
+    ctx.counters.nodes_by_form[form] += 1
     if ctx.created is not None:
         ctx.created.append(node)
     return node
@@ -217,7 +225,8 @@ def new_red(child, fn) -> GrammarNode:
 
 
 def _fire(rule: str) -> None:
-    current_context().counters.record_compaction(rule)
+    firings = _active.ctx.counters.compaction_firings
+    firings[rule] = firings.get(rule, 0) + 1
 
 
 def _red_limited(child: GrammarNode, fn) -> GrammarNode:
@@ -449,12 +458,14 @@ def _normalize_step(n: GrammarNode) -> bool:
 
 
 class Grammar:
-    """A loaded grammar: root node, nonterminal table (kept for diagnostics
-    and printing), per-grammar counters and settings, and the BNF twin the
-    loader derived from the same source."""
+    """A loaded grammar: root node, table of the nonterminals the start
+    symbol reaches (kept for diagnostics and printing), per-grammar counters
+    and settings, and the BNF twin the loader derived from the same source.
+    Parses keep caches on the nodes, so one activation at a time: a second,
+    nested or on another thread, raises RuntimeError."""
 
     __slots__ = ("root", "start", "nonterminal_table", "size_G", "counters",
-                 "settings", "bnf", "created_nodes")
+                 "settings", "bnf", "created_nodes", "_lock")
 
     def __init__(self, root: GrammarNode, start: str,
                  nonterminal_table: Optional[dict] = None, bnf=None):
@@ -466,10 +477,18 @@ class Grammar:
         self.settings = ParserSettings()
         self.bnf = bnf
         self.created_nodes = None
+        self._lock = threading.Lock()
 
+    @contextmanager
     def activate(self):
-        created = [] if self.settings.collect_nodes else None
-        return use_context(Context(self.counters, self.settings, created))
+        if not self._lock.acquire(blocking=False):
+            raise RuntimeError(f"{self!r} is already active")
+        try:
+            created = [] if self.settings.collect_nodes else None
+            with use_context(Context(self.counters, self.settings, created)) as ctx:
+                yield ctx
+        finally:
+            self._lock.release()
 
     def __repr__(self) -> str:
         return f"Grammar(start={self.start!r}, size_G={self.size_G})"

@@ -1,10 +1,10 @@
 """Event counters and the optional debug node-naming scheme.
 
-Counters are plain integer fields bumped by node construction, the derivative
+Counters are plain integers bumped by node construction, the derivative
 engine, and the nullability engine.  They answer the empirical questions this
 library cares about (how many nodes did a parse allocate, how often did the
 derivative cache hit, how much work did the nullability fixed point do)
-without touching the hot paths with anything heavier than an attribute
+without touching the hot paths with anything heavier than an integer
 increment.
 
 Node names are a debugging device: when enabled, every node carries a name
@@ -35,10 +35,11 @@ CSV_FIELDS = (
 
 
 class Counters:
-    """Monotone event counts for one grammar / parse session."""
+    """Monotone event counts for one grammar / parse session.  Nodes are
+    counted per form, in a list indexed by the form number (FORM_NAMES
+    order)."""
 
     __slots__ = (
-        "nodes_created",
         "nodes_by_form",
         "derive_calls_cached",
         "derive_calls_uncached",
@@ -51,21 +52,16 @@ class Counters:
         self.reset()
 
     def reset(self) -> None:
-        self.nodes_created = 0
-        self.nodes_by_form = dict.fromkeys(FORM_NAMES, 0)
+        self.nodes_by_form = [0] * len(FORM_NAMES)
         self.derive_calls_cached = 0
         self.derive_calls_uncached = 0
         self.nullable_visits = 0
         self.compaction_firings: dict = {}
         self.generation_count = 0
 
-    def record_node(self, form_name: str) -> None:
-        self.nodes_created += 1
-        self.nodes_by_form[form_name] += 1
-
-    def record_compaction(self, rule: str) -> None:
-        firings = self.compaction_firings
-        firings[rule] = firings.get(rule, 0) + 1
+    @property
+    def nodes_created(self) -> int:
+        return sum(self.nodes_by_form)
 
     @property
     def compactions(self) -> int:
@@ -74,19 +70,15 @@ class Counters:
     def snapshot(self) -> "Counters":
         """An independent copy; the live counters keep counting."""
         c = Counters()
-        c.nodes_created = self.nodes_created
-        c.nodes_by_form = dict(self.nodes_by_form)
-        c.derive_calls_cached = self.derive_calls_cached
-        c.derive_calls_uncached = self.derive_calls_uncached
-        c.nullable_visits = self.nullable_visits
-        c.compaction_firings = dict(self.compaction_firings)
-        c.generation_count = self.generation_count
+        for field in self.__slots__:
+            v = getattr(self, field)
+            setattr(c, field, v.copy() if isinstance(v, (list, dict)) else v)
         return c
 
     def as_dict(self) -> dict:
         return {
             "nodes_created": self.nodes_created,
-            "nodes_by_form": dict(self.nodes_by_form),
+            "nodes_by_form": dict(zip(FORM_NAMES, self.nodes_by_form)),
             "derive_cached": self.derive_calls_cached,
             "derive_uncached": self.derive_calls_uncached,
             "nullable_visits": self.nullable_visits,

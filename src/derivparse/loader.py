@@ -11,10 +11,11 @@ One `start = Name ;` header, then one rule per nonterminal: alternatives
 separated by `|`, each a sequence of nonterminal names and quoted terminals,
 terminated by `;`.  `#` comments run to end of line.
 
-load_grammar builds the expression graph (nonterminal references are direct
-node references, so recursion is graph cycles), wraps each alternative in a
-production-builder reduction, and normalizes.  load_bnf yields the flat
-production view of the same parse for the oracle; load_grammar attaches one
+load_grammar builds the expression graph of the nonterminals the start
+symbol reaches (nonterminal references are direct node references, so
+recursion is graph cycles), wraps each alternative in a production-builder
+reduction, and normalizes.  load_bnf yields the flat production view of the
+same parse, every production kept, for the oracle; load_grammar attaches one
 to the Grammar it returns.
 """
 
@@ -187,18 +188,28 @@ def _build_alternative(name: str, rhs: tuple, placeholders: dict):
 
 
 def build_graph(bnf: BnfGrammar) -> tuple:
-    """(root, nonterminal table) with direct node references between rules."""
+    """(root, nonterminal table) with direct node references between rules.
+    Only the nonterminals the start symbol reaches are built, in definition
+    order."""
+    reached, work = {bnf.start}, [bnf.start]
+    while work:
+        for rhs in bnf.productions[work.pop()]:
+            for sym in rhs:
+                if isinstance(sym, Ref) and sym.name not in reached:
+                    reached.add(sym.name)
+                    work.append(sym.name)
     placeholders = {}
     for name in bnf.productions:
-        ph = new_alt(None, None)
-        ph.in_progress = True
-        placeholders[name] = ph
-    for name, alts in bnf.productions.items():
-        exprs = [_build_alternative(name, rhs, placeholders) for rhs in alts]
+        if name in reached:
+            ph = new_alt(None, None)
+            ph.in_progress = True
+            placeholders[name] = ph
+    for name, ph in placeholders.items():
+        exprs = [_build_alternative(name, rhs, placeholders)
+                 for rhs in bnf.productions[name]]
         body = exprs[-1]
         for e in reversed(exprs[:-1]):
             body = mk_alt(e, body)
-        ph = placeholders[name]
         become_node(ph, body)
         ph.in_progress = False
     return placeholders[bnf.start], placeholders
@@ -206,14 +217,12 @@ def build_graph(bnf: BnfGrammar) -> tuple:
 
 def load_grammar(text: str, *, normalize: bool = True) -> Grammar:
     bnf = load_bnf(text)
-    counters_ctx = Context()
-    with use_context(counters_ctx):
+    with use_context(Context()) as ctx:
         root, table = build_graph(bnf)
         g = Grammar(root, bnf.start, table, bnf)
-        g.counters = counters_ctx.counters
+        g.counters = ctx.counters
         if normalize:
-            with use_context(Context(g.counters, g.settings)):
-                normalize_grammar(g)
+            normalize_grammar(g)
     return g
 
 

@@ -23,14 +23,14 @@ import itertools
 
 from .grammar import (
     ALT, NV_NOT, NV_NULLABLE, NV_UNKNOWN, RED, SEQ, EPSILON,
-    current_context, reachable_nodes,
+    _active, reachable_nodes,
 )
 
 _generations = itertools.count(1)
 
 
 def is_nullable(node) -> bool:
-    counters = current_context().counters
+    counters = _active.ctx.counters
     counters.generation_count += 1
     gen = next(_generations)
     return _eval(node, gen, counters)
@@ -134,7 +134,7 @@ def _eval(n, gen: int, counters) -> bool:
 
 def is_nullable_naive(node) -> bool:
     """Reference engine: full bottom-up sweeps, no cached state touched."""
-    counters = current_context().counters
+    counters = _active.ctx.counters
     nodes = reachable_nodes(node)
     val = {n.id: False for n in nodes}
     changed = True

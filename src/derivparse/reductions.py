@@ -29,19 +29,6 @@ class Reduction:
         self.kind = kind
         self.payload = payload
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Reduction)
-            and self.kind == other.kind
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        try:
-            return hash((self.kind, self.payload))
-        except TypeError:
-            return hash((self.kind, id(self.payload)))
-
     def describe(self) -> str:
         k = self.kind
         if k == PRODUCTION:

@@ -1,6 +1,7 @@
 """Token-derivative engine: semantics, sharing, memo policy, cyclic graphs."""
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from derivparse import derivation
 from derivparse.grammar import new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
-    ARITH_LEFT_SRC, FIXED_CORPUS, all_strings, expr_tokens, probe_words,
+    ARITH_LEFT_SRC, ARITH_SRC, FIXED_CORPUS, all_strings, expr_tokens, probe_words,
     random_grammar_source,
 )
 
@@ -344,3 +345,80 @@ def test_left_recursive_inputs_match_the_oracle(case, data):
     w = data.draw(words)
     assert recognize(g, w) == earley_recognize(bg, w), w
     assert count_parses(parse(g, w)) == earley_count(bg, w), w
+
+
+# --- binding the engine variant -----------------------------------------------
+
+class _CountingSettings(ParserSettings):
+    """Settings that count every read of a switch field."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __getattribute__(self, name):
+        if name in ParserSettings.__slots__:
+            self.reads += 1
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("switches", [
+    {}, {"memo_full": True}, {"compaction": False}, {"naive_nullability": True},
+])
+def test_switches_are_read_once_per_parse_not_per_token(switches):
+    reads = []
+    for n in (50, 500):
+        g = load_grammar(ARITH_LEFT_SRC)
+        g.settings = _CountingSettings()
+        for k, v in switches.items():
+            setattr(g.settings, k, v)
+        g.settings.reads = 0
+        assert count_parses(parse(g, expr_tokens(n))) == 1
+        assert recognize(g, expr_tokens(n))
+        reads.append(g.settings.reads)
+    assert reads[0] == reads[1], reads
+
+
+def test_a_switch_changed_while_active_applies_from_the_next_activation():
+    g = load_grammar(ARITH_SRC)
+    with g.activate() as ctx:
+        g.settings.memo_full = True
+        assert not ctx.memo_full
+        derive(g.root, "n")
+        assert g.root.d_map is None
+    assert recognize(g, ["n"])
+    assert g.root.d_map is not None
+
+
+def test_a_nested_activation_raises_and_leaves_the_grammar_usable():
+    g = load_grammar(ARITH_SRC)
+    with g.activate():
+        with pytest.raises(RuntimeError):
+            recognize(g, ["n"])
+    assert recognize(g, expr_tokens(6))
+    assert count_parses(parse(g, expr_tokens(6))) == 1
+
+
+def test_an_activation_on_another_thread_raises():
+    g = load_grammar(ARITH_SRC)
+    active, finished = threading.Event(), threading.Event()
+    errors = []
+
+    def other():
+        active.wait(10)
+        try:
+            recognize(g, ["n"])
+        except RuntimeError as e:
+            errors.append(e)
+        finished.set()
+
+    t = threading.Thread(target=other)
+    t.start()
+    with g.activate():
+        active.set()
+        assert finished.wait(10)
+    t.join()
+    assert len(errors) == 1
+    assert recognize(g, ["n"])

@@ -1,6 +1,7 @@
 """Node constructors, compaction rules, and whole-graph normalization."""
 
 import random
+import threading
 
 import pytest
 
@@ -11,6 +12,7 @@ from derivparse import (
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
     parse, reachable_nodes, recognize, tree_text, use_context,
 )
+from derivparse import grammar as grammar_mod
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
     _normalize_step, collapse_dead, new_alt, new_red, new_seq,
@@ -286,3 +288,23 @@ def test_engine_agrees_before_and_after_normalizing_right_children():
 def test_size_accounting_updates_after_normalization():
     g = load_grammar("start = S ;\nS : 'a' S | ;")
     assert g.size_G == len(reachable_nodes(g.root))
+
+
+def test_each_thread_builds_under_its_own_default_context(ctx):
+    counts = []
+
+    def other():
+        mk_token("b")
+        default = grammar_mod._active.ctx
+        with use_context(Context()) as mine:
+            mk_token("c")
+            mk_token("d")
+        counts.append((default.counters.nodes_created,
+                       mine.counters.nodes_created))
+
+    mk_token("a")
+    t = threading.Thread(target=other)
+    t.start()
+    t.join()
+    assert counts == [(1, 2)]
+    assert ctx.counters.nodes_created == 1

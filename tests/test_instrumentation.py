@@ -1,20 +1,27 @@
 """Counters, metric emission, and the debug naming discipline."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from derivparse import (
-    CSV_FIELDS, Counters, NamingError, NodeName,
-    emit, fresh_name, load_grammar, name_node, parse, recognize,
+    CSV_FIELDS, Context, Counters, NamingError, NodeName,
+    emit, fresh_name, load_grammar, mk_alt, mk_empty, mk_token, name_node,
+    parse, recognize, use_context,
 )
-from derivparse.instrumentation import EXTEND, FRESH, MARK, MARK_EXTEND
+from derivparse.instrumentation import (
+    EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND,
+)
+from conftest import ARITH_SRC, expr_tokens
 
 
 def test_counters_reset():
-    c = Counters()
+    with use_context(Context()) as ctx:
+        mk_alt(mk_token("a"), mk_token("b"))
+    c = ctx.counters
     c.derive_calls_cached += 3
-    c.record_node("alt")
+    assert c.nodes_created == 3
     c.reset()
     assert c.nodes_created == 0
     assert c.derive_calls_cached == 0
@@ -22,22 +29,34 @@ def test_counters_reset():
 
 
 def test_counters_snapshot_is_detached():
-    c = Counters()
-    c.record_node("seq")
-    snap = c.snapshot()
-    c.record_node("seq")
+    with use_context(Context()) as ctx:
+        mk_token("a")
+        snap = ctx.counters.snapshot()
+        mk_token("b")
     assert snap.nodes_created == 1
-    assert c.nodes_created == 2
+    assert ctx.counters.nodes_created == 2
 
 
-def test_counters_record_by_form():
-    c = Counters()
-    c.record_node("alt")
-    c.record_node("alt")
-    c.record_node("token")
-    assert c.nodes_by_form["alt"] == 2
-    assert c.nodes_by_form["token"] == 1
-    assert c.nodes_created == 3
+def test_counters_by_form_match_the_nodes_a_parse_creates():
+    g = load_grammar(ARITH_SRC)
+    g.settings.collect_nodes = True
+    before = g.counters.as_dict()["nodes_by_form"]
+    parse(g, expr_tokens(40))
+    after = g.counters.as_dict()["nodes_by_form"]
+    # nodes a rule rewrote in place changed form after they were counted
+    assert not any(n.leaked for n in g.created_nodes)
+    made = Counter(FORM_NAMES[n.form] for n in g.created_nodes)
+    assert {f: after[f] - before[f] for f in FORM_NAMES} == {
+        f: made[f] for f in FORM_NAMES}
+    assert g.counters.nodes_created == sum(after.values())
+
+
+def test_counters_dict_lists_forms_in_order():
+    g = load_grammar(ARITH_SRC)
+    recognize(g, expr_tokens(10))
+    by_form = g.counters.as_dict()["nodes_by_form"]
+    assert tuple(by_form) == FORM_NAMES
+    assert sum(by_form.values()) == g.counters.nodes_created
 
 
 def test_emit_csv_has_header_and_row():
@@ -55,8 +74,9 @@ def test_emit_csv_has_header_and_row():
 
 
 def test_emit_json_is_parseable_and_complete():
-    c = Counters()
-    c.record_compaction("alt-empty-left")
+    with use_context(Context()) as ctx:
+        mk_alt(mk_empty(), mk_token("a"))
+    c = ctx.counters
     out = json.loads(emit(c, "json", file="y.txt", tokens=3))
     assert out["file"] == "y.txt"
     assert out["tokens"] == 3

@@ -151,3 +151,16 @@ def test_token_node_survives_normalization():
         node = node.left
     assert node.form == TOKEN
     assert node.label == "a"
+
+
+def test_unreachable_productions_are_not_built():
+    base = "start = S ;\nS : 'a' S | T ;\nT : 'b' | ;\n"
+    g = load_grammar(base)
+    g2 = load_grammar(base + "Z : Z 'z' | 'y' ;\n")
+    assert g2.counters.nodes_created == g.counters.nodes_created
+    assert g2.counters.compaction_firings == g.counters.compaction_firings
+    assert g2.size_G == g.size_G
+    assert set(g2.nonterminal_table) == {"S", "T"}
+    # the oracle's view keeps every production
+    assert set(g2.bnf.productions) == {"S", "T", "Z"}
+    assert recognize(g2, ["a", "b"]) and not recognize(g2, ["y"])
