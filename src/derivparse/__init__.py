@@ -9,7 +9,7 @@ count cubic in the input length and the practical cost close to linear.
 
 The oracle module carries an independent Earley recognizer/counter and a
 brute-force language enumerator for cross-checking; they share no code with
-the derivative engine.
+the derivative engine, only its Infinite and wildcard constants.
 """
 
 from .grammar import (

@@ -63,16 +63,35 @@ class Prod:
         return self._hash
 
 
+class _Text(str):
+    """A literal piece of tree_text output, never mistaken for a tree."""
+
+
+_CLOSE_PAIR, _COMMA, _CLOSE_PROD, _SPACE = map(_Text, (")", ",", "]", " "))
+
+
 def tree_text(t) -> str:
     """Deterministic rendering, usable as a total order key."""
-    if isinstance(t, Leaf):
-        return t.label
-    if isinstance(t, Pair):
-        return f"({tree_text(t.left)},{tree_text(t.right)})"
-    if isinstance(t, Prod):
-        inner = " ".join(tree_text(c) for c in t.children)
-        return f"{t.name}[{inner}]"
-    return repr(t)
+    parts = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is _Text:
+            parts.append(t)
+        elif isinstance(t, Leaf):
+            parts.append(t.label)
+        elif isinstance(t, Pair):
+            parts.append("(")
+            stack += (_CLOSE_PAIR, t.right, _COMMA, t.left)
+        elif isinstance(t, Prod):
+            parts.append(f"{t.name}[")
+            stack.append(_CLOSE_PROD)
+            for i in range(len(t.children) - 1, 0, -1):
+                stack += (t.children[i], _SPACE)
+            stack += t.children[:1]
+        else:
+            parts.append(repr(t))
+    return "".join(parts)
 
 
 # --- forest graph -----------------------------------------------------------
@@ -151,17 +170,8 @@ class ForestSet:
             return other
         if b is None or a is b:
             return self
-        items = []
-        seen = set()
-        for r in (a, b):
-            group = r.children if (r.kind == AMB and not r.in_progress) else (r,)
-            for it in group:
-                if it.id not in seen:
-                    seen.add(it.id)
-                    items.append(it)
-        if len(items) == 1:
-            return ForestSet(items[0])
-        return ForestSet(amb_node(items))
+        items = _alternatives((a, b))
+        return ForestSet(items[0] if len(items) == 1 else amb_node(items))
 
     def apply(self, red: Reduction) -> "ForestSet":
         if self.root is None:
@@ -181,6 +191,24 @@ class ForestSet:
 
 
 EMPTY_SET = ForestSet(None)
+
+
+def _alternatives(roots) -> list:
+    """The distinct alternatives a union of forest roots (None for an empty
+    set) offers, in order: a finished ambiguity node gives its children, any
+    other root itself.  A root still under construction is marked leaked, so
+    it stays a node."""
+    out: dict = {}
+    for r in roots:
+        if r is None:
+            continue
+        if r.kind == AMB and not r.in_progress:
+            out.update(dict.fromkeys(r.children))
+        else:
+            if r.in_progress:
+                r.leaked = True
+            out[r] = None
+    return list(out)
 
 
 def _fnode_from_tree(t) -> FNode:
@@ -243,22 +271,8 @@ def parse_null(node) -> ForestSet:
             shell = n.pn_memo.root
             form = n.form
             if form == _g.ALT:
-                items = []
-                seen = set()
-                for child in (n.left, n.right):
-                    r = child.pn_memo.root
-                    if r is None:
-                        continue
-                    if r.kind == AMB and not r.in_progress:
-                        group = r.children
-                    else:
-                        if r.in_progress:
-                            r.leaked = True
-                        group = (r,)
-                    for it in group:
-                        if it.id not in seen:
-                            seen.add(it.id)
-                            items.append(it)
+                items = _alternatives((n.left.pn_memo.root,
+                                       n.right.pn_memo.root))
                 if not items:
                     n.pn_memo = EMPTY_SET
                 elif len(items) == 1 and not shell.leaked:
@@ -266,27 +280,17 @@ def parse_null(node) -> ForestSet:
                 else:
                     shell.children = items
                     shell.in_progress = False
-            elif form == _g.SEQ:
-                l = n.left.pn_memo.root
-                r = n.right.pn_memo.root
-                if l is None or r is None:
+            else:  # SEQ, RED: no trees unless every child has some
+                kids = (n.left, n.right) if form == _g.SEQ else (n.left,)
+                roots = [k.pn_memo.root for k in kids]
+                if None in roots:
                     n.pn_memo = EMPTY_SET
                     continue
-                if l.in_progress:
-                    l.leaked = True
-                if r.in_progress:
-                    r.leaked = True
-                shell.left = l
-                shell.right = r
-                shell.in_progress = False
-            else:  # RED
-                c = n.left.pn_memo.root
-                if c is None:
-                    n.pn_memo = EMPTY_SET
-                    continue
-                if c.in_progress:
-                    c.leaked = True
-                shell.left = c
+                for r in roots:
+                    if r.in_progress:
+                        r.leaked = True
+                shell.left = roots[0]
+                shell.right = roots[1] if form == _g.SEQ else None
                 shell.in_progress = False
     return node.pn_memo
 
@@ -299,6 +303,18 @@ def parse_null(node) -> ForestSet:
 # reduction built by hand may carry one: as an edge it makes the deferred
 # node count 0 and enumerate nothing, as the reduction itself does.
 _NO_TREES = amb_node([])
+
+
+_PAIRINGS = (reductions.PAIR_LEFT, reductions.PAIR_RIGHT,
+             reductions.PAIR_LEFT_NULL)
+
+
+def _payload_root(red: Reduction) -> FNode:
+    """Root of the forest a pairing reduction pairs against."""
+    fs = red.payload
+    if red.kind == reductions.PAIR_LEFT_NULL:
+        fs = parse_null(fs)
+    return fs.root or _NO_TREES
 
 
 def _payload_roots(red: Reduction) -> list:
@@ -315,10 +331,8 @@ def _payload_roots(red: Reduction) -> list:
             stack.append(f)
         elif k in (reductions.LIFT_LEFT, reductions.LIFT_RIGHT):
             stack.append(r.payload)
-        elif k in (reductions.PAIR_LEFT, reductions.PAIR_RIGHT):
-            out.append(r.payload.root or _NO_TREES)
-        elif k == reductions.PAIR_LEFT_NULL:
-            out.append(parse_null(r.payload).root or _NO_TREES)
+        elif k in _PAIRINGS:
+            out.append(_payload_root(r))
     return out
 
 
@@ -437,14 +451,13 @@ def _dedup(trees):
     return list(dict.fromkeys(trees))
 
 
-def _apply(red: Reduction, t, enum_root) -> list:
+def _apply(red: Reduction, t, table) -> list:
     k = red.kind
-    if k == reductions.PAIR_LEFT:
-        return [Pair(s, t) for s in enum_root(red.payload.root)]
-    if k == reductions.PAIR_RIGHT:
-        return [Pair(t, s) for s in enum_root(red.payload.root)]
-    if k == reductions.PAIR_LEFT_NULL:
-        return [Pair(s, t) for s in enum_root(parse_null(red.payload).root)]
+    if k in _PAIRINGS:
+        trees = table[_payload_root(red).id]
+        if k == reductions.PAIR_RIGHT:
+            return [Pair(t, s) for s in trees]
+        return [Pair(s, t) for s in trees]
     if k == reductions.REASSOCIATE:
         if isinstance(t, Pair) and isinstance(t.right, Pair):
             return [Pair(Pair(t.left, t.right.left), t.right.right)]
@@ -463,130 +476,90 @@ def _apply(red: Reduction, t, enum_root) -> list:
     if k == reductions.COMPOSE:
         g, f = red.payload
         out = []
-        for s in _apply(f, t, enum_root):
-            out.extend(_apply(g, s, enum_root))
+        for s in _apply(f, t, table):
+            out.extend(_apply(g, s, table))
         return _dedup(out)
     if k == reductions.LIFT_LEFT:
         if isinstance(t, Pair):
-            return [Pair(a, t.right) for a in _apply(red.payload, t.left, enum_root)]
+            return [Pair(a, t.right) for a in _apply(red.payload, t.left, table)]
         return [t]
     if k == reductions.LIFT_RIGHT:
         if isinstance(t, Pair):
-            return [Pair(t.left, b) for b in _apply(red.payload, t.right, enum_root)]
+            return [Pair(t.left, b) for b in _apply(red.payload, t.right, table)]
         return [t]
     raise ValueError(f"unknown reduction kind: {k!r}")
 
 
-def _combine(n: FNode, lists, enum_root, limit: int, digests) -> list:
+def _combine(n: FNode, table: dict, limit: int, digests: dict) -> list:
+    """Up to `limit` trees of `n`, built from its children's lists in
+    `table`."""
     k = n.kind
     if k == LEAF:
         return [Leaf(n.label)]
+    # a product keeps its first 4 * limit combinations, before deduplication
     if k == PAIR:
-        left, right = lists(n.left), lists(n.right)
-        out = []
-        for a in left:
-            for b in right:
-                out.append(Pair(a, b))
-                if len(out) >= limit * 4:
-                    break
-            if len(out) >= limit * 4:
-                break
-        return _dedup(out)[:limit]
+        left, right = table[n.left.id], table[n.right.id]
+        pairs = (Pair(a, b) for a in left for b in right)
+        return _dedup(itertools.islice(pairs, limit * 4))[:limit]
     if k == PROD:
         combos = [()]
         for c in n.children:
-            nxt = []
-            cl = lists(c)
-            for t in combos:
-                for x in cl:
-                    nxt.append(t + (x,))
-                    if len(nxt) >= limit * 4:
-                        break
-                if len(nxt) >= limit * 4:
-                    break
-            combos = nxt
+            trees = table[c.id]
+            combos = list(itertools.islice(
+                (t + (x,) for t in combos for x in trees), limit * 4))
         return _dedup(Prod(n.label, t) for t in combos)[:limit]
     if k == AMB:
-        ordered = sorted(n.children, key=lambda c: digests.get(c.id, b""))
+        ordered = sorted(n.children, key=lambda c: digests[c.id])
         out = []
         for c in ordered:
-            out.extend(lists(c))
+            out.extend(table[c.id])
         return _dedup(out)[:limit]
     # DEFER
     out = []
-    for t in lists(n.left):
-        out.extend(_apply(n.red, t, enum_root))
+    for t in table[n.left.id]:
+        out.extend(_apply(n.red, t, table))
         if len(out) >= limit * 4:
             break
     return _dedup(out)[:limit]
 
 
 def enumerate_trees(fs: ForestSet, limit: int) -> list:
-    """Up to `limit` fully resolved trees, deterministically ordered.
+    """Up to `limit` distinct fully resolved trees, deterministically ordered.
 
-    The order depends only on the forest's structure, never on node ids, so
-    it is stable across runs.  Acyclic forests are enumerated bottom-up
-    (exact first-`limit` in the canonical order).  Cyclic forests are
-    enumerated by iteratively deepened depth budgets until the limit is
-    reached or the result stabilizes.
+    One bottom-up fold over the postorder fills a table of up to `limit`
+    trees per node.  The order depends only on the forest's structure, never
+    on node ids, so it is stable across runs.  An acyclic forest takes one
+    pass, which gives the exact first `limit` trees in the canonical order.
+
+    A cyclic forest repeats the pass.  A back edge reads its child's list
+    from the previous pass (empty before the first), so pass p can reach
+    trees that go over back edges up to p - 1 times on a path from the root.
+    Each pass keeps a node's trees and appends its new ones after them, so
+    trees that go round cycles fewer times come first, and an infinitely
+    ambiguous forest yields its least-pumped trees.  Lists only grow and
+    hold at most `limit` trees, so the passes stop when the root holds
+    `limit` trees, when a pass adds no tree anywhere, or after one pass per
+    tree the table can hold.
     """
     root = fs.root
     if root is None or limit <= 0:
         return []
     order = _postorder(root)
     digests, cyclic = _forest_digests(order)
-    if not cyclic:
-        table: dict = {}
-
-        def lists(c):
-            return table[c.id]
-
-        def enum_root(r):
-            if r is None:
-                return []
-            return table[r.id]
-
+    table = dict.fromkeys(digests, [])
+    size = 0
+    for _ in range(len(order) * limit):
         for n, _ in order:
-            table[n.id] = _combine(n, lists, enum_root, limit, digests)
-        return table[root.id][:limit]
-
-    # cyclic: deepening rounds
-    max_depth = 2 * len(order) + 16
-    prev = None
-    depth = 2
-    while True:
-        memo: dict = {}
-
-        def enum_at(n, d):
-            if d <= 0:
-                return []
-            key = (n.id, d)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            memo[key] = []  # cycle guard within one budget level
-
-            def lists(c):
-                return enum_at(c, d - 1)
-
-            def enum_root(r):
-                if r is None:
-                    return []
-                return enum_at(r, d - 1)
-
-            out = _combine(n, lists, enum_root, limit, digests)
-            memo[key] = out
-            return out
-
-        res = enum_at(root, depth)
-        if len(res) >= limit:
-            return res[:limit]
-        if prev is not None and res == prev:
-            return res
-        if depth >= max_depth:
-            return res
-        prev = res
-        depth *= 2
+            old = table[n.id]
+            new = _combine(n, table, limit, digests)
+            table[n.id] = _dedup(old + new)[:limit] if old else new
+        if not cyclic or len(table[root.id]) >= limit:
+            break
+        grown = sum(map(len, table.values()))
+        if grown == size:
+            break
+        size = grown
+    return table[root.id]
 
 
 # --- serialization ----------------------------------------------------------

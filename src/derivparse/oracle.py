@@ -26,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .forest import INFINITE, _add, _mul
+from .forest import INFINITE
 from .grammar import WILDCARD
 
 
@@ -129,6 +129,16 @@ def earley_recognize(g: BnfGrammar, tokens) -> bool:
         if name == g.start and dot == len(rhs) and org == 0:
             return True
     return False
+
+
+def _add(a, b):
+    return INFINITE if INFINITE in (a, b) else a + b
+
+
+def _mul(a, b):  # no trees times infinitely many is still no trees
+    if a == 0 or b == 0:
+        return 0
+    return INFINITE if INFINITE in (a, b) else a * b
 
 
 def earley_count(g: BnfGrammar, tokens):

@@ -22,6 +22,10 @@ LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
 
 
+# shared, not built per use: lift chains run tens of thousands deep
+_LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
+
+
 class Reduction:
     __slots__ = ("kind", "payload")
 
@@ -34,12 +38,24 @@ class Reduction:
         if k == PRODUCTION:
             name, arity = self.payload
             return f"production:{name}/{arity}"
-        if k == COMPOSE:
-            g, f = self.payload
-            return f"({g.describe()} . {f.describe()})"
-        if k in (LIFT_LEFT, LIFT_RIGHT):
-            return f"{k}({self.payload.describe()})"
-        return k
+        if k != COMPOSE and k not in _LIFT_OPEN:
+            return k
+        # compositions nest as deep as the input is long: no recursion
+        parts = []
+        stack = [self]
+        while stack:
+            r = stack.pop()
+            if type(r) is str:
+                parts.append(r)
+            elif r.kind == COMPOSE:
+                parts.append("(")
+                stack += (")", r.payload[1], " . ", r.payload[0])
+            elif r.kind in _LIFT_OPEN:
+                parts.append(_LIFT_OPEN[r.kind])
+                stack += (")", r.payload)
+            else:
+                parts.append(r.describe())
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Reduction({self.describe()})"

@@ -1,12 +1,29 @@
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from derivparse import enumerate_language
 
-# deep grammars on long inputs recurse past the default limit
+# deep grammars on long inputs recurse past the default limit; a test that
+# must see the default limit runs its code through run_python
 sys.setrecursionlimit(20000)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` (a script path, or "-c" and a
+    snippet) from the repo root, with src/ on the path and the default
+    recursion limit; output is captured as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 NT_POOL = ["N0", "N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "N9"]

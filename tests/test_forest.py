@@ -11,7 +11,10 @@ from derivparse import (
     pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse.forest import EMPTY_SET, ForestSet
-from conftest import ARITH_SRC, expr_tokens
+from derivparse.reductions import (
+    compose, lift_left, lift_right, pair_right, production, reassociate,
+)
+from conftest import ARITH_LEFT_SRC, ARITH_SRC, expr_tokens, run_python
 
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -118,6 +121,52 @@ def test_enumeration_order_does_not_depend_on_node_ids():
         assert first_trees() == expected, shift
 
 
+# infinitely ambiguous grammars whose forests are cyclic, with probe words
+UNIT_CYCLE_SRC = "start = S ;\nS : T ;\nT : S | U ;\nU : 'a' U | 'a' ;\n"
+CYCLIC_FORESTS = [
+    (UNIT_CYCLE_SRC, ["a", "aa", "aaaa"]),
+    ("start = S ;\nS : S | A ;\nA : 'a' 'b' 'c' 'd' 'e' 'f' 'g' ;\n",
+     ["abcdefg"]),
+    ("start = S ;\nS : S | E ;\nE : '(' E ')' | 'x' ;\n", ["x", "((x))"]),
+]
+
+
+def _leaves(t) -> list:
+    if isinstance(t, Leaf):
+        return [t.label]
+    parts = (t.left, t.right) if isinstance(t, Pair) else t.children
+    return [x for c in parts for x in _leaves(c)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_cyclic_forest_enumerates_trees_of_the_word(k):
+    # every passage round the S -> T -> S cycle is another tree
+    word = ["a"] * k
+    fs = parse(load_grammar(UNIT_CYCLE_SRC), word)
+    assert count_parses(fs) is INFINITE
+    got = enumerate_trees(fs, 3)
+    assert len({tree_text(t) for t in got}) == 3
+    assert all(_leaves(t) == word for t in got)
+
+
+@pytest.mark.parametrize("src, words", CYCLIC_FORESTS,
+                         ids=["unit-cycle", "unit-loop", "nested-parens"])
+def test_cyclic_forest_trees_do_not_depend_on_switches(src, words):
+    def trees(**switches) -> list:
+        g = load_grammar(src)
+        for name, value in switches.items():
+            setattr(g.settings, name, value)
+        return [sorted(tree_text(t)
+                       for t in enumerate_trees(parse(g, list(w)), 5))
+                for w in words]
+
+    want = trees()
+    assert all(len(ts) == 5 for ts in want)
+    for compaction in (True, False):
+        for memo_full in (False, True):
+            assert trees(compaction=compaction, memo_full=memo_full) == want
+
+
 def test_enumeration_of_infinite_forest_terminates():
     g = load_grammar("start = S ;\nS : S | 'a' ;", normalize=False)
     fs = parse(g, ["a"])
@@ -215,3 +264,27 @@ def test_first_tree_of_a_forest_takes_linear_hash_work(monkeypatch):
         assert len(enumerate_trees(fs, 1)) == 1
         work[n] = calls[0]
     assert work[400] <= 6 * work[100], work
+
+
+def test_describe_nests_composed_reductions():
+    red = compose(lift_left(production("E", 3)),
+                  compose(reassociate(), lift_right(pair_right(EMPTY_SET))))
+    assert red.describe() == (
+        "(lift-left(production:E/3) . (reassociate . lift-right(pair-right)))")
+
+
+def test_deep_forests_export_at_the_default_recursion_limit():
+    # 1,999 tokens compose reductions 1,001 deep on the right-recursive
+    # grammar and nest the first tree 1,000 deep on the left-recursive one
+    toks = ["n"] + ["+", "n"] * 999
+    proc = run_python("-c", f"""
+from derivparse import enumerate_trees, forest_to_json, load_grammar, parse, tree_text
+forest_to_json(parse(load_grammar({ARITH_SRC!r}), {toks!r}))
+[t] = enumerate_trees(parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r}), 1)
+print(tree_text(t))
+""")
+    assert proc.returncode == 0, proc.stderr
+    want = "E[T[F[n]]]"
+    for _ in range(999):
+        want = f"E[{want} + T[F[n]]]"
+    assert proc.stdout == want + "\n"

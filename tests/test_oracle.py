@@ -2,13 +2,16 @@
 counter, and bounded language enumeration.  These never touch the
 derivative engine, so the main suite can use them as ground truth."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import derivparse
 from derivparse import (
     INFINITE,
-    earley_count, earley_recognize, enumerate_language, load_bnf,
+    earley_count, earley_recognize, enumerate_language, load_bnf, oracle,
 )
 from conftest import all_strings, random_grammar_source
 
@@ -18,6 +21,22 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
 def bnf(src: str):
     return load_bnf(src)
+
+
+def test_oracle_imports_only_constants_from_the_engine():
+    # ground truth must not share the engine's algorithms, its counting
+    # arithmetic included; the two constants name the same values
+    engine = {p.stem for p in Path(derivparse.__file__).parent.glob("*.py")}
+    taken = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level or module[0] == "derivparse":
+                taken |= {(module[-1], a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                assert a.name.split(".")[0] not in engine | {"derivparse"}
+    assert taken <= {("forest", "INFINITE"), ("grammar", "WILDCARD")}, taken
 
 
 def test_recognizer_base_cases():
