@@ -22,7 +22,7 @@ def main() -> None:
         nodes = len(forest_to_json(fs)["nodes"])
         print(f"{n:>3} {count_parses(fs):>12} {nodes:>13}")
 
-    pump = load_grammar(PUMP, normalize=False)
+    pump = load_grammar(PUMP)
     fs = parse(pump, ["a"])
     print(f"\nwith a unit cycle S : S | 'a' the count is {count_parses(fs)}")
 

@@ -25,8 +25,7 @@ from .reductions import (
 )
 from .forest import (
     EMPTY_SET, FNode, ForestSet, INFINITE, Leaf, Pair, Prod,
-    amb_node, count_parses, defer_node, enumerate_trees,
-    forest_to_json, leaf_node, pair_node, parse_null, prod_node, tree_text,
+    count_parses, enumerate_trees, forest_to_json, parse_null, tree_text,
 )
 from .nullability import is_nullable, is_nullable_naive
 from .derivation import derive, parse, recognize
@@ -52,9 +51,8 @@ __all__ = [
     "Reduction", "compose", "lift_left", "lift_right",
     "pair_left", "pair_left_null", "pair_right", "production", "reassociate",
     "EMPTY_SET", "FNode", "ForestSet", "INFINITE", "Leaf", "Pair", "Prod",
-    "amb_node", "count_parses", "defer_node",
-    "enumerate_trees", "forest_to_json", "leaf_node", "pair_node",
-    "parse_null", "prod_node", "tree_text",
+    "count_parses", "enumerate_trees", "forest_to_json", "parse_null",
+    "tree_text",
     "is_nullable", "is_nullable_naive",
     "derive", "parse", "recognize",
     "BnfGrammar", "Ref", "Term",

@@ -150,7 +150,7 @@ def _cmd_bench(args) -> int:
             g.counters.reset()
             fs = parse(g, toks)
             snap = g.counters.snapshot()
-        except (OSError, RecursionError, ValueError) as e:
+        except (OSError, UnicodeDecodeError) as e:  # unreadable: skip it
             print(f"error: {path}: {e}", file=sys.stderr)
             continue
         spt = (sum(per_parse) / len(per_parse)) / max(1, len(toks))

@@ -4,13 +4,13 @@ A forest node denotes a set of parse trees:
 
   leaf   one token leaf
   pair   the cross product of two child sets (one node, not |A|x|B|)
-  prod   a named production over child sets (cross product of the children)
+  prod   a named production with no children (an empty alternative)
   amb    the union of the child sets
   defer  an unapplied Reduction over a child set
 
 Forests may be cyclic (a cyclic grammar parse can denote infinitely many
 trees).  One iterative, cycle-aware postorder walk serves every consumer:
-counting, digests, enumeration and JSON export are folds over it.
+counting, enumeration and JSON export are folds over it.
 parse_null extracts the forest of empty-word parses from a grammar node
 using the same shell-first construction the derivative engine uses for its
 own cycles.
@@ -18,7 +18,6 @@ own cycles.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -126,20 +125,6 @@ def leaf_node(label: str) -> FNode:
     return n
 
 
-def pair_node(left: FNode, right: FNode) -> FNode:
-    n = FNode(PAIR)
-    n.left = left
-    n.right = right
-    return n
-
-
-def prod_node(name: str, children: list) -> FNode:
-    n = FNode(PROD)
-    n.label = name
-    n.children = list(children)
-    return n
-
-
 def amb_node(children: list) -> FNode:
     n = FNode(AMB)
     n.children = list(children)
@@ -182,10 +167,6 @@ class ForestSet:
     def single_leaf(label: str) -> "ForestSet":
         return ForestSet(leaf_node(label))
 
-    @staticmethod
-    def from_tree(tree) -> "ForestSet":
-        return ForestSet(_fnode_from_tree(tree))
-
     def __repr__(self) -> str:
         return f"ForestSet({self.root!r})"
 
@@ -209,16 +190,6 @@ def _alternatives(roots) -> list:
                 r.leaked = True
             out[r] = None
     return list(out)
-
-
-def _fnode_from_tree(t) -> FNode:
-    if isinstance(t, Leaf):
-        return leaf_node(t.label)
-    if isinstance(t, Pair):
-        return pair_node(_fnode_from_tree(t.left), _fnode_from_tree(t.right))
-    if isinstance(t, Prod):
-        return prod_node(t.name, [_fnode_from_tree(c) for c in t.children])
-    raise TypeError(f"not a tree: {t!r}")
 
 
 # --- empty-word extraction --------------------------------------------------
@@ -340,7 +311,7 @@ def _fchildren(n: FNode) -> tuple:
     k = n.kind
     if k == PAIR:
         return (n.left, n.right)
-    if k == PROD or k == AMB:
+    if k == AMB:
         return tuple(n.children or ())
     if k == DEFER:
         return (n.left,) + tuple(_payload_roots(n.red))
@@ -423,95 +394,88 @@ def count_parses(fs: ForestSet):
 
 # --- enumeration ------------------------------------------------------------
 
-def _forest_digests(order: list) -> tuple:
-    """(structural digest per node id, whether the forest is cyclic) from one
-    postorder.  Ids are excluded, so digests are stable across runs; a back
-    edge hashes as a fixed marker."""
-    digests: dict = {}
-    cyclic = False
-    for n, kids in order:
-        h = hashlib.sha1()
-        h.update(n.kind.encode())
-        if n.label is not None:
-            h.update(b"\x00" + str(n.label).encode())
-        if n.kind == DEFER:
-            h.update(b"\x00" + n.red.describe().encode())
-        for c in kids:
-            d = digests.get(c.id)
-            if d is None:
-                cyclic = True
-                d = b"cycle"
-            h.update(b"\x01")
-            h.update(d)
-        digests[n.id] = h.digest()
-    return digests, cyclic
-
-
 def _dedup(trees):
     return list(dict.fromkeys(trees))
 
 
+_LEFT, _RIGHT = "left", "right"
+
+
 def _apply(red: Reduction, t, table) -> list:
-    k = red.kind
-    if k in _PAIRINGS:
-        trees = table[_payload_root(red).id]
-        if k == reductions.PAIR_RIGHT:
-            return [Pair(t, s) for s in trees]
-        return [Pair(s, t) for s in trees]
-    if k == reductions.REASSOCIATE:
-        if isinstance(t, Pair) and isinstance(t.right, Pair):
-            return [Pair(Pair(t.left, t.right.left), t.right.right)]
-        return [t]
-    if k == reductions.PRODUCTION:
-        name, arity = red.payload
-        parts = []
-        cur = t
-        while len(parts) < arity - 1 and isinstance(cur, Pair):
-            parts.append(cur.left)
-            cur = cur.right
-        parts.append(cur)
-        if len(parts) != arity:
-            parts = [t]
-        return [Prod(name, tuple(parts))]
-    if k == reductions.COMPOSE:
-        g, f = red.payload
-        out = []
-        for s in _apply(f, t, table):
-            out.extend(_apply(g, s, table))
-        return _dedup(out)
-    if k == reductions.LIFT_LEFT:
-        if isinstance(t, Pair):
-            return [Pair(a, t.right) for a in _apply(red.payload, t.left, table)]
-        return [t]
-    if k == reductions.LIFT_RIGHT:
-        if isinstance(t, Pair):
-            return [Pair(t.left, b) for b in _apply(red.payload, t.right, table)]
-        return [t]
-    raise ValueError(f"unknown reduction kind: {k!r}")
+    """Every tree `red` maps `t` to, in order and without duplicates.
+
+    A work stack stands in for recursion, so composed and lifted chains may
+    nest arbitrarily deep.  Each entry is a tree and the frames still to run
+    on it, a linked list of (frame, rest) pairs; a frame is a reduction to
+    apply next, or (_LEFT, right) / (_RIGHT, left) to pair the result with a
+    stored component.  A pairing branches over its payload's trees.
+    """
+    out = []
+    work = [(t, (red, None))]
+    while work:
+        t, frames = work.pop()
+        while frames is not None:
+            f, frames = frames
+            if type(f) is tuple:
+                side, other = f
+                t = Pair(t, other) if side is _LEFT else Pair(other, t)
+                continue
+            k = f.kind
+            if k == reductions.COMPOSE:
+                g, h = f.payload
+                frames = (h, (g, frames))
+            elif k == reductions.LIFT_LEFT:
+                if isinstance(t, Pair):
+                    frames = (f.payload, ((_LEFT, t.right), frames))
+                    t = t.left
+            elif k == reductions.LIFT_RIGHT:
+                if isinstance(t, Pair):
+                    frames = (f.payload, ((_RIGHT, t.left), frames))
+                    t = t.right
+            elif k == reductions.REASSOCIATE:
+                if isinstance(t, Pair) and isinstance(t.right, Pair):
+                    t = Pair(Pair(t.left, t.right.left), t.right.right)
+            elif k == reductions.PRODUCTION:
+                name, arity = f.payload
+                parts = []
+                cur = t
+                while len(parts) < arity - 1 and isinstance(cur, Pair):
+                    parts.append(cur.left)
+                    cur = cur.right
+                parts.append(cur)
+                if len(parts) != arity:
+                    parts = [t]
+                t = Prod(name, tuple(parts))
+            elif k in _PAIRINGS:
+                trees = reversed(table[_payload_root(f).id])
+                if k == reductions.PAIR_RIGHT:
+                    work += [(Pair(t, s), frames) for s in trees]
+                else:
+                    work += [(Pair(s, t), frames) for s in trees]
+                break
+            else:
+                raise ValueError(f"unknown reduction kind: {k!r}")
+        else:
+            out.append(t)
+    return _dedup(out)
 
 
-def _combine(n: FNode, table: dict, limit: int, digests: dict) -> list:
+def _combine(n: FNode, table: dict, limit: int) -> list:
     """Up to `limit` trees of `n`, built from its children's lists in
     `table`."""
     k = n.kind
     if k == LEAF:
         return [Leaf(n.label)]
+    if k == PROD:  # always childless: an empty alternative
+        return [Prod(n.label, ())]
     # a product keeps its first 4 * limit combinations, before deduplication
     if k == PAIR:
         left, right = table[n.left.id], table[n.right.id]
         pairs = (Pair(a, b) for a in left for b in right)
         return _dedup(itertools.islice(pairs, limit * 4))[:limit]
-    if k == PROD:
-        combos = [()]
-        for c in n.children:
-            trees = table[c.id]
-            combos = list(itertools.islice(
-                (t + (x,) for t in combos for x in trees), limit * 4))
-        return _dedup(Prod(n.label, t) for t in combos)[:limit]
     if k == AMB:
-        ordered = sorted(n.children, key=lambda c: digests[c.id])
         out = []
-        for c in ordered:
+        for c in n.children:
             out.extend(table[c.id])
         return _dedup(out)[:limit]
     # DEFER
@@ -527,9 +491,13 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     """Up to `limit` distinct fully resolved trees, deterministically ordered.
 
     One bottom-up fold over the postorder fills a table of up to `limit`
-    trees per node.  The order depends only on the forest's structure, never
-    on node ids, so it is stable across runs.  An acyclic forest takes one
-    pass, which gives the exact first `limit` trees in the canonical order.
+    trees per node.  An ambiguity node lists its children's trees in stored
+    child order, the order the engine built the alternatives: the grammar's
+    alternative order, with the branch that extends the left half of a
+    nullable concatenation first.  The order depends on neither node ids nor
+    hash seeds nor the engine switches, so it is stable across runs and the
+    same under every switch.  An acyclic forest takes one pass, which gives
+    the exact first `limit` trees in that order.
 
     A cyclic forest repeats the pass.  A back edge reads its child's list
     from the previous pass (empty before the first), so pass p can reach
@@ -545,13 +513,16 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     if root is None or limit <= 0:
         return []
     order = _postorder(root)
-    digests, cyclic = _forest_digests(order)
-    table = dict.fromkeys(digests, [])
+    table: dict = {}
+    cyclic = False
+    for n, kids in order:  # a child not in the table yet is a back edge
+        cyclic = cyclic or any(c.id not in table for c in kids)
+        table[n.id] = []
     size = 0
     for _ in range(len(order) * limit):
         for n, _ in order:
             old = table[n.id]
-            new = _combine(n, table, limit, digests)
+            new = _combine(n, table, limit)
             table[n.id] = _dedup(old + new)[:limit] if old else new
         if not cyclic or len(table[root.id]) >= limit:
             break

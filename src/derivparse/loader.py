@@ -21,7 +21,7 @@ to the Grammar it returns.
 
 from __future__ import annotations
 
-from .forest import ForestSet, Prod
+from .forest import PROD, FNode, ForestSet
 from .grammar import (
     Context, Grammar, become_node, mk_alt, mk_eps, mk_red, mk_seq, mk_token,
     new_alt, normalize_grammar, use_context,
@@ -179,7 +179,9 @@ def load_bnf(text: str) -> BnfGrammar:
 
 def _build_alternative(name: str, rhs: tuple, placeholders: dict):
     if not rhs:
-        return mk_eps(ForestSet.from_tree(Prod(name, ())))
+        empty = FNode(PROD)
+        empty.label = name
+        return mk_eps(ForestSet(empty))
     chain = None
     for sym in reversed(rhs):
         node = placeholders[sym.name] if isinstance(sym, Ref) else mk_token(sym.label)

@@ -15,11 +15,13 @@ sys.setrecursionlimit(20000)
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args, timeout: float = 120) -> subprocess.CompletedProcess:
+def run_python(*args, timeout: float = 120,
+               env: dict = None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on `args` (a script path, or "-c" and a
-    snippet) from the repo root, with src/ on the path and the default
-    recursion limit; output is captured as text."""
-    env = dict(os.environ)
+    snippet) from the repo root, with src/ on the path, the default
+    recursion limit and `env` added to the environment; output is captured
+    as text."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,

@@ -43,7 +43,10 @@ def _outputs(src: str, words, **settings) -> list:
         fs = parse(g, list(w))
         ok = recognize(g, list(w))
         cnt = count_parses(fs)
-        trees = sorted(tree_text(t) for t in enumerate_trees(fs, 5))
+        # 3 trees truncate more forests than 5: the subset must not depend
+        # on the configuration either
+        trees = [sorted(tree_text(t) for t in enumerate_trees(fs, k))
+                 for k in (3, 5)]
         out.append((ok, str(cnt), trees))
     return out
 

@@ -173,3 +173,17 @@ def test_bench_skips_unreadable_inputs(ws, capsys):
     assert "error:" in captured.err
     assert "junk.txt" in captured.err
     assert len(captured.out.strip().split("\n")) == 2  # header + ok.txt only
+
+
+def test_bench_crash_is_not_a_success(ws, capsys, monkeypatch):
+    def crash(g, toks):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("derivparse.cli.parse", crash)
+    corpus = ws / "corpus3"
+    corpus.mkdir()
+    (corpus / "one.txt").write_text("a\n")
+    code = main(["bench", "--rounds", "1", "--warmup", "0",
+                 "--min-round-seconds", "0.001", g(ws), str(corpus)])
+    assert code == 3
+    assert "internal error: RecursionError" in capsys.readouterr().err

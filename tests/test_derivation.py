@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
-    Context, ForestSet, Leaf, NamingError, ParserSettings,
+    Context, ForestSet, NamingError, ParserSettings,
     count_parses, derive, earley_count, earley_recognize, fresh_name,
     is_nullable, load_bnf, load_grammar, mk_empty, mk_eps, mk_token,
     name_node, parse, reachable_nodes, recognize, use_context,
@@ -154,7 +154,7 @@ HIT_OWNERS = {
     "token": (lambda: mk_token("a"), EXTEND),
     "seq": (lambda: new_seq(mk_token("a"), mk_token("b")), EXTEND),
     "nullable-left seq": (
-        lambda: new_seq(mk_eps(ForestSet.from_tree(Leaf("_"))), mk_token("b")),
+        lambda: new_seq(mk_eps(ForestSet.single_leaf("_")), mk_token("b")),
         MARK_EXTEND),
 }
 

@@ -14,7 +14,9 @@ from derivparse.forest import EMPTY_SET, ForestSet
 from derivparse.reductions import (
     compose, lift_left, lift_right, pair_right, production, reassociate,
 )
-from conftest import ARITH_LEFT_SRC, ARITH_SRC, expr_tokens, run_python
+from conftest import (
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, expr_tokens, run_python,
+)
 
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -121,13 +123,15 @@ def test_enumeration_order_does_not_depend_on_node_ids():
         assert first_trees() == expected, shift
 
 
-# infinitely ambiguous grammars whose forests are cyclic, with probe words
+# grammars with more than 5 trees per probe word: infinitely ambiguous ones,
+# whose forests are cyclic, and Catalan (42 trees of a^6)
 UNIT_CYCLE_SRC = "start = S ;\nS : T ;\nT : S | U ;\nU : 'a' U | 'a' ;\n"
-CYCLIC_FORESTS = [
+TRUNCATED_FORESTS = [
     (UNIT_CYCLE_SRC, ["a", "aa", "aaaa"]),
     ("start = S ;\nS : S | A ;\nA : 'a' 'b' 'c' 'd' 'e' 'f' 'g' ;\n",
      ["abcdefg"]),
     ("start = S ;\nS : S | E ;\nE : '(' E ')' | 'x' ;\n", ["x", "((x))"]),
+    (CATALAN_SRC, ["aaaaaa"]),
 ]
 
 
@@ -149,9 +153,10 @@ def test_cyclic_forest_enumerates_trees_of_the_word(k):
     assert all(_leaves(t) == word for t in got)
 
 
-@pytest.mark.parametrize("src, words", CYCLIC_FORESTS,
-                         ids=["unit-cycle", "unit-loop", "nested-parens"])
-def test_cyclic_forest_trees_do_not_depend_on_switches(src, words):
+@pytest.mark.parametrize("src, words", TRUNCATED_FORESTS,
+                         ids=["unit-cycle", "unit-loop", "nested-parens",
+                              "catalan"])
+def test_truncated_tree_subsets_do_not_depend_on_switches(src, words):
     def trees(**switches) -> list:
         g = load_grammar(src)
         for name, value in switches.items():
@@ -164,7 +169,26 @@ def test_cyclic_forest_trees_do_not_depend_on_switches(src, words):
     assert all(len(ts) == 5 for ts in want)
     for compaction in (True, False):
         for memo_full in (False, True):
-            assert trees(compaction=compaction, memo_full=memo_full) == want
+            for naive in (False, True):
+                assert trees(compaction=compaction, memo_full=memo_full,
+                             naive_nullability=naive) == want
+
+
+def test_enumeration_order_does_not_depend_on_the_hash_seed():
+    # the order is the engine's construction order, so it is only as stable
+    # as the engine is deterministic
+    code = f"""
+from derivparse import enumerate_trees, load_grammar, parse, tree_text
+for src, word in (({CATALAN_SRC!r}, "a" * 7), ({UNIT_CYCLE_SRC!r}, "aa")):
+    for t in enumerate_trees(parse(load_grammar(src), list(word)), 5):
+        print(tree_text(t))
+"""
+    runs = [run_python("-c", code, env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 10
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_enumeration_of_infinite_forest_terminates():
@@ -275,16 +299,19 @@ def test_describe_nests_composed_reductions():
 
 def test_deep_forests_export_at_the_default_recursion_limit():
     # 1,999 tokens compose reductions 1,001 deep on the right-recursive
-    # grammar and nest the first tree 1,000 deep on the left-recursive one
+    # grammar and nest the first tree 1,000 deep on both grammars
     toks = ["n"] + ["+", "n"] * 999
     proc = run_python("-c", f"""
 from derivparse import enumerate_trees, forest_to_json, load_grammar, parse, tree_text
-forest_to_json(parse(load_grammar({ARITH_SRC!r}), {toks!r}))
-[t] = enumerate_trees(parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r}), 1)
-print(tree_text(t))
+fs = parse(load_grammar({ARITH_SRC!r}), {toks!r})
+forest_to_json(fs)
+for fs in (fs, parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r})):
+    [t] = enumerate_trees(fs, 1)
+    print(tree_text(t))
 """)
     assert proc.returncode == 0, proc.stderr
-    want = "E[T[F[n]]]"
+    right = left = "E[T[F[n]]]"
     for _ in range(999):
-        want = f"E[{want} + T[F[n]]]"
-    assert proc.stdout == want + "\n"
+        right = f"E[T[F[n]] + {right}]"
+        left = f"E[{left} + T[F[n]]]"
+    assert proc.stdout == f"{right}\n{left}\n"

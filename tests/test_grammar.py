@@ -7,7 +7,7 @@ import pytest
 
 from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
-    Context, Grammar, Leaf,
+    Context, Grammar,
     become_node, describe_node, enumerate_trees, load_bnf, load_grammar,
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
     parse, reachable_nodes, recognize, tree_text, use_context,
@@ -24,7 +24,7 @@ from conftest import (
 
 
 def eps(label: str = "_"):
-    return mk_eps(ForestSet.from_tree(Leaf(label)))
+    return mk_eps(ForestSet.single_leaf(label))
 
 
 @pytest.fixture(autouse=True)

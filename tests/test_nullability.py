@@ -9,11 +9,11 @@ from derivparse import (
     is_nullable, is_nullable_naive,
     load_grammar, mk_alt, mk_empty, mk_eps, mk_seq, mk_token, use_context,
 )
-from derivparse.forest import ForestSet, Leaf
+from derivparse.forest import ForestSet
 from conftest import random_grammar_source
 
 
-EPS_TREES = ForestSet.from_tree(Leaf("_"))
+EPS_TREES = ForestSet.single_leaf("_")
 
 
 @pytest.mark.parametrize("naive", [False, True])
