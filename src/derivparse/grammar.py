@@ -16,6 +16,32 @@ become_node until nothing fires, so no reachable concatenation is left with
 an Empty, Epsilon or reduction right child; derivatives of such a grammar
 never have one either, so the right-child rules fire only at load time.
 
+Nesting depth rests on one rule.  seq-float-left, ((p -> f) . q) ->
+(p . q) -> lift-left(f), leaves a left-nested spine when p is itself a
+concatenation, and each token of a nested Dyck word would then rebuild that
+spine, one node per open level (603.8 nodes per token at depth 800).  So
+when p = (p1 . p2) the rule re-associates it in the same step, once:
+(p1 . (p2 . q)) -> lift-left(f) after reassociate, and the next token
+derives the head p1 alone (6.5 nodes per token at any depth).  It does so
+only under two guards, each backed by a measured counterexample:
+
+- p is no grammar node (the grammar mark, set by Grammar and
+  normalize_grammar on every node the loaded grammar reaches).  Grammar
+  nodes keep their derivatives for the whole input; taking one apart
+  re-derives it per token.  Right-recursive arithmetic on a 541-token
+  word creates 13,377 nodes instead of 1,013.
+- p1 is known not to accept the empty word: its nullability cell holds the
+  final not-nullable verdict.  The rule reads the cell and never queries,
+  since a derivative still under construction may hold unfilled shells.  A
+  nullable head forks on the next token into a fresh (p2 . q) per parse
+  path, where the left-nested p forks once and memoizes it.  Random
+  grammar g48 of the benchmark corpus on a^n turns quadratic without this
+  guard: 2,645 nodes become 26,250 at n=160.
+
+The naive nullability engine caches no verdicts, so under it the rule
+fires only on heads with a preset verdict (tokens), and nested Dyck stays
+quadratic.
+
 One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
 language, but no node on it has an Empty child.  The dead-subgraph rule
 (collapse_dead) is one productivity fixed point, over the nodes not yet
@@ -55,15 +81,16 @@ class GrammarNode:
     The remaining slots are engine state: the nullability cell, the derivative
     cache (single-entry pair or full dict, depending on the active mode), the
     under-construction flag with its leak mark, the productive mark (set only
-    once the node's language is proven non-empty), the empty-word parse memo,
-    and the optional debug name.
+    once the node's language is proven non-empty), the grammar mark (set when
+    a loaded grammar reaches the node), the empty-word parse memo, and the
+    optional debug name.
     """
 
     __slots__ = (
         "id", "form", "left", "right", "label", "results", "fn",
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
-        "in_progress", "leaked", "productive", "pn_memo", "name",
+        "in_progress", "leaked", "productive", "in_grammar", "pn_memo", "name",
     )
 
     def __init__(self, form: int):
@@ -83,6 +110,7 @@ class GrammarNode:
         self.in_progress = False
         self.leaked = False
         self.productive = False
+        self.in_grammar = False
         self.pn_memo = None
         self.name = None
 
@@ -275,7 +303,16 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
     if f == RED:
         # ((p -> f) . q) -> (p . q) -> lift-left(f)
         _fire("seq-float-left")
-        return new_red(new_seq(left.left, right), reductions.lift_left(left.fn))
+        p = left.left
+        if (p.form == SEQ and not p.in_grammar
+                and not p.in_progress and p.left.n_value == NV_NOT):
+            # ... then seq-associate, once (see the module docstring for
+            # why, and for the measured counterexample behind each guard)
+            _fire("seq-associate")
+            return new_red(new_seq(p.left, new_seq(p.right, right)),
+                           reductions.compose(reductions.lift_left(left.fn),
+                                              reductions.reassociate()))
+        return new_red(new_seq(p, right), reductions.lift_left(left.fn))
     # right-child rules: a normalized grammar and its derivatives never have
     # these right children, so these fire only while a grammar loads
     f = right.form
@@ -348,6 +385,15 @@ def reachable_nodes(root: GrammarNode) -> list:
                 order.append(c)
                 stack.append(c)
     return order
+
+
+def _mark_grammar(root: GrammarNode) -> int:
+    """Give every node the grammar reaches the grammar mark; returns how
+    many there are (size_G)."""
+    nodes = reachable_nodes(root)
+    for n in nodes:
+        n.in_grammar = True
+    return len(nodes)
 
 
 # --- normalization ----------------------------------------------------------
@@ -472,7 +518,7 @@ class Grammar:
         self.root = root
         self.start = start
         self.nonterminal_table = nonterminal_table or {}
-        self.size_G = len(reachable_nodes(root))
+        self.size_G = _mark_grammar(root)
         self.counters = Counters()
         self.settings = ParserSettings()
         self.bnf = bnf
@@ -516,8 +562,9 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
             break
     else:
         raise RuntimeError("grammar normalization did not converge")
+    size = _mark_grammar(root)
     if isinstance(g, Grammar):
-        g.size_G = len(reachable_nodes(root))
+        g.size_G = size
     return g
 
 

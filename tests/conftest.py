@@ -2,11 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from derivparse import enumerate_language
+from derivparse import enumerate_language, grammar
 
 # deep grammars on long inputs recurse past the default limit; a test that
 # must see the default limit runs its code through run_python
@@ -26,6 +27,27 @@ def run_python(*args, timeout: float = 120,
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+@contextmanager
+def node_budget(n: int):
+    """Raise AssertionError as soon as the block creates more than n graph
+    nodes, so a test of a blow-up fails fast instead of exhausting memory."""
+    real = grammar._new
+    created = 0
+
+    def counted(form):
+        nonlocal created
+        created += 1
+        if created > n:
+            raise AssertionError(f"more than {n} nodes created")
+        return real(form)
+
+    grammar._new = counted
+    try:
+        yield
+    finally:
+        grammar._new = real
 
 
 NT_POOL = ["N0", "N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "N9"]
@@ -88,18 +110,24 @@ ARITH_LEFT_SRC = (
     "F : '-' F | '(' E ')' | 'n' ;\n"
 )
 
+DYCK_SRC = "start = P ;\nP : '(' P ')' P | ;\n"
+
 # fixed grammars exercised corpus-wide, plus seeded random ones where a
 # criterion asks for volume
 FIXED_CORPUS = [
     WORST_SRC,
     CATALAN_SRC,
     ARITH_SRC,
-    "start = P ;\nP : '(' P ')' P | ;\n",
+    DYCK_SRC,
     "start = P ;\nP : 'a' P 'a' | 'b' P 'b' | 'a' | 'b' | ;\n",
     "start = S ;\nS : A A A ;\nA : 'a' | ;\n",
     "start = S ;\nS : S | 'a' ;\n",
     "start = N ;\nN : E N | 'x' ;\nE : ;\n",
 ]
+
+
+def nested_dyck(d: int) -> list:
+    return ["("] * d + [")"] * d
 
 
 def distinct_tokens(n: int) -> list:

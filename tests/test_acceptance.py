@@ -23,8 +23,8 @@ from derivparse import (
 from derivparse.cli import main as cli_main
 from derivparse.instrumentation import MARK
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, FIXED_CORPUS, WORST_SRC,
-    all_strings, distinct_tokens, expr_tokens, probe_words,
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
+    all_strings, distinct_tokens, expr_tokens, nested_dyck, probe_words,
     random_grammar_source,
 )
 
@@ -351,7 +351,20 @@ def test_criterion_8_linear_practical_smoke():
         npt[n] = (g.counters.nodes_created - before) / n
     growth = npt[400] / npt[100]
     assert growth <= 1.25, npt
+
+    # nesting, counted: each token of (^d )^d must not rebuild the open levels
+    g = load_grammar(DYCK_SRC)
+    dpt = {}
+    for d in (100, 400):
+        before = g.counters.nodes_created
+        fs = parse(g, nested_dyck(d))
+        assert count_parses(fs) == 1, d
+        dpt[d] = (g.counters.nodes_created - before) / (2 * d)
+    depth_growth = dpt[400] / dpt[100]
+    assert depth_growth <= 1.25, dpt
     _report(8, "linear-practical smoke",
             f"seconds/token {spt[2000]:.2e} @2k vs {spt[20000]:.2e} @20k, "
             f"ratio {ratio:.2f}; left-recursive nodes/token "
-            f"{npt[100]:.1f} @100 vs {npt[400]:.1f} @400, ratio {growth:.2f}")
+            f"{npt[100]:.1f} @100 vs {npt[400]:.1f} @400, ratio {growth:.2f}; "
+            f"nested Dyck nodes/token {dpt[100]:.1f} @d=100 vs "
+            f"{dpt[400]:.1f} @d=400, ratio {depth_growth:.2f}")

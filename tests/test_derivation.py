@@ -17,8 +17,8 @@ from derivparse import derivation
 from derivparse.grammar import new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, FIXED_CORPUS, all_strings, expr_tokens, probe_words,
-    random_grammar_source,
+    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, all_strings, expr_tokens,
+    nested_dyck, node_budget, probe_words, random_grammar_source, run_python,
 )
 
 
@@ -244,24 +244,27 @@ def test_no_reachable_node_is_dead_after_any_token():
     assert total > 5000
 
 
-def _left_nodes_per_token(n: int) -> tuple:
-    g = load_grammar(ARITH_LEFT_SRC)
-    before = g.counters.nodes_created
-    fs = parse(g, expr_tokens(n))
-    return (g.counters.nodes_created - before) / n, count_parses(fs)
+def _flat_nodes_per_token(src: str, tokens, sizes) -> dict:
+    """Nodes created per token at each size, in order.  Each size must stay
+    within 1.25 times the rate of the one before, and runs under that
+    budget, so an engine that grows fails at the first larger size instead
+    of exhausting memory; the first size may create 20 nodes per token."""
+    per_token = {}
+    rate = 20
+    for n in sizes:
+        g = load_grammar(src)
+        before = g.counters.nodes_created
+        with node_budget(int(n * rate)):
+            fs = parse(g, tokens(n))
+        per_token[n] = (g.counters.nodes_created - before) / n
+        assert count_parses(fs) == 1, n
+        rate = 1.25 * per_token[n]
+    return per_token
 
 
 def test_left_recursion_stays_linear_up_to_16k_tokens():
-    # each size is checked before the next, 4 times larger, is parsed, so a
-    # quadratic engine fails early instead of exhausting memory
-    per_token = {}
-    prev = None
-    for n in (250, 1000, 4000, 16000):
-        per_token[n], count = _left_nodes_per_token(n)
-        assert count == 1, n
-        if prev is not None:
-            assert per_token[n] <= 1.25 * per_token[prev], per_token
-        prev = n
+    per_token = _flat_nodes_per_token(ARITH_LEFT_SRC, expr_tokens,
+                                      (250, 1000, 4000, 16000))
     assert per_token[16000] <= 1.25 * per_token[1000], per_token
 
 
@@ -345,6 +348,159 @@ def test_left_recursive_inputs_match_the_oracle(case, data):
     w = data.draw(words)
     assert recognize(g, w) == earley_recognize(bg, w), w
     assert count_parses(parse(g, w)) == earley_count(bg, w), w
+
+
+# --- nesting depth: re-associated concatenation spines ----------------------
+
+# grammars 12, 33, 48 and 144 of the benchmark's random corpus
+# (random.Random("random_grammars:corpus")): shapes on which re-associating
+# derived spines without the rule's guards multiplies the nodes
+G12_SRC = ("start = N0 ;\nN0 : N1 | 'b' N1 ;\nN1 :  | 'a' N0 N0 N2 | N2 ;\n"
+           "N2 : 'b' 'b' 'a' 'b' |  ;\n")
+G33_SRC = ("start = N0 ;\nN0 : 'a' 'a' 'a' 'a' | N3 N1 'a' 'a' | 'a' 'a' ;\n"
+           "N1 : N3 N3 'a' | 'a' 'a' 'a' ;\nN2 : 'a' 'a' |  | N1 N3 N2 ;\n"
+           "N3 : N2 N1 'a' ;\n")
+G48_SRC = ("start = N0 ;\nN0 : 'a' N4 'a' N7 |  ;\nN1 : N3 'a' N2 'a' ;\n"
+           "N2 : 'b' 'b' 'b' ;\nN3 : 'a' 'a' 'b' ;\nN4 : 'b' N2 N2 N4 | N0 'a' 'a' ;\n"
+           "N5 : N0 'b' |  ;\nN6 : 'a' N2 'b' | 'b' 'a' 'b' | N5 'b' ;\n"
+           "N7 : N3 'a' | 'a' 'a' 'b' | N6 N3 'a' ;\nN8 : N1 N7 N4 'a' |  | N8 N7 ;\n")
+G144_SRC = ("start = N0 ;\nN0 :  | N3 N4 'a' | N1 'a' N0 N0 ;\n"
+            "N1 :  | 'b' 'b' 'c' 'a' | 'b' 'b' ;\nN2 : N3 | 'c' | N2 'c' 'c' 'c' ;\n"
+            "N3 : 'b' N1 'c' ;\nN4 :  | 'b' 'b' N3 'a' ;\n")
+
+
+def _nodes_within(src: str, toks: list, budget: float) -> None:
+    """Recognize toks; fails once the parse creates more than budget nodes."""
+    g = load_grammar(src)
+    with node_budget(int(budget)):
+        recognize(g, toks)
+
+
+# the budgets are 1.25 times the counts before derived spines were
+# re-associated
+@pytest.mark.parametrize("n, before", [(14, 268), (40, 1776)])
+def test_reassociation_keeps_ambiguous_stack_tops_shared(n, before):
+    # unguarded, g12 doubles its nodes per token: 32,541 at a^12
+    _nodes_within(G12_SRC, ["a"] * n, 1.25 * before)
+
+
+@pytest.mark.parametrize("n, before", [(40, 725), (160, 2645)])
+def test_a_spine_with_a_nullable_head_is_not_reassociated(n, before):
+    # such a head forks into a fresh copy of the spine's tail per path:
+    # 26,250 nodes at a^160 without this guard
+    _nodes_within(G48_SRC, ["a"] * n, 1.25 * before)
+
+
+def test_grammar_nodes_are_not_taken_apart():
+    # grammar nodes keep their derivatives for the whole input: taking
+    # them apart re-derives them per token, 13,377 nodes here
+    toks = ["n", "+", "(", "n", "*", "-", "n", ")", "*"] * 60 + ["n"]
+    _nodes_within(ARITH_SRC, toks, 1.25 * 1013)
+
+
+@pytest.mark.parametrize("src", [G12_SRC, G33_SRC, G48_SRC, G144_SRC],
+                         ids=["g12", "g33", "g48", "g144"])
+def test_random_corpus_grammars_stay_inside_a_node_budget(src):
+    _nodes_within(src, ["a"] * 40, 100_000)
+
+
+def test_nested_dyck_stays_linear_up_to_16k_tokens():
+    per_token = _flat_nodes_per_token(DYCK_SRC, lambda n: nested_dyck(n // 2),
+                                      (1000, 2000, 4000, 8000, 16000))
+    assert per_token[16000] <= 1.25 * per_token[1000], per_token
+
+
+def test_nested_dyck_10k_deep_at_the_default_recursion_limit():
+    d = 10_000
+    proc = run_python("-c", f"""
+from derivparse import (count_parses, enumerate_trees, forest_to_json,
+                        load_grammar, parse, tree_text)
+fs = parse(load_grammar({DYCK_SRC!r}), ["("] * {d} + [")"] * {d})
+print(count_parses(fs))
+forest_to_json(fs)
+[t] = enumerate_trees(fs, 1)
+print(tree_text(t))
+""")
+    assert proc.returncode == 0, proc.stderr
+    tree = "P[( " * d + "P[]" + " ) P[]]" * d
+    assert proc.stdout == f"1\n{tree}\n"
+
+
+def _nested_dyck_word(rng: random.Random, max_len: int) -> list:
+    """A balanced word that opens again with probability 0.7 while open."""
+    opens = rng.randint(1, max_len // 2)
+    word, depth, opened = [], 0, 0
+    while opened < opens or depth:
+        if opened < opens and (depth == 0 or rng.random() < 0.7):
+            word.append("(")
+            depth += 1
+            opened += 1
+        else:
+            word.append(")")
+            depth -= 1
+    return word
+
+
+def _nested_expression(rng: random.Random, max_len: int) -> list:
+    """An arithmetic word grown by wrapping, half the time in parentheses."""
+    w = ["n"]
+    while True:
+        k = rng.random()
+        if k < 0.5:
+            grown = ["("] + w + [")"]
+        elif k < 0.65:
+            grown = ["-"] + w
+        elif k < 0.8:
+            grown = w + [rng.choice("+*"), "n"]
+        else:
+            grown = ["n", rng.choice("+*")] + w
+        if len(grown) > max_len:
+            return w
+        w = grown
+
+
+def _one_edit(rng: random.Random, w: list, sigma: str) -> list:
+    w = list(w)
+    kind = rng.choice(["delete", "insert", "replace"])
+    i = rng.randint(0, len(w) - (kind != "insert"))
+    if kind == "delete":
+        del w[i]
+    elif kind == "insert":
+        w.insert(i, rng.choice(sigma))
+    else:
+        w[i] = rng.choice(sigma)
+    return w
+
+
+def test_nested_words_match_the_oracle_under_every_switch():
+    rng = random.Random(0x5E8)
+    cases = [(DYCK_SRC, _nested_dyck_word, "()"),
+             (ARITH_SRC, _nested_expression, "+*-()n"),
+             (ARITH_LEFT_SRC, _nested_expression, "+*-()n")]
+    configs = [{}, {"memo_full": True}, {"compaction": False},
+               {"naive_nullability": True}]
+    checks = accepted = 0
+    for src, make, sigma in cases:
+        bg = load_bnf(src)
+        words = []
+        for _ in range(15):
+            w = make(rng, rng.randint(2, 40))
+            words += [w, _one_edit(rng, w, sigma)]
+        expected = [(earley_recognize(bg, w),
+                     earley_count(bg, w) if len(w) <= 30 else None)
+                    for w in words]
+        accepted += sum(ok for ok, _ in expected)
+        for config in configs:
+            g = load_grammar(src)
+            for k, v in config.items():
+                setattr(g.settings, k, v)
+            for w, (ok, count) in zip(words, expected):
+                assert recognize(g, w) == ok, (config, w)
+                checks += 1
+                if count is not None:
+                    assert count_parses(parse(g, w)) == count, (config, w)
+                    checks += 1
+    assert checks >= 600 and 0 < accepted < 90, (checks, accepted)
 
 
 # --- binding the engine variant -----------------------------------------------

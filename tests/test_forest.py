@@ -15,7 +15,8 @@ from derivparse.reductions import (
     compose, lift_left, lift_right, pair_right, production, reassociate,
 )
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, expr_tokens, run_python,
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, expr_tokens, nested_dyck,
+    run_python,
 )
 
 
@@ -288,6 +289,16 @@ def test_first_tree_of_a_forest_takes_linear_hash_work(monkeypatch):
         assert len(enumerate_trees(fs, 1)) == 1
         work[n] = calls[0]
     assert work[400] <= 6 * work[100], work
+
+
+def test_nested_dyck_json_grows_linearly():
+    # a left-nested spine once gave one lift-left per open level per token:
+    # the JSON grew with the square of the input
+    size = {}
+    for n in (320, 640):
+        fs = parse(load_grammar(DYCK_SRC), nested_dyck(n // 2))
+        size[n] = len(json.dumps(forest_to_json(fs)))
+    assert size[640] <= 2.5 * size[320], size
 
 
 def test_describe_nests_composed_reductions():
