@@ -17,7 +17,7 @@ from .grammar import (
     Context, Grammar, GrammarNode, ParserSettings,
     become_node, describe_node,
     mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
-    node_children, normalize_grammar, reachable_nodes, use_context,
+    normalize_grammar, reachable_nodes, use_context,
 )
 from .reductions import (
     Reduction, compose, lift_left, lift_right,
@@ -47,7 +47,7 @@ __all__ = [
     "Context", "Grammar", "GrammarNode", "ParserSettings",
     "become_node", "describe_node",
     "mk_alt", "mk_empty", "mk_eps", "mk_red", "mk_seq", "mk_token",
-    "node_children", "normalize_grammar", "reachable_nodes", "use_context",
+    "normalize_grammar", "reachable_nodes", "use_context",
     "Reduction", "compose", "lift_left", "lift_right",
     "pair_left", "pair_left_null", "pair_right", "production", "reassociate",
     "EMPTY_SET", "FNode", "ForestSet", "INFINITE", "Leaf", "Pair", "Prod",

@@ -446,6 +446,9 @@ def _apply(red: Reduction, t, table) -> list:
                 if len(parts) != arity:
                     parts = [t]
                 t = Prod(name, tuple(parts))
+            elif k == reductions.SPLICE:
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    t = Prod(t.right.name, (t.left,) + t.right.children)
             elif k in _PAIRINGS:
                 trees = reversed(table[_payload_root(f).id])
                 if k == reductions.PAIR_RIGHT:

@@ -10,11 +10,13 @@ _compact_seq, _compact_red): each maps a form and its children to a
 replacement node, firing at most one structural rule plus at most one
 follow-up rule, and declines on nodes still under construction.  The table
 is used in two ways.  The mk_* constructors (and the derivative engine)
-build the replacement instead of a new node.  normalize_grammar sweeps a
-loaded grammar and copies each replacement into the rewritten node with
-become_node until nothing fires, so no reachable concatenation is left with
-an Empty, Epsilon or reduction right child; derivatives of such a grammar
-never have one either, so the right-child rules fire only at load time.
+build the replacement instead of a new node.  normalize_grammar rewrites a
+loaded grammar in place, copying each replacement into the rewritten node
+with become_node until nothing fires, so no reachable concatenation is left
+with an Empty, Epsilon or reduction right child; derivatives of such a
+grammar never have one either, so the right-child rules fire only at load
+time.  It works through a worklist: a rewritten node, its parents and the
+nodes its rule created are revisited, and nothing else.
 
 Nesting depth rests on one rule.  seq-float-left, ((p -> f) . q) ->
 (p . q) -> lift-left(f), leaves a left-nested spine when p is itself a
@@ -30,17 +32,22 @@ only under two guards, each backed by a measured counterexample:
   nodes keep their derivatives for the whole input; taking one apart
   re-derives it per token.  Right-recursive arithmetic on a 541-token
   word creates 13,377 nodes instead of 1,013.
-- p1 is known not to accept the empty word: its nullability cell holds the
-  final not-nullable verdict.  The rule reads the cell and never queries,
-  since a derivative still under construction may hold unfilled shells.  A
-  nullable head forks on the next token into a fresh (p2 . q) per parse
-  path, where the left-nested p forks once and memoizes it.  Random
-  grammar g48 of the benchmark corpus on a^n turns quadratic without this
-  guard: 2,645 nodes become 26,250 at n=160.
+- p1 is known not to accept the empty word.  A nullable head forks on the
+  next token into a fresh (p2 . q) per parse path, where the left-nested p
+  forks once and memoizes it.  Random grammar g48 of the benchmark corpus
+  on a^n turns quadratic without this guard: 2,645 nodes become 26,250 at
+  n=160.  A derivative head counts as known when its nullability cell
+  holds the final not-nullable verdict: the rule reads the cell and never
+  queries, since a derivative still under construction may hold unfilled
+  shells.  A grammar head's cell outlives parses and holds whatever earlier
+  parses asked, so reading it would make the nodes a parse builds, and its
+  forest, depend on what the grammar parsed before; the rule settles a
+  grammar head's verdict by a query instead, which is safe because
+  grammar nodes reach only grammar nodes.
 
 The naive nullability engine caches no verdicts, so under it the rule
-fires only on heads with a preset verdict (tokens), and nested Dyck stays
-quadratic.
+fires only on heads with a preset verdict (tokens) or a grammar node's
+settled one, and nested Dyck stays quadratic.
 
 One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
 language, but no node on it has an Empty child.  The dead-subgraph rule
@@ -305,7 +312,7 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         _fire("seq-float-left")
         p = left.left
         if (p.form == SEQ and not p.in_grammar
-                and not p.in_progress and p.left.n_value == NV_NOT):
+                and not p.in_progress and _known_not_nullable(p.left)):
             # ... then seq-associate, once (see the module docstring for
             # why, and for the measured counterexample behind each guard)
             _fire("seq-associate")
@@ -327,6 +334,16 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         _fire("seq-float-right")
         return new_red(new_seq(left, right.left), reductions.lift_right(right.fn))
     return None
+
+
+def _known_not_nullable(head: GrammarNode) -> bool:
+    """The spine rule's head guard: a derivative's cell as it stands, a
+    grammar node's settled by a query (see the module docstring)."""
+    v = head.n_value
+    if v == NV_UNKNOWN and head.in_grammar:
+        from .nullability import is_nullable
+        return not is_nullable(head)
+    return v == NV_NOT
 
 
 def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
@@ -358,32 +375,25 @@ def mk_red(child: GrammarNode, fn) -> GrammarNode:
 
 # --- graph walks ------------------------------------------------------------
 
-def node_children(n: GrammarNode) -> tuple:
-    form = n.form
-    if form == SEQ or form == ALT:
-        out = []
-        if n.left is not None:
-            out.append(n.left)
-        if n.right is not None:
-            out.append(n.right)
-        return tuple(out)
-    if form == RED and n.left is not None:
-        return (n.left,)
-    return ()
-
-
 def reachable_nodes(root: GrammarNode) -> list:
     """Every node reachable through child edges, root first (iterative)."""
-    seen = {root.id}
+    seen = {root}
     order = [root]
     stack = [root]
     while stack:
         n = stack.pop()
-        for c in node_children(n):
-            if c.id not in seen:
-                seen.add(c.id)
-                order.append(c)
-                stack.append(c)
+        # leaves and reductions have no right child, leaves and unfilled
+        # shells no left one
+        c = n.left
+        if c is not None and c not in seen:
+            seen.add(c)
+            order.append(c)
+            stack.append(c)
+        c = n.right
+        if c is not None and c not in seen:
+            seen.add(c)
+            order.append(c)
+            stack.append(c)
     return order
 
 
@@ -398,7 +408,7 @@ def _mark_grammar(root: GrammarNode) -> int:
 
 # --- normalization ----------------------------------------------------------
 
-_SWEEP_CAP = 1000
+_REWRITE_CAP = 1000  # rewrites per node before normalization gives up
 
 
 def collapse_dead(root: GrammarNode) -> None:
@@ -427,7 +437,9 @@ def collapse_dead(root: GrammarNode) -> None:
     stack = [root]
     while stack:
         n = stack.pop()
-        for c in node_children(n):
+        for c in (n.left, n.right):
+            if c is None:
+                continue
             ps = parents.get(c)
             if ps is None:
                 parents[c] = [n]
@@ -443,6 +455,13 @@ def collapse_dead(root: GrammarNode) -> None:
             elif c.form != EMPTY:
                 inner.append(c)
                 stack.append(c)
+    _settle(inner, proven, pending, parents)
+
+
+def _settle(inner: list, proven: list, pending: list, parents: dict) -> None:
+    """The dead-subgraph fixed point over the unmarked nodes `inner`, given
+    every parent edge into them and their frontier: the marked nodes
+    (`proven`) and those under construction (`pending`)."""
     live = set(proven)
     _spread(proven, live, parents)
     for n in inner:
@@ -545,27 +564,68 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     right child (and apply every other compaction rule exhaustively).
 
     Accepts a Grammar or a bare root node; rewrites in place and returns the
-    argument.  Terminates on cyclic graphs because empty-language subgraphs
-    are collapsed first (see collapse_dead, run from every node not yet
-    marked, which leaves every reachable node marked or Empty); a sweep cap
-    guards the rest.
+    argument.  Empty-language subgraphs are collapsed first, by the
+    dead-subgraph fixed point over every node not yet marked (see
+    collapse_dead), which leaves every reachable node marked or Empty; so
+    the rewriting terminates on cyclic graphs, and a cap on the rewrites
+    guards the rest.  Whether a rule fires on a node depends only on the
+    node and its children's forms, so a worklist that starts with every
+    inner node and revisits a rewritten node, its parents and the nodes its
+    rule created reaches the same fixed point as sweeping the whole graph
+    until nothing fires.  The grammar marks are cleared while it runs, so
+    no nullability query caches a verdict on a node that a later rewrite
+    changes; a Grammar's nodes are marked again at its end, a bare root's
+    by the Grammar made over it.
     """
     root = g.root if isinstance(g, Grammar) else g
-    for n in reachable_nodes(root):
-        collapse_dead(n)
-    for _ in range(_SWEEP_CAP):
-        changed = False
-        for n in reachable_nodes(root):
-            if _normalize_step(n):
-                changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("grammar normalization did not converge")
-    size = _mark_grammar(root)
+    parents = {root: []}
+    work = [root]
+    _enlist(root, parents, work)
+    inner, proven, pending = [], [], []
+    for n in parents:
+        n.in_grammar = False
+        if n.productive:
+            proven.append(n)
+        elif n.in_progress:
+            pending.append(n)
+        elif n.form != EMPTY:
+            inner.append(n)
+    if inner:
+        _settle(inner, proven, pending, parents)
+    work.reverse()  # the root first
+    rewrites = 0
+    while work:
+        n = work.pop()
+        if not _normalize_step(n):
+            continue
+        rewrites += 1
+        if rewrites > _REWRITE_CAP * len(parents):
+            raise RuntimeError("grammar normalization did not converge")
+        work.append(n)
+        work += parents[n]
+        _enlist(n, parents, work)
     if isinstance(g, Grammar):
-        g.size_G = size
+        g.size_G = _mark_grammar(root)
     return g
+
+
+def _enlist(top: GrammarNode, parents: dict, work: list) -> None:
+    """Record top's child edges in `parents`; a child seen for the first
+    time is queued, and so is everything new below it."""
+    stack = [top]
+    while stack:
+        n = stack.pop()
+        for c in (n.left, n.right):
+            if c is None:
+                continue
+            ps = parents.get(c)
+            if ps is None:
+                parents[c] = [n]
+                if c.form >= SEQ:  # leaves never change
+                    work.append(c)
+                stack.append(c)
+            else:
+                ps.append(n)
 
 
 # --- printing ---------------------------------------------------------------

@@ -15,8 +15,18 @@ load_grammar builds the expression graph of the nonterminals the start
 symbol reaches (nonterminal references are direct node references, so
 recursion is graph cycles), wraps each alternative in a production-builder
 reduction, and normalizes.  load_bnf yields the flat production view of the
-same parse, every production kept, for the oracle; load_grammar attaches one
-to the Grammar it returns.
+same parse, every production kept as written, for the oracle; load_grammar
+attaches one to the Grammar it returns.
+
+The graph factors shared first symbols out of choices: each run of adjacent
+alternatives of a rule that start with the same symbol (one nonterminal, or
+terminals with one label) becomes red(seq(head, choice of the rests),
+splice), each rest built like an alternative of the rule.  A parse then
+derives the shared head once, not once per alternative; unfactored,
+E : T '+' E | T ; makes every token rebuild a choice over the derivative of
+T for each open parenthesis.  The splice reduction puts the head's tree
+back in front of the rest's production, so the trees, their count and their
+order are those of the rules as written.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from .grammar import (
     new_alt, normalize_grammar, use_context,
 )
 from .oracle import BnfGrammar, Ref, Term
-from .reductions import production
+from .reductions import production, splice
 
 
 class GrammarError(ValueError):
@@ -177,6 +187,10 @@ def load_bnf(text: str) -> BnfGrammar:
     return BnfGrammar(start, productions)
 
 
+def _symbol(sym, placeholders: dict):
+    return placeholders[sym.name] if isinstance(sym, Ref) else mk_token(sym.label)
+
+
 def _build_alternative(name: str, rhs: tuple, placeholders: dict):
     if not rhs:
         empty = FNode(PROD)
@@ -184,9 +198,38 @@ def _build_alternative(name: str, rhs: tuple, placeholders: dict):
         return mk_eps(ForestSet(empty))
     chain = None
     for sym in reversed(rhs):
-        node = placeholders[sym.name] if isinstance(sym, Ref) else mk_token(sym.label)
+        node = _symbol(sym, placeholders)
         chain = node if chain is None else mk_seq(node, chain)
     return mk_red(chain, production(name, len(rhs)))
+
+
+def _choice(exprs: list):
+    body = exprs[-1]
+    for e in reversed(exprs[:-1]):
+        body = mk_alt(e, body)
+    return body
+
+
+def _build_rule(name: str, alts: list, placeholders: dict):
+    """The body of one rule, its shared first symbols factored: each run of
+    adjacent alternatives that start with the same symbol becomes
+    red(seq(head, choice of the rests), splice)."""
+    runs = []
+    for rhs in alts:
+        if runs and rhs and runs[-1][-1][:1] == rhs[:1]:
+            runs[-1].append(rhs)
+        else:
+            runs.append([rhs])
+    exprs = []
+    for run in runs:
+        if len(run) == 1:
+            exprs.append(_build_alternative(name, run[0], placeholders))
+        else:
+            rests = _choice([_build_alternative(name, rhs[1:], placeholders)
+                             for rhs in run])
+            exprs.append(mk_red(mk_seq(_symbol(run[0][0], placeholders),
+                                       rests), splice()))
+    return _choice(exprs)
 
 
 def build_graph(bnf: BnfGrammar) -> tuple:
@@ -207,12 +250,7 @@ def build_graph(bnf: BnfGrammar) -> tuple:
             ph.in_progress = True
             placeholders[name] = ph
     for name, ph in placeholders.items():
-        exprs = [_build_alternative(name, rhs, placeholders)
-                 for rhs in bnf.productions[name]]
-        body = exprs[-1]
-        for e in reversed(exprs[:-1]):
-            body = mk_alt(e, body)
-        become_node(ph, body)
+        become_node(ph, _build_rule(name, bnf.productions[name], placeholders))
         ph.in_progress = False
     return placeholders[bnf.start], placeholders
 
@@ -221,10 +259,10 @@ def load_grammar(text: str, *, normalize: bool = True) -> Grammar:
     bnf = load_bnf(text)
     with use_context(Context()) as ctx:
         root, table = build_graph(bnf)
+        if normalize:
+            normalize_grammar(root)
         g = Grammar(root, bnf.start, table, bnf)
         g.counters = ctx.counters
-        if normalize:
-            normalize_grammar(g)
     return g
 
 

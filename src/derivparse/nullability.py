@@ -15,6 +15,13 @@ them with a worklist, so acyclic reaches of the graph pay nothing extra.
 is_nullable_naive: the textbook bottom-up sweep over the reachable subgraph,
 no per-node state, recomputed from scratch per call.  It exists to check the
 optimized engine and to measure how much work the bookkeeping saves.
+
+Both take an unfilled shell (a derivative node the engine is still
+building, its children not set yet) as not nullable and record nothing on
+it.  A node above the shell keeps that assumption like any other, and a
+later query settles it as final, so a verdict asked while a derivative is
+built may be wrong once the shell is filled; the engine itself never asks
+one.
 """
 
 from __future__ import annotations
@@ -88,6 +95,10 @@ def _eval(n, gen: int, counters) -> bool:
         # fixed point, so the assumption is now a fact
         n.n_value = NV_NOT
         return False
+    if n.left is None:
+        # an unfilled shell of a derivative under construction: it keeps
+        # the not-nullable assumption, and nothing is cached on it
+        return False
     n.n_gen = gen
     counters.nullable_visits += 1
     form = n.form
@@ -116,9 +127,7 @@ def _eval(n, gen: int, counters) -> bool:
             _finalize_true(n, counters)
             return True
     else:
-        # empty/token/epsilon have preset verdicts and never reach here;
-        # an unfilled shell keeps the not-nullable assumption
-        return False
+        return False  # empty/token/epsilon have preset verdicts
     # false under at least one standing assumption: subscribe to flips
     pending = False
     if l.n_value == NV_UNKNOWN:
@@ -136,7 +145,8 @@ def is_nullable_naive(node) -> bool:
     """Reference engine: full bottom-up sweeps, no cached state touched."""
     counters = _active.ctx.counters
     nodes = reachable_nodes(node)
-    val = {n.id: False for n in nodes}
+    val = dict.fromkeys(nodes, False)
+    val[None] = False  # the missing children of an unfilled shell
     changed = True
     while changed:
         changed = False
@@ -146,14 +156,14 @@ def is_nullable_naive(node) -> bool:
             if form == EPSILON:
                 v = True
             elif form == ALT:
-                v = val[n.left.id] or val[n.right.id]
+                v = val[n.left] or val[n.right]
             elif form == SEQ:
-                v = val[n.left.id] and val[n.right.id]
+                v = val[n.left] and val[n.right]
             elif form == RED:
-                v = val[n.left.id]
+                v = val[n.left]
             else:
                 v = False
-            if v and not val[n.id]:
-                val[n.id] = True
+            if v and not val[n]:
+                val[n] = True
                 changed = True
-    return val[node.id]
+    return val[node]

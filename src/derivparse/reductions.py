@@ -7,7 +7,10 @@ reduction multiplies a distinct-tree count by its payload forests' counts,
 and counting never runs it.  Compaction composes and floats reductions, so
 the set of tags must be closed under those rewrites; that is why the two
 lift tags exist (floating a reduction out of one side of a concatenation
-applies it to just that pair component).
+applies it to just that pair component).  The loader's left factoring needs
+splice: a group of alternatives that share a first symbol parses as
+(head, tree of one rest), and splice puts the head back in front of that
+production's children, so the trees are those of the unfactored rule.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ PAIR_RIGHT = "pair-right"          # u -> (u, s)
 PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, tree set taken lazily from a node's empty-word parses
 REASSOCIATE = "reassociate"        # (t1, (t2, t3)) -> ((t1, t2), t3)
 PRODUCTION = "production"          # right-nested tuple of k children -> named production tree
+SPLICE = "splice"                  # (h, N[k1 .. kn]) -> N[h k1 .. kn]
 COMPOSE = "compose"                # g after f
 LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
@@ -85,6 +89,10 @@ def reassociate() -> Reduction:
 
 def production(name: str, arity: int) -> Reduction:
     return Reduction(PRODUCTION, (name, arity))
+
+
+def splice() -> Reduction:
+    return Reduction(SPLICE)
 
 
 def compose(g: Reduction, f: Reduction) -> Reduction:

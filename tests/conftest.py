@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from derivparse import enumerate_language, grammar
+from derivparse import (enumerate_language, forest_to_json, grammar,
+                        load_grammar, parse)
 
 # deep grammars on long inputs recurse past the default limit; a test that
 # must see the default limit runs its code through run_python
@@ -48,6 +49,29 @@ def node_budget(n: int):
         yield
     finally:
         grammar._new = real
+
+
+def _parse_record(g, tokens) -> tuple:
+    """(nodes created, forest_to_json with ids renumbered by rank) of one
+    parse: forest ids are global, so only their order is comparable."""
+    before = g.counters.nodes_created
+    doc = forest_to_json(parse(g, tokens))
+    rank = {n["id"]: i for i, n in enumerate(doc["nodes"])}
+    nodes = [(rank[n["id"]], n["kind"], n["label"],
+              [rank[c] for c in n["children"]]) for n in doc["nodes"]]
+    return g.counters.nodes_created - before, rank.get(doc["root"]), nodes
+
+
+def assert_history_free(src: str, inputs: list) -> None:
+    """Parse each input on a fresh grammar and on one that parsed every
+    input first (in reverse order): the nodes created and the forest must
+    not depend on what the grammar parsed before."""
+    warm = load_grammar(src)
+    for tokens in reversed(inputs):
+        parse(warm, tokens)
+    for tokens in inputs:
+        fresh = _parse_record(load_grammar(src), tokens)
+        assert _parse_record(warm, tokens) == fresh, tokens
 
 
 NT_POOL = ["N0", "N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8", "N9"]
@@ -128,6 +152,11 @@ FIXED_CORPUS = [
 
 def nested_dyck(d: int) -> list:
     return ["("] * d + [")"] * d
+
+
+def nested_parens(d: int) -> list:
+    """An arithmetic operand inside d parentheses."""
+    return ["("] * d + ["n"] + [")"] * d
 
 
 def distinct_tokens(n: int) -> list:

@@ -24,8 +24,8 @@ from derivparse.cli import main as cli_main
 from derivparse.instrumentation import MARK
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
-    all_strings, distinct_tokens, expr_tokens, nested_dyck, probe_words,
-    random_grammar_source,
+    all_strings, distinct_tokens, expr_tokens, nested_dyck, nested_parens,
+    probe_words, random_grammar_source,
 )
 
 
@@ -362,9 +362,25 @@ def test_criterion_8_linear_practical_smoke():
         dpt[d] = (g.counters.nodes_created - before) / (2 * d)
     depth_growth = dpt[400] / dpt[100]
     assert depth_growth <= 1.25, dpt
+
+    # nested arithmetic, counted: about 4k tokens of operands in d
+    # parentheses, joined by '+', cost as much per token at d=64 as at d=1
+    apt = {}
+    for d in (1, 64):
+        unit = nested_parens(d)
+        toks = unit + (["+"] + unit) * (4000 // (len(unit) + 1) - 1)
+        g = load_grammar(ARITH_SRC)
+        before = g.counters.nodes_created
+        fs = parse(g, toks)
+        assert count_parses(fs) == 1, d
+        apt[d] = (g.counters.nodes_created - before) / len(toks)
+    arith_depth = apt[64] / apt[1]
+    assert arith_depth <= 1.25, apt
     _report(8, "linear-practical smoke",
             f"seconds/token {spt[2000]:.2e} @2k vs {spt[20000]:.2e} @20k, "
             f"ratio {ratio:.2f}; left-recursive nodes/token "
             f"{npt[100]:.1f} @100 vs {npt[400]:.1f} @400, ratio {growth:.2f}; "
             f"nested Dyck nodes/token {dpt[100]:.1f} @d=100 vs "
-            f"{dpt[400]:.1f} @d=400, ratio {depth_growth:.2f}")
+            f"{dpt[400]:.1f} @d=400, ratio {depth_growth:.2f}; nested "
+            f"arithmetic nodes/token {apt[1]:.1f} @d=1 vs {apt[64]:.1f} "
+            f"@d=64, ratio {arith_depth:.2f}")

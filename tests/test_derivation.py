@@ -17,8 +17,9 @@ from derivparse import derivation
 from derivparse.grammar import new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, all_strings, expr_tokens,
-    nested_dyck, node_budget, probe_words, random_grammar_source, run_python,
+    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, all_strings,
+    assert_history_free, expr_tokens, nested_dyck, nested_parens, node_budget,
+    probe_words, random_grammar_source, run_python,
 )
 
 
@@ -253,10 +254,11 @@ def _flat_nodes_per_token(src: str, tokens, sizes) -> dict:
     rate = 20
     for n in sizes:
         g = load_grammar(src)
+        toks = tokens(n)
         before = g.counters.nodes_created
-        with node_budget(int(n * rate)):
-            fs = parse(g, tokens(n))
-        per_token[n] = (g.counters.nodes_created - before) / n
+        with node_budget(int(len(toks) * rate)):
+            fs = parse(g, toks)
+        per_token[n] = (g.counters.nodes_created - before) / len(toks)
         assert count_parses(fs) == 1, n
         rate = 1.25 * per_token[n]
     return per_token
@@ -410,20 +412,42 @@ def test_nested_dyck_stays_linear_up_to_16k_tokens():
     assert per_token[16000] <= 1.25 * per_token[1000], per_token
 
 
-def test_nested_dyck_10k_deep_at_the_default_recursion_limit():
-    d = 10_000
+def test_nested_arithmetic_stays_linear_up_to_16k_tokens():
+    # unless E : T '+' E | T has its shared head factored, every token
+    # rebuilds one choice per open level, and nodes per token grow with d
+    per_token = _flat_nodes_per_token(ARITH_SRC, lambda n: nested_parens(n // 2),
+                                      (1000, 2000, 4000, 8000, 16000))
+    assert per_token[16000] <= 1.25 * per_token[1000], per_token
+
+
+def _deep_at_the_default_recursion_limit(src: str, tokens: str, tree: str):
+    """Parse, count, export and enumerate in a fresh interpreter at the
+    default recursion limit; `tokens` is a Python expression."""
     proc = run_python("-c", f"""
 from derivparse import (count_parses, enumerate_trees, forest_to_json,
                         load_grammar, parse, tree_text)
-fs = parse(load_grammar({DYCK_SRC!r}), ["("] * {d} + [")"] * {d})
+fs = parse(load_grammar({src!r}), {tokens})
 print(count_parses(fs))
 forest_to_json(fs)
 [t] = enumerate_trees(fs, 1)
 print(tree_text(t))
 """)
     assert proc.returncode == 0, proc.stderr
-    tree = "P[( " * d + "P[]" + " ) P[]]" * d
     assert proc.stdout == f"1\n{tree}\n"
+
+
+def test_nested_dyck_10k_deep_at_the_default_recursion_limit():
+    d = 10_000
+    _deep_at_the_default_recursion_limit(
+        DYCK_SRC, f'["("] * {d} + [")"] * {d}',
+        "P[( " * d + "P[]" + " ) P[]]" * d)
+
+
+def test_parentheses_10k_deep_at_the_default_recursion_limit():
+    d = 10_000
+    _deep_at_the_default_recursion_limit(
+        ARITH_SRC, f'["("] * {d} + ["n"] + [")"] * {d}',
+        "E[T[F[( " * d + "E[T[F[n]]]" + " )]]]" * d)
 
 
 def _nested_dyck_word(rng: random.Random, max_len: int) -> list:
@@ -501,6 +525,22 @@ def test_nested_words_match_the_oracle_under_every_switch():
                     assert count_parses(parse(g, w)) == count, (config, w)
                     checks += 1
     assert checks >= 600 and 0 < accepted < 90, (checks, accepted)
+
+
+def test_parse_history_does_not_change_the_work_or_the_forest():
+    # the spine rule's guard once read a grammar node's nullability cell,
+    # which is set only once some parse has asked; a fresh grammar then
+    # built other nodes and another forest than a warm one
+    rng = random.Random(0x4157)
+    expressions = [_nested_expression(rng, rng.randint(2, 60))
+                   for _ in range(12)]
+    cases = [(ARITH_SRC, expressions), (ARITH_LEFT_SRC, expressions),
+             (DYCK_SRC, [_nested_dyck_word(rng, 40) for _ in range(8)])]
+    cases += [(src, [["a"] * n for n in (1, 3, 8, 14)] + [["b", "a", "a"]])
+              for src in (G12_SRC, G48_SRC)]
+    for src, words in cases:
+        assert_history_free(src, words + [_one_edit(rng, w, "ab()n+")
+                                          for w in words[:4]])
 
 
 # --- binding the engine variant -----------------------------------------------

@@ -3,10 +3,13 @@
 import pytest
 
 from derivparse import (
-    ALT, RED, SEQ, TOKEN,
+    ALT, EPSILON, RED, SEQ, TOKEN,
     GrammarError, Ref, Term,
-    load_bnf, load_grammar, load_grammar_file, parse_source, recognize,
+    count_parses, enumerate_trees, load_bnf, load_grammar, load_grammar_file,
+    parse, parse_source, recognize, tree_text,
 )
+from derivparse.reductions import SPLICE
+from conftest import ARITH_SRC
 
 
 BALANCED = """
@@ -164,3 +167,38 @@ def test_unreachable_productions_are_not_built():
     # the oracle's view keeps every production
     assert set(g2.bnf.productions) == {"S", "T", "Z"}
     assert recognize(g2, ["a", "b"]) and not recognize(g2, ["y"])
+
+
+def test_adjacent_alternatives_sharing_a_first_symbol_are_factored():
+    g = load_grammar("start = S ;\nS : 'a' 'b' | 'a' | 'c' | 'a' 'c' ;",
+                     normalize=False)
+    # the first two share 'a' and become one group; the last 'a' alternative
+    # is not adjacent to them, so the alternative order stays as written
+    body = g.nonterminal_table["S"]
+    group, rest = body.left, body.right
+    assert body.form == ALT and group.form == RED and group.fn.kind == SPLICE
+    assert group.left.form == SEQ and group.left.left.label == "a"
+    rests = group.left.right
+    assert rests.form == ALT and rests.right.form == EPSILON
+    assert rest.form == ALT and rest.right.fn.kind != SPLICE
+    # the oracle's view keeps every production as written
+    assert len(g.bnf.productions["S"]) == 4
+    assert [tree_text(t) for t in enumerate_trees(parse(g, ["a"]), 2)] \
+        == ["S[a]"]
+    assert recognize(g, ["a", "c"]) and not recognize(g, ["c", "c"])
+
+
+def test_factored_rules_give_the_trees_of_the_rules_as_written():
+    g = load_grammar(ARITH_SRC)
+    [t] = enumerate_trees(parse(g, "n + n * n".split()), 10)
+    assert tree_text(t) == "E[T[F[n]] + E[T[F[n] * T[F[n]]]]]"
+    # A is ambiguous under the factored head; trees still come in the
+    # order of the alternatives as written, each head tree in A's order
+    g = load_grammar("start = S ;\nS : A B | A C ;\nA : 'a' | D ;\n"
+                     "D : 'a' ;\nB : 'x' ;\nC : 'x' ;\n")
+    fs = parse(g, ["a", "x"])
+    order = ["S[A[a] B[x]]", "S[A[D[a]] B[x]]",
+             "S[A[a] C[x]]", "S[A[D[a]] C[x]]"]
+    assert count_parses(fs) == 4
+    assert [tree_text(t) for t in enumerate_trees(fs, 4)] == order
+    assert [tree_text(t) for t in enumerate_trees(fs, 2)] == order[:2]

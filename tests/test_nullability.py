@@ -10,6 +10,7 @@ from derivparse import (
     load_grammar, mk_alt, mk_empty, mk_eps, mk_seq, mk_token, use_context,
 )
 from derivparse.forest import ForestSet
+from derivparse.grammar import NV_UNKNOWN, new_alt, new_red, new_seq
 from conftest import random_grammar_source
 
 
@@ -53,6 +54,23 @@ def test_cyclic_grammars(naive):
         with g.activate():
             fn = is_nullable_naive if naive else is_nullable
             assert fn(g.root) == expect, src
+
+
+@pytest.mark.parametrize("naive", [False, True])
+def test_an_unfilled_shell_is_assumed_not_nullable_and_nothing_is_cached(naive):
+    fn = is_nullable_naive if naive else is_nullable
+    with use_context(Context(settings=ParserSettings(naive_nullability=naive))):
+        shells = [new_alt(None, None), new_seq(None, mk_eps(EPS_TREES)),
+                  new_red(None, None)]
+        for shell in shells:
+            parent = mk_alt(mk_token("a"), shell)
+            assert not fn(shell) and not fn(parent)
+            assert shell.n_value == NV_UNKNOWN
+            # filled later, as the derivative engine fills its shells
+            shell.left = mk_eps(EPS_TREES)
+            if shell.right is None and shell.fn is None:
+                shell.right = mk_token("b")
+            assert fn(shell)
 
 
 def test_engines_agree_on_random_grammars():
