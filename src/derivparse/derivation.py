@@ -7,33 +7,40 @@ default single-entry mode each node holds one cached (token, result) pair and
 an insert under a different token evicts it; full-map mode keeps a dict per
 node for comparison runs.
 
-Cycles are handled shell-first: for composite forms the result node is
-registered in the cache *before* the children are derived, so a cyclic
-grammar re-enters the cache instead of looping.  When a compaction rule
-applies to the finished children, an unleaked shell is discarded in favor of
-the replacement; a shell that was handed out during the recursion (it
-"leaked") already shares its identity, so the replacement's structure is
-copied into it instead.  Without that in-place step, every derivative along
-a cyclic spine would keep one stale choice layer per token and parsing such
-grammars would degrade to quadratic.  Discarded shells keep
-in_progress=True; they are unreachable and only the created-node registry
-ever sees them.
+Cycles are handled by a building marker: before the children of a composite
+node are derived, its cache entry is set to a marker of the result's form (a
+concatenation whose head is nullable derives into a choice).  A cyclic
+grammar re-enters the cache instead of looping, and only that memo hit
+allocates the result node: an unfilled shell of the marker's form, which
+replaces the marker and is handed out.  When the children are derived, the
+builder reads its entry back.  If the marker is still there, no cycle needed
+the result's identity, and the builder caches and returns the compacted
+replacement, or a node built from the children.  If a shell is there, it is
+already some node's child: it takes the children, or the replacement's
+structure is copied into it.  Without that in-place step, every derivative
+along a cyclic spine would keep one stale choice layer per token and parsing
+such grammars would degrade to quadratic.  The dead-subgraph rule keeps a
+cache entry under construction (grammar._drop_derivatives), so the builder
+always finds its shell.  A failed or Empty derivative is the one shared
+Empty (grammar.SHARED_EMPTY), and deriving an Empty makes no cache entry.
 
-A leaked shell can close a cycle that denotes the empty language, such as
+A shell can close a cycle that denotes the empty language, such as
 X = red(seq(X, t)), which no local rule sees.  So every finished shell is
 checked for productivity: it takes the productive mark from its children
-(or from the replacement it copied) when they prove it, and a leaked shell
-left unmarked runs the dead-subgraph fixed point (grammar.collapse_dead),
-which collapses a dead cycle to Empty; its parents then drop it by the
-local Empty rules.  A node built over a shell still under construction
-cannot be marked when built, and may be cut off from the cycle it leaned
-on; a memo hit on such a node runs the same fixed point before returning
-it.  Both run under compaction only.
+(or from the replacement it copied) when they prove it, and one left
+unmarked runs the dead-subgraph fixed point (grammar.collapse_dead), which
+collapses a dead cycle to Empty; its parents then drop it by the local
+Empty rules.  A node built over a shell still under construction cannot be
+marked when built, and may be cut off from the cycle it leaned on; a memo
+hit on such a node runs the same fixed point before returning it.  Both run
+under compaction only.
 
 Debug names turn compaction off.  _name is the one place a derivative node
 is named: where it is cached (_put), and for the one node never cached, the
 first branch of a nullable-left Seq's choice.  The rule follows from the
 node derived from (_mint_rule), and every memo hit is checked against it.
+A name belongs to one derivative, so this engine mints an Empty per failed
+derivative and caches it.
 
 recognize and parse share one fold of derive over the input (_run), inside
 the grammar's activation, whose Context binds the engine variant once;
@@ -46,14 +53,26 @@ from typing import Iterable
 
 from .forest import ForestSet, parse_null
 from .grammar import (
-    ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
-    Grammar, _active, become_node, collapse_dead, mk_empty, mk_eps,
-    new_alt, new_red, new_seq, reachable_nodes,
+    ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
+    Grammar, GrammarNode, _active, become_node, collapse_dead, mk_empty,
+    mk_eps, new_alt, new_red, new_seq, reachable_nodes,
     _compact_alt, _compact_red, _compact_seq,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, fresh_name, name_node
 from .nullability import is_nullable, is_nullable_naive
 from .reductions import pair_left_null
+
+
+def _marker(form: int) -> GrammarNode:
+    m = GrammarNode(form)
+    m.in_progress = True
+    return m
+
+
+# indexed by form: the constructor, and the building marker, of a
+# derivative of that form
+_NEW = (None, None, None, new_seq, new_alt, new_red)
+_MARKERS = (None, None, None, _marker(SEQ), _marker(ALT), _marker(RED))
 
 
 def _nullable(node, ctx) -> bool:
@@ -86,13 +105,22 @@ def _put(n, c, res, ctx) -> None:
         n.d_val = res
 
 
+def _reenter(n, c, form, ctx):
+    """A cycle came back to a derivative under construction: make its shell."""
+    shell = _NEW[form](None, None)
+    shell.in_progress = True
+    _put(n, c, shell, ctx)
+    return shell
+
+
 def derive(n, c: str):
     """One-token derivative of a grammar node, under the ambient context."""
     return _derive(n, c, _active.ctx)
 
 
 def _derive(n, c, ctx):
-    if ctx.memo_full:
+    memo_full = ctx.memo_full
+    if memo_full:
         m = n.d_map
         hit = m.get(c) if m is not None else None
     else:
@@ -101,7 +129,8 @@ def _derive(n, c, ctx):
         ctx.counters.derive_calls_cached += 1
         if not hit.productive:
             if hit.in_progress:
-                hit.leaked = True
+                if hit is _MARKERS[hit.form]:
+                    hit = _reenter(n, c, hit.form, ctx)
             elif hit.form != EMPTY and ctx.compacting:
                 # built while a child was under construction, which may
                 # have been proven dead since
@@ -114,11 +143,13 @@ def _derive(n, c, ctx):
         return hit
     ctx.counters.derive_calls_uncached += 1
     form = n.form
-    if form == TOKEN or form == EMPTY or form == EPSILON:
+    if form <= TOKEN:  # Empty, Epsilon, token
         if form == TOKEN and (n.label == c or n.label == WILDCARD):
             res = mk_eps(ForestSet.single_leaf(c))
-        else:
+        elif ctx.naming:
             res = mk_empty()
+        else:
+            return SHARED_EMPTY
         _put(n, c, res, ctx)
         return res
     naming = ctx.naming
@@ -126,77 +157,81 @@ def _derive(n, c, ctx):
     # read n once: the dead-subgraph rule may rewrite n to Empty while its
     # children are derived, and its old structure has the same language
     l, r = n.left, n.right
+    split = form == SEQ and _nullable(l, ctx)
+    marker = _MARKERS[ALT if split else form]
+    if memo_full:
+        if m is None:
+            m = n.d_map = {}
+        m[c] = marker
+    else:
+        n.d_key = c
+        n.d_val = marker
+    # the result is _NEW[marker.form](a, b), unless a compaction rule gives
+    # a replacement res
     if form == ALT:
-        shell = new_alt(None, None)
-        shell.in_progress = True
-        _put(n, c, shell, ctx)
-        dl = _derive(l, c, ctx)
-        dr = _derive(r, c, ctx)
-        repl = _compact_alt(dl, dr) if compacting else None
-        if repl is None:
-            shell.left = dl
-            shell.right = dr
-            shell.productive = dl.productive or dr.productive
+        a = _derive(l, c, ctx)
+        b = _derive(r, c, ctx)
+        res = _compact_alt(a, b) if compacting else None
     elif form == RED:
-        fn = n.fn
-        shell = new_red(None, fn)
-        shell.in_progress = True
-        _put(n, c, shell, ctx)
-        dc = _derive(l, c, ctx)
-        repl = _compact_red(dc, fn) if compacting else None
-        if repl is None:
-            shell.left = dc
-            shell.productive = dc.productive
-    elif not _nullable(l, ctx):
-        shell = new_seq(None, r)
-        shell.in_progress = True
-        _put(n, c, shell, ctx)
-        dl = _derive(l, c, ctx)
-        repl = _compact_seq(dl, r) if compacting else None
-        if repl is None:
-            shell.left = dl
-            shell.productive = dl.productive and r.productive
+        a = _derive(l, c, ctx)
+        b = n.fn
+        res = _compact_red(a, b) if compacting else None
+    elif not split:
+        a = _derive(l, c, ctx)
+        b = r
+        res = _compact_seq(a, r) if compacting else None
     else:
         # nullable left half: the derivative may consume c in either half,
         # so the result is a choice; its first branch extends the left
         # parse, the second starts the right half, pairing in the left
         # half's empty-word trees (threaded lazily; skipped entirely in the
         # pure naming engine).  Only the choice is cached, so the first
-        # branch needs no shell and is named here, without the split marker.
-        shell = new_alt(None, None)
-        shell.in_progress = True
-        _put(n, c, shell, ctx)
-        dl = _derive(l, c, ctx)
-        left = _compact_seq(dl, r) if compacting else None
-        if left is None:
-            left = new_seq(dl, r)
+        # branch is named here, without the split marker.
+        d = _derive(l, c, ctx)
+        a = _compact_seq(d, r) if compacting else None
+        if a is None:
+            a = new_seq(d, r)
             if naming:
-                _name(left, n, c, EXTEND)
-        dr = _derive(r, c, ctx)
+                _name(a, n, c, EXTEND)
+        d = _derive(r, c, ctx)
         if naming:
-            right = dr
+            b = d
         else:
             inj = pair_left_null(l)
-            right = _compact_red(dr, inj) if compacting else None
-            if right is None:
-                right = new_red(dr, inj)
-        repl = _compact_alt(left, right) if compacting else None
-        if repl is None:
-            shell.left = left
-            shell.right = right
-            shell.productive = left.productive or right.productive
-    if repl is not None:
-        # an unleaked shell is discarded and the cache entry redirected; a
-        # leaked one is already some node's child, so it takes on the
-        # replacement's structure and keeps its identity
-        if not shell.leaked:
-            _put(n, c, repl, ctx)
-            return repl
-        become_node(shell, repl)
+            b = _compact_red(d, inj) if compacting else None
+            if b is None:
+                b = new_red(d, inj)
+        res = _compact_alt(a, b) if compacting else None
+    # the entry is still n's for c: the dead-subgraph rule keeps it
+    shell = n.d_map[c] if memo_full else n.d_val
+    if shell is marker:
+        # no cycle re-entered this derivative, so nothing holds it yet
+        if res is None:
+            res = _NEW[marker.form](a, b)
+        if naming:
+            _name(res, n, c, MARK_EXTEND if split else EXTEND)
+        if memo_full:
+            n.d_map[c] = res
+        else:
+            n.d_val = res
+        return res
+    if res is not None:
+        become_node(shell, res)
+    else:
+        # the children, and the productive mark by the rule new_* apply
+        shell.left = a
+        if shell.form == RED:
+            shell.fn = b
+            shell.productive = a.productive
+        else:
+            shell.right = b
+            shell.productive = (a.productive or b.productive
+                                if shell.form == ALT
+                                else a.productive and b.productive)
     shell.in_progress = False
-    # a leaked shell that its children do not prove productive may close a
-    # cycle that denotes the empty language
-    if not shell.productive and compacting and shell.leaked:
+    # a shell that its children do not prove productive may close a cycle
+    # that denotes the empty language
+    if not shell.productive and compacting:
         collapse_dead(shell)
     return shell
 
@@ -210,7 +245,6 @@ def _prepare(g: Grammar, ctx) -> None:
         n.d_val = None
         n.d_map = None
         n.pn_memo = None
-        n.leaked = False
     if ctx.naming:
         for n in nodes:
             if n.name is None:

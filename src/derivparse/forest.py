@@ -11,9 +11,8 @@ A forest node denotes a set of parse trees:
 Forests may be cyclic (a cyclic grammar parse can denote infinitely many
 trees).  One iterative, cycle-aware postorder walk serves every consumer:
 counting, enumeration and JSON export are folds over it.
-parse_null extracts the forest of empty-word parses from a grammar node
-using the same shell-first construction the derivative engine uses for its
-own cycles.
+parse_null extracts the forest of empty-word parses from a grammar node,
+registering a forest shell before a node's children so a cycle re-enters it.
 """
 
 from __future__ import annotations
@@ -172,6 +171,7 @@ class ForestSet:
 
 
 EMPTY_SET = ForestSet(None)
+_g.SHARED_EMPTY.pn_memo = EMPTY_SET  # so parse_null never writes to it
 
 
 def _alternatives(roots) -> list:
@@ -197,9 +197,9 @@ def _alternatives(roots) -> list:
 def parse_null(node) -> ForestSet:
     """The forest of parses of the empty word at a grammar node.
 
-    Memoized on the node.  Cyclic grammars are handled shell-first, exactly
-    like the derivative cache: a forest shell is registered before children
-    are extracted, so a cycle re-entry picks up the shell.  Non-nullable
+    Memoized on the node.  Cyclic grammars are handled shell-first: a
+    forest shell is registered before children are extracted, so a cycle
+    re-entry picks up the shell.  Non-nullable
     nodes short-circuit to the empty set, which prunes cycles that would
     otherwise denote zero finite trees.
     """

@@ -87,17 +87,17 @@ class GrammarNode:
 
     The remaining slots are engine state: the nullability cell, the derivative
     cache (single-entry pair or full dict, depending on the active mode), the
-    under-construction flag with its leak mark, the productive mark (set only
-    once the node's language is proven non-empty), the grammar mark (set when
-    a loaded grammar reaches the node), the empty-word parse memo, and the
-    optional debug name.
+    under-construction flag, the productive mark (set only once the node's
+    language is proven non-empty), the grammar mark (set when a loaded
+    grammar reaches the node), the empty-word parse memo, and the optional
+    debug name.
     """
 
     __slots__ = (
         "id", "form", "left", "right", "label", "results", "fn",
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
-        "in_progress", "leaked", "productive", "in_grammar", "pn_memo", "name",
+        "in_progress", "productive", "in_grammar", "pn_memo", "name",
     )
 
     def __init__(self, form: int):
@@ -115,7 +115,6 @@ class GrammarNode:
         self.d_val = None
         self.d_map = None
         self.in_progress = False
-        self.leaked = False
         self.productive = False
         self.in_grammar = False
         self.pn_memo = None
@@ -206,6 +205,14 @@ def mk_empty() -> GrammarNode:
     n = _new(EMPTY)
     n.n_value = NV_NOT
     return n
+
+
+# The one Empty the derivative engine returns for every failed or Empty
+# derivative, and the node the dead-subgraph rule copies.  Nothing writes to
+# it: deriving it makes no cache entry, its verdict is preset here and its
+# empty-word forest by the forest module.
+SHARED_EMPTY = GrammarNode(EMPTY)
+SHARED_EMPTY.n_value = NV_NOT
 
 
 def mk_eps(results) -> GrammarNode:
@@ -424,8 +431,7 @@ def collapse_dead(root: GrammarNode) -> None:
     the mark, so no later walk enters them; those not productive even with
     every node under construction counted are dead.  Degenerate recursions
     like S : 'a' S ; (no base case) and derivative cycles like
-    X = red(seq(X, t)) land here.  A dead node's derivative cache is
-    dropped, so no stale entry keeps dead structure alive.
+    X = red(seq(X, t)) land here.
     """
     if root.productive or root.in_progress or root.form == EMPTY:
         return
@@ -469,13 +475,23 @@ def _settle(inner: list, proven: list, pending: list, parents: dict) -> None:
             n.productive = True
     live.update(pending)
     _spread(pending, live, parents)
-    dead = [n for n in inner if n not in live]
-    if dead:
-        empty = mk_empty()
-        for n in dead:
-            become_node(n, empty)
-            n.d_key = n.d_val = n.d_map = None
+    for n in inner:
+        if n not in live:
+            become_node(n, SHARED_EMPTY)
+            _drop_derivatives(n)
             _fire("dead-subgraph")
+
+
+def _drop_derivatives(n: GrammarNode) -> None:
+    """Drop a dead node's cached derivatives, so no stale entry keeps dead
+    structure alive.  An entry still under construction stays: the engine
+    builds that derivative further up the stack and reads the entry back."""
+    v = n.d_val
+    if v is not None and not v.in_progress:
+        n.d_key = n.d_val = None
+    m = n.d_map
+    if m is not None:
+        n.d_map = {c: d for c, d in m.items() if d.in_progress} or None
 
 
 def _spread(work: list, live: set, parents: dict) -> None:

@@ -18,10 +18,11 @@ optimized engine and to measure how much work the bookkeeping saves.
 
 Both take an unfilled shell (a derivative node the engine is still
 building, its children not set yet) as not nullable and record nothing on
-it.  A node above the shell keeps that assumption like any other, and a
-later query settles it as final, so a verdict asked while a derivative is
-built may be wrong once the shell is filled; the engine itself never asks
-one.
+it, so a verdict asked while a derivative is built may be wrong once the
+shell is filled; the engine itself never asks one.  Such a query's
+assumptions are no fixed point of the finished graph, so is_nullable
+withdraws them when it returns, and a later query evaluates those nodes
+afresh instead of promoting them.
 """
 
 from __future__ import annotations
@@ -35,12 +36,33 @@ from .grammar import (
 
 _generations = itertools.count(1)
 
+# generations of the queries in flight that met an unfilled shell
+_met_shell: set = set()
+
 
 def is_nullable(node) -> bool:
     counters = _active.ctx.counters
     counters.generation_count += 1
     gen = next(_generations)
-    return _eval(node, gen, counters)
+    v = _eval(node, gen, counters)
+    if _met_shell and gen in _met_shell:
+        _met_shell.discard(gen)
+        _withdraw(node, gen)
+    return v
+
+
+def _withdraw(root, gen: int) -> None:
+    """Undo the standing assumptions of query `gen`.  The nodes it visited
+    carry `gen` and hang together below root, so the walk stays inside
+    them."""
+    root.n_gen = 0
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        for c in (n.left, n.right):
+            if c is not None and c.n_gen == gen:
+                c.n_gen = 0
+                stack.append(c)
 
 
 def _add_dep(child, parent) -> None:
@@ -97,7 +119,9 @@ def _eval(n, gen: int, counters) -> bool:
         return False
     if n.left is None:
         # an unfilled shell of a derivative under construction: it keeps
-        # the not-nullable assumption, and nothing is cached on it
+        # the not-nullable assumption, nothing is cached on it, and the
+        # query's other assumptions may lean on it
+        _met_shell.add(gen)
         return False
     n.n_gen = gen
     counters.nullable_visits += 1

@@ -14,7 +14,8 @@ from derivparse import (
     name_node, parse, reachable_nodes, recognize, use_context,
 )
 from derivparse import derivation
-from derivparse.grammar import new_alt, new_seq
+from derivparse.forest import EMPTY_SET
+from derivparse.grammar import NV_NOT, SHARED_EMPTY, new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, all_strings,
@@ -245,6 +246,53 @@ def test_no_reachable_node_is_dead_after_any_token():
     assert total > 5000
 
 
+def _unfinished(root) -> list:
+    """Reachable nodes still under construction, or missing a child (or a
+    reduction's rewrite) that their form needs."""
+    return [n for n in reachable_nodes(root)
+            if n.in_progress
+            or (n.form >= SEQ and n.left is None)
+            or (n.form in (SEQ, ALT) and n.right is None)
+            or (n.form == RED and n.fn is None)]
+
+
+@pytest.mark.parametrize("switches", [{}, {"memo_full": True},
+                                      {"compaction": False}])
+def test_every_step_leaves_finished_nodes_and_the_shared_empty_untouched(
+        switches):
+    # a cycle re-entry is the only place a shell is made; every shell must
+    # be filled before the token's derivative is returned, even when the
+    # dead-subgraph rule rewrote the node it derives from meanwhile
+    rng = random.Random(0xF111)
+    cases = [(src, probe_words(load_bnf(src), "ab")) for src in FIXED_CORPUS]
+    for _ in range(200):
+        src = random_grammar_source(rng)
+        cases.append((src, probe_words(load_bnf(src), "abc")))
+    steps = 0
+    for src, words in cases:
+        g = load_grammar(src)
+        for k, v in switches.items():
+            setattr(g.settings, k, v)
+        for w in words:
+            with g.activate() as ctx:
+                derivation._prepare(g, ctx)
+                node = g.root
+                for tok in w:
+                    node = derive(node, tok)
+                    steps += 1
+                    assert not _unfinished(node), (src, w)
+            count_parses(parse(g, w))
+    assert steps > 2000
+    e = SHARED_EMPTY
+    assert (e.form, e.left, e.right, e.label, e.results, e.fn) == (
+        EMPTY, None, None, None, None, None)
+    assert (e.d_key, e.d_val, e.d_map, e.n_dependents, e.name) == (
+        None, None, None, None, None)
+    assert (e.n_value, e.n_gen, e.in_progress, e.productive) == (
+        NV_NOT, 0, False, False)
+    assert e.pn_memo is EMPTY_SET
+
+
 def _flat_nodes_per_token(src: str, tokens, sizes) -> dict:
     """Nodes created per token at each size, in order.  Each size must stay
     within 1.25 times the rate of the one before, and runs under that
@@ -418,6 +466,21 @@ def test_nested_arithmetic_stays_linear_up_to_16k_tokens():
     per_token = _flat_nodes_per_token(ARITH_SRC, lambda n: nested_parens(n // 2),
                                       (1000, 2000, 4000, 8000, 16000))
     assert per_token[16000] <= 1.25 * per_token[1000], per_token
+
+
+# the budgets sit below what the engine created when it made a shell for
+# every derivative it built: 2.0, 5.0, 6.5 and 5.0 nodes per token
+@pytest.mark.parametrize("src, tokens, per_token", [
+    (ARITH_SRC, lambda: ["n"] + ["+", "n"] * 2000, 1.28),
+    (ARITH_SRC, lambda: ["n"] + ["*", "n"] * 2000, 3.8),
+    (DYCK_SRC, lambda: nested_dyck(2000), 5.0),
+    (ARITH_SRC, lambda: nested_parens(2000), 3.8),
+], ids=["flat-sum", "flat-product", "nested-dyck", "nested-parens"])
+def test_nodes_per_token_stay_inside_an_absolute_budget(src, tokens, per_token):
+    toks = tokens()
+    with node_budget(int(per_token * len(toks))):
+        fs = parse(load_grammar(src), toks)
+    assert count_parses(fs) == 1
 
 
 def _deep_at_the_default_recursion_limit(src: str, tokens: str, tree: str):

@@ -218,6 +218,35 @@ def test_node_under_construction_counts_as_productive_but_proves_nothing(ctx):
     assert ctx.counters.compaction_firings["dead-subgraph"] == 2
 
 
+def _dead_cycle():
+    cycle = new_red(None, production("X", 2))   # X = red(seq(X, 'b'))
+    cycle.left = new_seq(cycle, mk_token("b"))
+    return cycle
+
+
+def test_a_dead_node_keeps_only_its_derivatives_under_construction():
+    # the engine reads such an entry back once the derivative's children
+    # are derived; a finished one would only keep dead structure alive
+    building = new_alt(None, None)
+    building.in_progress = True
+    finished = mk_token("c")
+    for entry, kept in ((building, True), (finished, False)):
+        single = _dead_cycle()
+        single.d_key, single.d_val = "a", entry
+        collapse_dead(single)
+        assert single.form == EMPTY
+        assert (single.d_key, single.d_val) == (("a", entry) if kept
+                                                else (None, None))
+    full = _dead_cycle()
+    full.d_map = {"a": building, "b": finished}
+    collapse_dead(full)
+    assert full.form == EMPTY and full.d_map == {"a": building}
+    full = _dead_cycle()
+    full.d_map = {"b": finished}
+    collapse_dead(full)
+    assert full.d_map is None
+
+
 NORMAL_RIGHT_BAN = (EMPTY, EPSILON, RED)
 
 

@@ -10,10 +10,11 @@ from derivparse import (
     emit, fresh_name, load_grammar, mk_alt, mk_empty, mk_token, name_node,
     parse, recognize, use_context,
 )
+from derivparse import derivation, grammar
 from derivparse.instrumentation import (
     EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND,
 )
-from conftest import ARITH_SRC, expr_tokens
+from conftest import ARITH_LEFT_SRC, ARITH_SRC, expr_tokens
 
 
 def test_counters_reset():
@@ -37,14 +38,33 @@ def test_counters_snapshot_is_detached():
     assert ctx.counters.nodes_created == 2
 
 
-def test_counters_by_form_match_the_nodes_a_parse_creates():
+def _record_rewrites(monkeypatch) -> list:
+    """Every node that become_node rewrites in place from now on."""
+    rewritten = []
+    real = grammar.become_node
+
+    def recording(dst, src):
+        rewritten.append(dst)
+        return real(dst, src)
+
+    monkeypatch.setattr(grammar, "become_node", recording)
+    monkeypatch.setattr(derivation, "become_node", recording)
+    return rewritten
+
+
+def test_counters_by_form_match_the_nodes_a_parse_creates(monkeypatch):
+    rewritten = _record_rewrites(monkeypatch)
+    # the recording sees the rewrites of a parse that makes some
+    parse(load_grammar(ARITH_LEFT_SRC), expr_tokens(40))
+    assert rewritten
+    rewritten.clear()
     g = load_grammar(ARITH_SRC)
     g.settings.collect_nodes = True
     before = g.counters.as_dict()["nodes_by_form"]
     parse(g, expr_tokens(40))
     after = g.counters.as_dict()["nodes_by_form"]
     # nodes a rule rewrote in place changed form after they were counted
-    assert not any(n.leaked for n in g.created_nodes)
+    assert not set(rewritten) & set(g.created_nodes)
     made = Counter(FORM_NAMES[n.form] for n in g.created_nodes)
     assert {f: after[f] - before[f] for f in FORM_NAMES} == {
         f: made[f] for f in FORM_NAMES}

@@ -73,6 +73,27 @@ def test_an_unfilled_shell_is_assumed_not_nullable_and_nothing_is_cached(naive):
             assert fn(shell)
 
 
+def test_a_verdict_that_leaned_on_an_unfilled_shell_is_not_kept():
+    # the query's assumptions are no fixed point of the filled graph, so a
+    # later query must not promote them to final verdicts
+    with use_context(Context()):
+        shell = new_red(None, None)
+        p = new_alt(mk_token("a"), shell)
+        assert not is_nullable(p)
+        assert not is_nullable(p)
+        shell.left = mk_eps(EPS_TREES)
+        assert is_nullable(p)
+        # an assumption that meets the shell only through a cycle
+        shell = new_red(None, None)
+        p = new_alt(None, shell)
+        q = new_red(p, None)
+        p.left = q
+        assert not is_nullable(q)
+        assert not is_nullable(q)
+        shell.left = mk_eps(EPS_TREES)
+        assert is_nullable(q)
+
+
 def test_engines_agree_on_random_grammars():
     rng = random.Random(17)
     for _ in range(150):
