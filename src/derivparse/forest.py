@@ -10,7 +10,11 @@ A forest node denotes a set of parse trees:
 
 Forests may be cyclic (a cyclic grammar parse can denote infinitely many
 trees).  One iterative, cycle-aware postorder walk serves every consumer:
-counting, enumeration and JSON export are folds over it.
+counting, enumeration and JSON export are folds over it.  The first
+consumer to walk a ForestSet keeps the postorder on it, so a request that
+counts, enumerates and exports walks the forest once.  A deferred node's
+children include its reduction's payload forests; the walk reads only the
+reduction parts whose `pairs` bit says they reference one.
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
@@ -138,12 +142,16 @@ def defer_node(red: Reduction, inner: FNode) -> FNode:
 
 
 class ForestSet:
-    """A set of parse trees, represented by one forest root (or none)."""
+    """A set of parse trees, represented by one forest root (or none).
 
-    __slots__ = ("root",)
+    `_order` is the forest's postorder, kept by the first consumer that
+    walks it (see _walk)."""
+
+    __slots__ = ("root", "_order")
 
     def __init__(self, root: Optional[FNode] = None):
         self.root = root
+        self._order = None
 
     def is_empty(self) -> bool:
         return self.root is None
@@ -276,10 +284,6 @@ def parse_null(node) -> ForestSet:
 _NO_TREES = amb_node([])
 
 
-_PAIRINGS = (reductions.PAIR_LEFT, reductions.PAIR_RIGHT,
-             reductions.PAIR_LEFT_NULL)
-
-
 def _payload_root(red: Reduction) -> FNode:
     """Root of the forest a pairing reduction pairs against."""
     fs = red.payload
@@ -288,9 +292,12 @@ def _payload_root(red: Reduction) -> FNode:
     return fs.root or _NO_TREES
 
 
-def _payload_roots(red: Reduction) -> list:
-    """Roots of every forest a reduction's payload references (lazy ones
-    forced through parse_null); an empty payload forest is _NO_TREES."""
+def _payload_roots(red: Reduction) -> tuple:
+    """Roots of every forest a pairing reduction `red` references (lazy ones
+    forced through parse_null), in chain order; an empty payload forest is
+    _NO_TREES.  Parts whose `pairs` bit is false reference no forest, so the
+    walk never enters them: a composed chain is read only down to its
+    pairings."""
     out = []
     stack = [red]
     while stack:
@@ -298,13 +305,15 @@ def _payload_roots(red: Reduction) -> list:
         k = r.kind
         if k == reductions.COMPOSE:
             g, f = r.payload
-            stack.append(g)
-            stack.append(f)
-        elif k in (reductions.LIFT_LEFT, reductions.LIFT_RIGHT):
+            if g.pairs:
+                stack.append(g)
+            if f.pairs:
+                stack.append(f)
+        elif k in reductions.LIFTS:
             stack.append(r.payload)
-        elif k in _PAIRINGS:
+        else:
             out.append(_payload_root(r))
-    return out
+    return tuple(out)
 
 
 def _fchildren(n: FNode) -> tuple:
@@ -314,15 +323,18 @@ def _fchildren(n: FNode) -> tuple:
     if k == AMB:
         return tuple(n.children or ())
     if k == DEFER:
-        return (n.left,) + tuple(_payload_roots(n.red))
+        if n.red.pairs:
+            return (n.left,) + _payload_roots(n.red)
+        return (n.left,)
     return ()
 
 
 def _postorder(root: FNode) -> list:
     """Every node reachable from `root` once, as (node, children) pairs in
     depth-first postorder; the only forest walk, every consumer folds over
-    it.  A child that does not come before its parent is a back edge, so the
-    forest is cyclic exactly when some child comes later than its parent."""
+    it, through _walk.  A child that does not come before its parent is a
+    back edge, so the forest is cyclic exactly when some child comes later
+    than its parent."""
     out = []
     seen = {root.id}
     kids = _fchildren(root)
@@ -339,6 +351,17 @@ def _postorder(root: FNode) -> list:
             stack.pop()
             out.append((n, kids))
     return out
+
+
+def _walk(fs: ForestSet) -> list:
+    """The postorder of a non-empty forest set, walked by the first consumer
+    and kept on the set for the rest.  A forest does not change once built,
+    and payload forests a walk forces are memoized on their grammar nodes, so
+    the kept list is what a new walk would give."""
+    order = fs._order
+    if order is None:
+        order = fs._order = _postorder(fs.root)
+    return order
 
 
 # --- counting ---------------------------------------------------------------
@@ -379,7 +402,7 @@ def count_parses(fs: ForestSet):
     if root is None:
         return 0
     counts: dict = {}
-    for n, kids in _postorder(root):
+    for n, kids in _walk(fs):
         if n.kind == AMB:
             v = 0
             for c in kids:
@@ -449,7 +472,7 @@ def _apply(red: Reduction, t, table) -> list:
             elif k == reductions.SPLICE:
                 if isinstance(t, Pair) and isinstance(t.right, Prod):
                     t = Prod(t.right.name, (t.left,) + t.right.children)
-            elif k in _PAIRINGS:
+            elif k in reductions.PAIRINGS:
                 trees = reversed(table[_payload_root(f).id])
                 if k == reductions.PAIR_RIGHT:
                     work += [(Pair(t, s), frames) for s in trees]
@@ -515,7 +538,7 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     root = fs.root
     if root is None or limit <= 0:
         return []
-    order = _postorder(root)
+    order = _walk(fs)
     table: dict = {}
     cyclic = False
     for n, kids in order:  # a child not in the table yet is a back edge
@@ -548,7 +571,7 @@ def forest_to_json(fs: ForestSet) -> dict:
     if root is None:
         return {"root": None, "nodes": []}
     out = []
-    for n, kids in sorted(_postorder(root), key=lambda p: p[0].id):
+    for n, kids in sorted(_walk(fs), key=lambda p: p[0].id):
         out.append({
             "id": n.id,
             "kind": n.kind,

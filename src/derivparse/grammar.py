@@ -65,9 +65,15 @@ from contextlib import contextmanager
 from typing import Optional
 
 from . import reductions
-from .instrumentation import FORM_NAMES, Counters
+from .instrumentation import COMPACTION_RULES, FORM_NAMES, Counters
 
 EMPTY, EPSILON, TOKEN, SEQ, ALT, RED = range(6)
+
+# compaction rule numbers, in COMPACTION_RULES order
+(ALT_EMPTY_LEFT, ALT_EMPTY_RIGHT, ALT_EPSILON_MERGE, DEAD_SUBGRAPH,
+ RED_COMPOSE, RED_EMPTY, RED_EPSILON, SEQ_ASSOCIATE,
+ SEQ_EMPTY_LEFT, SEQ_EMPTY_RIGHT, SEQ_EPSILON_LEFT,
+ SEQ_EPSILON_RIGHT, SEQ_FLOAT_LEFT, SEQ_FLOAT_RIGHT) = range(len(COMPACTION_RULES))
 
 WILDCARD = "."
 
@@ -266,9 +272,8 @@ def new_red(child, fn) -> GrammarNode:
     return n
 
 
-def _fire(rule: str) -> None:
-    firings = _active.ctx.counters.compaction_firings
-    firings[rule] = firings.get(rule, 0) + 1
+def _fire(rule: int) -> None:
+    _active.ctx.counters.firings_by_rule[rule] += 1
 
 
 def _red_limited(child: GrammarNode, fn) -> GrammarNode:
@@ -276,10 +281,10 @@ def _red_limited(child: GrammarNode, fn) -> GrammarNode:
     (red-empty, red-epsilon), so this is both a rule and a follow-up."""
     f = child.form
     if f == EMPTY:
-        _fire("red-empty")
+        _fire(RED_EMPTY)
         return child
     if f == EPSILON:
-        _fire("red-epsilon")
+        _fire(RED_EPSILON)
         return mk_eps(child.results.apply(fn))
     return new_red(child, fn)
 
@@ -288,13 +293,13 @@ def _compact_alt(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
     if left.in_progress or right.in_progress:
         return None
     if left.form == EMPTY:
-        _fire("alt-empty-left")
+        _fire(ALT_EMPTY_LEFT)
         return right
     if right.form == EMPTY:
-        _fire("alt-empty-right")
+        _fire(ALT_EMPTY_RIGHT)
         return left
     if left.form == EPSILON and right.form == EPSILON:
-        _fire("alt-epsilon-merge")
+        _fire(ALT_EPSILON_MERGE)
         return mk_eps(left.results.union(right.results))
     return None
 
@@ -304,25 +309,25 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         return None
     f = left.form
     if f == EMPTY:
-        _fire("seq-empty-left")
+        _fire(SEQ_EMPTY_LEFT)
         return left
     if f == EPSILON:
-        _fire("seq-epsilon-left")
+        _fire(SEQ_EPSILON_LEFT)
         return _red_limited(right, reductions.pair_left(left.results))
     if f == SEQ:
         # ((p1 . p2) . p3) -> (p1 . (p2 . p3)) plus a reassociation rewrite
-        _fire("seq-associate")
+        _fire(SEQ_ASSOCIATE)
         return new_red(new_seq(left.left, new_seq(left.right, right)),
                        reductions.reassociate())
     if f == RED:
         # ((p -> f) . q) -> (p . q) -> lift-left(f)
-        _fire("seq-float-left")
+        _fire(SEQ_FLOAT_LEFT)
         p = left.left
         if (p.form == SEQ and not p.in_grammar
                 and not p.in_progress and _known_not_nullable(p.left)):
             # ... then seq-associate, once (see the module docstring for
             # why, and for the measured counterexample behind each guard)
-            _fire("seq-associate")
+            _fire(SEQ_ASSOCIATE)
             return new_red(new_seq(p.left, new_seq(p.right, right)),
                            reductions.compose(reductions.lift_left(left.fn),
                                               reductions.reassociate()))
@@ -331,14 +336,14 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
     # these right children, so these fire only while a grammar loads
     f = right.form
     if f == EMPTY:
-        _fire("seq-empty-right")
+        _fire(SEQ_EMPTY_RIGHT)
         return right
     if f == EPSILON:
-        _fire("seq-epsilon-right")
+        _fire(SEQ_EPSILON_RIGHT)
         return new_red(left, reductions.pair_right(right.results))
     if f == RED:
         # (p . (q -> f)) -> (p . q) -> lift-right(f)
-        _fire("seq-float-right")
+        _fire(SEQ_FLOAT_RIGHT)
         return new_red(new_seq(left, right.left), reductions.lift_right(right.fn))
     return None
 
@@ -360,7 +365,7 @@ def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
     if f == EMPTY or f == EPSILON:
         return _red_limited(child, fn)
     if f == RED:
-        _fire("red-compose")
+        _fire(RED_COMPOSE)
         return _red_limited(child.left, reductions.compose(fn, child.fn))
     return None
 
@@ -479,7 +484,7 @@ def _settle(inner: list, proven: list, pending: list, parents: dict) -> None:
         if n not in live:
             become_node(n, SHARED_EMPTY)
             _drop_derivatives(n)
-            _fire("dead-subgraph")
+            _fire(DEAD_SUBGRAPH)
 
 
 def _drop_derivatives(n: GrammarNode) -> None:

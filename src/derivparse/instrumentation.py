@@ -18,9 +18,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 FORM_NAMES = ("empty", "epsilon", "token", "seq", "alt", "red")
+
+# the compaction rules, by rule number (grammar.py names each number)
+COMPACTION_RULES = (
+    "alt-empty-left", "alt-empty-right", "alt-epsilon-merge", "dead-subgraph",
+    "red-compose", "red-empty", "red-epsilon", "seq-associate",
+    "seq-empty-left", "seq-empty-right", "seq-epsilon-left",
+    "seq-epsilon-right", "seq-float-left", "seq-float-right",
+)
 
 CSV_FIELDS = (
     "file",
@@ -37,14 +46,15 @@ CSV_FIELDS = (
 class Counters:
     """Monotone event counts for one grammar / parse session.  Nodes are
     counted per form, in a list indexed by the form number (FORM_NAMES
-    order)."""
+    order), and compaction firings per rule, in a list indexed by the rule
+    number (COMPACTION_RULES order)."""
 
     __slots__ = (
         "nodes_by_form",
         "derive_calls_cached",
         "derive_calls_uncached",
         "nullable_visits",
-        "compaction_firings",
+        "firings_by_rule",
         "generation_count",
     )
 
@@ -56,7 +66,7 @@ class Counters:
         self.derive_calls_cached = 0
         self.derive_calls_uncached = 0
         self.nullable_visits = 0
-        self.compaction_firings: dict = {}
+        self.firings_by_rule = [0] * len(COMPACTION_RULES)
         self.generation_count = 0
 
     @property
@@ -64,8 +74,16 @@ class Counters:
         return sum(self.nodes_by_form)
 
     @property
+    def compaction_firings(self) -> Mapping[str, int]:
+        """Firings by rule name, for the rules that fired: a read-only view,
+        built from firings_by_rule when asked."""
+        return MappingProxyType({r: n for r, n in
+                                 zip(COMPACTION_RULES, self.firings_by_rule)
+                                 if n})
+
+    @property
     def compactions(self) -> int:
-        return sum(self.compaction_firings.values())
+        return sum(self.firings_by_rule)
 
     def snapshot(self) -> "Counters":
         """An independent copy; the live counters keep counting."""

@@ -11,6 +11,12 @@ applies it to just that pair component).  The loader's left factoring needs
 splice: a group of alternatives that share a first symbol parses as
 (head, tree of one rest), and splice puts the head back in front of that
 production's children, so the trees are those of the unfactored rule.
+
+Only the pairing tags reference forests (their payloads), and a composed
+chain runs as long as the input, so each reduction carries a `pairs` bit:
+true for a pairing, taken from the parts for a compose or lift, false for
+every other tag.  It is set once, in the constructor, from the parts' bits
+(no walk), and forest walks skip every part whose bit is false.
 """
 
 from __future__ import annotations
@@ -26,16 +32,28 @@ LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
 
 
+PAIRINGS = frozenset((PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL))
+LIFTS = frozenset((LIFT_LEFT, LIFT_RIGHT))
+
 # shared, not built per use: lift chains run tens of thousands deep
 _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 
 
 class Reduction:
-    __slots__ = ("kind", "payload")
+    """A tag and its payload; `pairs` says whether a payload forest is
+    referenced anywhere in it (see the module docstring)."""
+
+    __slots__ = ("kind", "payload", "pairs")
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind
         self.payload = payload
+        if kind == COMPOSE:
+            self.pairs = payload[0].pairs or payload[1].pairs
+        elif kind in LIFTS:
+            self.pairs = payload.pairs
+        else:
+            self.pairs = kind in PAIRINGS
 
     def describe(self) -> str:
         k = self.kind

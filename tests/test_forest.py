@@ -10,9 +10,11 @@ from derivparse import (
     count_parses, enumerate_trees, forest_to_json, load_grammar, mk_token,
     pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
-from derivparse.forest import EMPTY_SET, ForestSet
+from derivparse import forest
+from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet
 from derivparse.reductions import (
-    compose, lift_left, lift_right, pair_right, production, reassociate,
+    PAIR_LEFT, PAIR_RIGHT, Reduction, compose, lift_left, lift_right,
+    pair_right, production, reassociate,
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, expr_tokens, nested_dyck,
@@ -326,3 +328,94 @@ for fs in (fs, parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r})):
         right = f"E[T[F[n]] + {right}]"
         left = f"E[{left} + T[F[n]]]"
     assert proc.stdout == f"{right}\n{left}\n"
+
+
+# --- reduction parts that pair nothing, and the kept walk --------------------
+
+def _defer_entry(doc: dict) -> dict:
+    [entry] = [n for n in doc["nodes"] if n["kind"] == "defer"]
+    return entry
+
+
+def _two(a: str, b: str) -> ForestSet:
+    return ForestSet.single_leaf(a).union(ForestSet.single_leaf(b))
+
+
+def _pairs_with_c(fs: ForestSet) -> FNode:
+    """A pair node: each tree of fs paired with the leaf c."""
+    pair = FNode(PAIR)
+    pair.left = fs.root
+    pair.right = ForestSet.single_leaf("c").root
+    return pair
+
+
+def test_pairs_bit_follows_the_parts():
+    fs = ForestSet.single_leaf("a")
+    assert Reduction(PAIR_LEFT, fs).pairs
+    assert pair_right(fs).pairs
+    assert not reassociate().pairs
+    assert not production("E", 2).pairs
+    assert lift_right(Reduction(PAIR_LEFT, fs)).pairs
+    assert not lift_left(reassociate()).pairs
+    assert compose(reassociate(), pair_right(fs)).pairs
+    assert compose(pair_right(fs), reassociate()).pairs
+    assert not compose(reassociate(), lift_left(production("E", 2))).pairs
+
+
+def test_a_hand_built_pairing_inside_a_chain_is_walked():
+    # built without the pair_left helper, below a lift and a compose
+    payload = _two("x", "y")
+    pair = _pairs_with_c(_two("a", "b"))
+    red = compose(production("P", 1),
+                  lift_left(Reduction(PAIR_LEFT, payload)))
+    fs = ForestSet(pair).apply(red)
+    assert count_parses(fs) == 4
+    assert sorted(tree_text(t) for t in enumerate_trees(fs, 10)) == [
+        "P[((x,a),c)]", "P[((x,b),c)]", "P[((y,a),c)]", "P[((y,b),c)]"]
+    entry = _defer_entry(forest_to_json(fs))
+    assert entry["children"] == [pair.id, payload.root.id]
+
+
+def test_a_hand_built_pairing_with_an_empty_payload_counts_zero():
+    red = compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, EMPTY_SET)))
+    fs = ForestSet(_pairs_with_c(_two("a", "b"))).apply(red)
+    assert count_parses(fs) == 0
+    assert enumerate_trees(fs, 10) == []
+
+
+def test_a_long_chain_that_pairs_nothing_has_only_its_inner_child():
+    red = reassociate()
+    for i in range(100_000):
+        part = lift_left(reassociate()) if i % 2 else production("P", 1)
+        red = compose(part, red)
+    assert not red.pairs
+    inner = ForestSet.single_leaf("a")
+    fs = inner.apply(red)
+    assert count_parses(fs) == 1
+    assert _defer_entry(forest_to_json(fs))["children"] == [inner.root.id]
+
+
+def test_consumers_of_one_forest_set_walk_it_once(monkeypatch):
+    walks = [0]
+    real = forest._postorder
+
+    def counting(root):
+        walks[0] += 1
+        return real(root)
+
+    monkeypatch.setattr(forest, "_postorder", counting)
+    fs = parse(load_grammar(CATALAN_SRC), ["a"] * 6)
+    assert count_parses(fs) == CATALAN[5]
+    assert len(enumerate_trees(fs, 10)) == 10
+    forest_to_json(fs)
+    assert walks[0] == 1
+
+
+@pytest.mark.parametrize("src, toks", [
+    (CATALAN_SRC, ["a"] * 8),
+    (ARITH_SRC, expr_tokens(500)),
+], ids=["catalan-8", "arith-500"])
+def test_export_after_a_count_is_a_fresh_export(src, toks):
+    fs = parse(load_grammar(src), toks)
+    count_parses(fs)
+    assert forest_to_json(fs) == forest_to_json(ForestSet(fs.root))

@@ -14,7 +14,7 @@ from derivparse import derivation, grammar
 from derivparse.instrumentation import (
     EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND,
 )
-from conftest import ARITH_LEFT_SRC, ARITH_SRC, expr_tokens
+from conftest import ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, expr_tokens
 
 
 def test_counters_reset():
@@ -31,11 +31,13 @@ def test_counters_reset():
 
 def test_counters_snapshot_is_detached():
     with use_context(Context()) as ctx:
-        mk_token("a")
+        a = mk_token("a")
         snap = ctx.counters.snapshot()
-        mk_token("b")
+        mk_alt(mk_empty(), a)
     assert snap.nodes_created == 1
     assert ctx.counters.nodes_created == 2
+    assert snap.compaction_firings == {}
+    assert ctx.counters.compaction_firings == {"alt-empty-left": 1}
 
 
 def _record_rewrites(monkeypatch) -> list:
@@ -103,6 +105,35 @@ def test_emit_json_is_parseable_and_complete():
     assert out["compaction_firings"] == {"alt-empty-left": 1}
     for field in ("nodes_created", "derive_cached", "nullable_visits"):
         assert field in out
+
+
+def test_per_rule_firings_are_pinned():
+    # firing counts of a load and of two parses that between them fire 11
+    # of the 14 rules, as the dict-counting engine recorded them
+    nested_left = ["("] * 3 + expr_tokens(40) + [")"] * 3
+    g = load_grammar(ARITH_SRC)
+    assert g.counters.compaction_firings == {
+        "seq-float-left": 3, "seq-float-right": 5, "red-compose": 8,
+        "seq-associate": 3}
+    g = load_grammar(ARITH_LEFT_SRC)
+    g.counters.reset()
+    parse(g, nested_left)
+    assert g.counters.compaction_firings == {
+        "seq-empty-left": 20, "red-empty": 55, "seq-epsilon-left": 13,
+        "red-compose": 34, "alt-empty-right": 57, "alt-empty-left": 7,
+        "red-epsilon": 10, "dead-subgraph": 16, "seq-float-left": 21}
+    assert g.counters.compactions == 233
+    with pytest.raises(TypeError):  # a view of the per-rule list
+        g.counters.compaction_firings["red-empty"] = 0
+    g = load_grammar(DYCK_SRC)
+    g.counters.reset()
+    parse(g, ["("] * 20 + [")"] * 20 + ["(", ")"])
+    out = json.loads(emit(g.counters, "json"))
+    assert out["compaction_firings"] == {
+        "seq-epsilon-left": 3, "red-compose": 63, "alt-empty-right": 3,
+        "seq-float-left": 38, "seq-empty-left": 22, "red-empty": 2,
+        "seq-associate": 18, "alt-empty-left": 21}
+    assert out["compactions"] == 170
 
 
 def test_emit_rejects_unknown_format():
