@@ -285,21 +285,27 @@ _NO_TREES = amb_node([])
 
 
 def _payload_root(red: Reduction) -> FNode:
-    """Root of the forest a pairing reduction pairs against."""
+    """Root of the forest a pairing reduction pairs against.
+
+    A pair-left-null's forest is forced once and kept on the reduction: its
+    node's parse_null memo is reset by the next parse of the grammar, and a
+    kept walk must see the same forest as every later _apply."""
     fs = red.payload
     if red.kind == reductions.PAIR_LEFT_NULL:
-        fs = parse_null(fs)
+        fs = red.forced
+        if fs is None:
+            fs = red.forced = parse_null(red.payload)
     return fs.root or _NO_TREES
 
 
 def _payload_roots(red: Reduction) -> tuple:
-    """Roots of every forest a pairing reduction `red` references (lazy ones
-    forced through parse_null), in chain order; an empty payload forest is
+    """Roots of every forest reduction `red` references (lazy ones forced
+    once, see _payload_root), in chain order; an empty payload forest is
     _NO_TREES.  Parts whose `pairs` bit is false reference no forest, so the
     walk never enters them: a composed chain is read only down to its
-    pairings."""
+    pairings, and one that pairs nothing not at all."""
     out = []
-    stack = [red]
+    stack = [red] if red.pairs else []
     while stack:
         r = stack.pop()
         k = r.kind
@@ -323,9 +329,7 @@ def _fchildren(n: FNode) -> tuple:
     if k == AMB:
         return tuple(n.children or ())
     if k == DEFER:
-        if n.red.pairs:
-            return (n.left,) + _payload_roots(n.red)
-        return (n.left,)
+        return (n.left,) + _payload_roots(n.red)
     return ()
 
 
@@ -356,8 +360,9 @@ def _postorder(root: FNode) -> list:
 def _walk(fs: ForestSet) -> list:
     """The postorder of a non-empty forest set, walked by the first consumer
     and kept on the set for the rest.  A forest does not change once built,
-    and payload forests a walk forces are memoized on their grammar nodes, so
-    the kept list is what a new walk would give."""
+    and a payload forest a walk forces is kept on its reduction (see
+    _payload_root), so the kept list is what a new walk would give, however
+    many parses of the grammar come in between."""
     order = fs._order
     if order is None:
         order = fs._order = _postorder(fs.root)

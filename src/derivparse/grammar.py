@@ -69,11 +69,22 @@ from .instrumentation import COMPACTION_RULES, FORM_NAMES, Counters
 
 EMPTY, EPSILON, TOKEN, SEQ, ALT, RED = range(6)
 
-# compaction rule numbers, in COMPACTION_RULES order
-(ALT_EMPTY_LEFT, ALT_EMPTY_RIGHT, ALT_EPSILON_MERGE, DEAD_SUBGRAPH,
- RED_COMPOSE, RED_EMPTY, RED_EPSILON, SEQ_ASSOCIATE,
- SEQ_EMPTY_LEFT, SEQ_EMPTY_RIGHT, SEQ_EPSILON_LEFT,
- SEQ_EPSILON_RIGHT, SEQ_FLOAT_LEFT, SEQ_FLOAT_RIGHT) = range(len(COMPACTION_RULES))
+# compaction rule numbers, each looked up by its name in COMPACTION_RULES
+_rule = COMPACTION_RULES.index
+ALT_EMPTY_LEFT = _rule("alt-empty-left")
+ALT_EMPTY_RIGHT = _rule("alt-empty-right")
+ALT_EPSILON_MERGE = _rule("alt-epsilon-merge")
+DEAD_SUBGRAPH = _rule("dead-subgraph")
+RED_COMPOSE = _rule("red-compose")
+RED_EMPTY = _rule("red-empty")
+RED_EPSILON = _rule("red-epsilon")
+SEQ_ASSOCIATE = _rule("seq-associate")
+SEQ_EMPTY_LEFT = _rule("seq-empty-left")
+SEQ_EMPTY_RIGHT = _rule("seq-empty-right")
+SEQ_EPSILON_LEFT = _rule("seq-epsilon-left")
+SEQ_EPSILON_RIGHT = _rule("seq-epsilon-right")
+SEQ_FLOAT_LEFT = _rule("seq-float-left")
+SEQ_FLOAT_RIGHT = _rule("seq-float-right")
 
 WILDCARD = "."
 

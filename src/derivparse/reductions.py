@@ -41,13 +41,15 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
-    referenced anywhere in it (see the module docstring)."""
+    referenced anywhere in it (see the module docstring).  `forced` keeps a
+    pair-left-null's payload forest once the forest layer has taken it."""
 
-    __slots__ = ("kind", "payload", "pairs")
+    __slots__ = ("kind", "payload", "pairs", "forced")
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind
         self.payload = payload
+        self.forced = None
         if kind == COMPOSE:
             self.pairs = payload[0].pairs or payload[1].pairs
         elif kind in LIFTS:

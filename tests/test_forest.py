@@ -419,3 +419,27 @@ def test_export_after_a_count_is_a_fresh_export(src, toks):
     fs = parse(load_grammar(src), toks)
     count_parses(fs)
     assert forest_to_json(fs) == forest_to_json(ForestSet(fs.root))
+
+
+_NULL_PAIRING_SRC = ("start = S ;\nS : A 'z' ;\nA : B C | 'a' ;\n"
+                     "B : 'x' | ;\nC : 'y' | ;\n")
+
+
+@pytest.mark.parametrize("toks", [["z"], ["x", "z"], ["y", "z"]])
+def test_a_forest_outlives_later_parses_of_its_grammar(toks):
+    # a null pairing's payload is forced from the grammar's own nodes, whose
+    # empty-word memos every later parse resets
+    g = load_grammar(_NULL_PAIRING_SRC)
+    fs = parse(g, toks)
+    n = count_parses(fs)
+    parse(g, ["a", "z"])
+    recognize(g, ["x", "y", "z"])
+    trees = enumerate_trees(fs, 10)
+    doc = forest_to_json(fs)
+    parse(g, toks)
+    assert count_parses(fs) == n
+    assert enumerate_trees(fs, 10) == trees
+    assert forest_to_json(fs) == doc
+    fresh = parse(load_grammar(_NULL_PAIRING_SRC), toks)
+    assert count_parses(fresh) == n
+    assert enumerate_trees(fresh, 10) == trees
