@@ -218,16 +218,20 @@ def _derive(n, c, ctx):
     if res is not None:
         become_node(shell, res)
     else:
-        # the children, and the productive mark by the rule new_* apply
+        # the children, and the marks by the rule new_* apply
         shell.left = a
         if shell.form == RED:
             shell.fn = b
             shell.productive = a.productive
+            shell.never_null = a.never_null
+        elif shell.form == ALT:
+            shell.right = b
+            shell.productive = a.productive or b.productive
+            shell.never_null = a.never_null and b.never_null
         else:
             shell.right = b
-            shell.productive = (a.productive or b.productive
-                                if shell.form == ALT
-                                else a.productive and b.productive)
+            shell.productive = a.productive and b.productive
+            shell.never_null = a.never_null or b.never_null
     shell.in_progress = False
     # a shell that its children do not prove productive may close a cycle
     # that denotes the empty language

@@ -436,7 +436,8 @@ def _apply(red: Reduction, t, table) -> list:
     nest arbitrarily deep.  Each entry is a tree and the frames still to run
     on it, a linked list of (frame, rest) pairs; a frame is a reduction to
     apply next, or (_LEFT, right) / (_RIGHT, left) to pair the result with a
-    stored component.  A pairing branches over its payload's trees.
+    stored component.  A pairing branches over its payload's trees.  A lift
+    of a non-pair raises, as count_parses would disagree with skipping it.
     """
     out = []
     work = [(t, (red, None))]
@@ -452,14 +453,12 @@ def _apply(red: Reduction, t, table) -> list:
             if k == reductions.COMPOSE:
                 g, h = f.payload
                 frames = (h, (g, frames))
-            elif k == reductions.LIFT_LEFT:
-                if isinstance(t, Pair):
-                    frames = (f.payload, ((_LEFT, t.right), frames))
-                    t = t.left
-            elif k == reductions.LIFT_RIGHT:
-                if isinstance(t, Pair):
-                    frames = (f.payload, ((_RIGHT, t.left), frames))
-                    t = t.right
+            elif k == reductions.LIFT_LEFT and isinstance(t, Pair):
+                frames = (f.payload, ((_LEFT, t.right), frames))
+                t = t.left
+            elif k == reductions.LIFT_RIGHT and isinstance(t, Pair):
+                frames = (f.payload, ((_RIGHT, t.left), frames))
+                t = t.right
             elif k == reductions.REASSOCIATE:
                 if isinstance(t, Pair) and isinstance(t.right, Pair):
                     t = Pair(Pair(t.left, t.right.left), t.right.right)
@@ -485,7 +484,7 @@ def _apply(red: Reduction, t, table) -> list:
                     work += [(Pair(s, t), frames) for s in trees]
                 break
             else:
-                raise ValueError(f"unknown reduction kind: {k!r}")
+                raise ValueError(f"cannot apply {k!r} to a {type(t).__name__}")
         else:
             out.append(t)
     return _dedup(out)

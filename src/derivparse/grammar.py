@@ -32,22 +32,12 @@ only under two guards, each backed by a measured counterexample:
   nodes keep their derivatives for the whole input; taking one apart
   re-derives it per token.  Right-recursive arithmetic on a 541-token
   word creates 13,377 nodes instead of 1,013.
-- p1 is known not to accept the empty word.  A nullable head forks on the
-  next token into a fresh (p2 . q) per parse path, where the left-nested p
-  forks once and memoizes it.  Random grammar g48 of the benchmark corpus
-  on a^n turns quadratic without this guard: 2,645 nodes become 26,250 at
-  n=160.  A derivative head counts as known when its nullability cell
-  holds the final not-nullable verdict: the rule reads the cell and never
-  queries, since a derivative still under construction may hold unfilled
-  shells.  A grammar head's cell outlives parses and holds whatever earlier
-  parses asked, so reading it would make the nodes a parse builds, and its
-  forest, depend on what the grammar parsed before; the rule settles a
-  grammar head's verdict by a query instead, which is safe because
-  grammar nodes reach only grammar nodes.
-
-The naive nullability engine caches no verdicts, so under it the rule
-fires only on heads with a preset verdict (tokens) or a grammar node's
-settled one, and nested Dyck stays quadratic.
+- p1 is known by structure not to accept the empty word (the never-null
+  mark, see new_alt), so no nullability engine is asked and both engines
+  build the same nodes.  A nullable head forks on the next token into a
+  fresh (p2 . q) per parse path, where the left-nested p forks once and
+  memoizes it.  Random grammar g48 of the benchmark corpus on a^n turns
+  quadratic without this guard: 2,645 nodes become 26,250 at n=160.
 
 One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
 language, but no node on it has an Empty child.  The dead-subgraph rule
@@ -104,17 +94,18 @@ class GrammarNode:
 
     The remaining slots are engine state: the nullability cell, the derivative
     cache (single-entry pair or full dict, depending on the active mode), the
-    under-construction flag, the productive mark (set only once the node's
-    language is proven non-empty), the grammar mark (set when a loaded
-    grammar reaches the node), the empty-word parse memo, and the optional
-    debug name.
+    under-construction flag, the productive and never-null marks (set only
+    once the structure proves the language non-empty, or without the empty
+    word), the grammar mark (set when a loaded grammar reaches the node), the
+    empty-word parse memo, and the optional debug name.
     """
 
     __slots__ = (
         "id", "form", "left", "right", "label", "results", "fn",
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
-        "in_progress", "productive", "in_grammar", "pn_memo", "name",
+        "in_progress", "productive", "never_null", "in_grammar",
+        "pn_memo", "name",
     )
 
     def __init__(self, form: int):
@@ -133,6 +124,7 @@ class GrammarNode:
         self.d_map = None
         self.in_progress = False
         self.productive = False
+        self.never_null = False
         self.in_grammar = False
         self.pn_memo = None
         self.name = None
@@ -221,6 +213,7 @@ def _new(form: int) -> GrammarNode:
 def mk_empty() -> GrammarNode:
     n = _new(EMPTY)
     n.n_value = NV_NOT
+    n.never_null = True
     return n
 
 
@@ -230,6 +223,7 @@ def mk_empty() -> GrammarNode:
 # empty-word forest by the forest module.
 SHARED_EMPTY = GrammarNode(EMPTY)
 SHARED_EMPTY.n_value = NV_NOT
+SHARED_EMPTY.never_null = True
 
 
 def mk_eps(results) -> GrammarNode:
@@ -248,13 +242,14 @@ def mk_token(label: str) -> GrammarNode:
     n.label = label
     n.n_value = NV_NOT
     n.productive = True
+    n.never_null = True
     return n
 
 
-# The productive mark by the local rule: tokens and epsilon are productive, a
-# choice if either child is, a concatenation if both are, a reduction if its
-# child is.  A shell (None children) stays unmarked until its builder fills
-# it, and a node under construction is never marked, so no mark leans on one.
+# The marks by the local rule: a token is productive and never null (rejects
+# the empty word), epsilon productive, Empty never null; a reduction has its
+# child's marks; a choice is productive if either child is, never null if
+# both are; a concatenation the reverse.  Shells stay unmarked until filled.
 
 def new_alt(left, right) -> GrammarNode:
     n = _new(ALT)
@@ -262,6 +257,7 @@ def new_alt(left, right) -> GrammarNode:
     n.right = right
     if left is not None:
         n.productive = left.productive or right.productive
+        n.never_null = left.never_null and right.never_null
     return n
 
 
@@ -271,6 +267,7 @@ def new_seq(left, right) -> GrammarNode:
     n.right = right
     if left is not None:
         n.productive = left.productive and right.productive
+        n.never_null = left.never_null or right.never_null
     return n
 
 
@@ -280,6 +277,7 @@ def new_red(child, fn) -> GrammarNode:
     n.fn = fn
     if child is not None:
         n.productive = child.productive
+        n.never_null = child.never_null
     return n
 
 
@@ -335,7 +333,7 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         _fire(SEQ_FLOAT_LEFT)
         p = left.left
         if (p.form == SEQ and not p.in_grammar
-                and not p.in_progress and _known_not_nullable(p.left)):
+                and not p.in_progress and p.left.never_null):
             # ... then seq-associate, once (see the module docstring for
             # why, and for the measured counterexample behind each guard)
             _fire(SEQ_ASSOCIATE)
@@ -357,16 +355,6 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         _fire(SEQ_FLOAT_RIGHT)
         return new_red(new_seq(left, right.left), reductions.lift_right(right.fn))
     return None
-
-
-def _known_not_nullable(head: GrammarNode) -> bool:
-    """The spine rule's head guard: a derivative's cell as it stands, a
-    grammar node's settled by a query (see the module docstring)."""
-    v = head.n_value
-    if v == NV_UNKNOWN and head.in_grammar:
-        from .nullability import is_nullable
-        return not is_nullable(head)
-    return v == NV_NOT
 
 
 def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
@@ -538,6 +526,7 @@ def become_node(dst: GrammarNode, src: GrammarNode) -> bool:
     dst.fn = src.fn
     dst.n_value = src.n_value
     dst.productive = src.productive
+    dst.never_null = src.never_null
     return changed
 
 
@@ -604,18 +593,25 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     node and its children's forms, so a worklist that starts with every
     inner node and revisits a rewritten node, its parents and the nodes its
     rule created reaches the same fixed point as sweeping the whole graph
-    until nothing fires.  The grammar marks are cleared while it runs, so
-    no nullability query caches a verdict on a node that a later rewrite
-    changes; a Grammar's nodes are marked again at its end, a bare root's
-    by the Grammar made over it.
+    until nothing fires.  The never-null marks are settled exactly first, since
+    the loader set them over unmarked placeholders: a node is never null unless
+    the local rule reaches it upward from an epsilon (or a node under
+    construction).  The grammar marks are cleared while it runs, so the spine
+    rule's guard sees them alike whether a Grammar is made after normalizing
+    (load_grammar) or before (benchmarks/tracing.py); a Grammar's nodes are
+    marked again at its end, a bare root's by its own.
     """
     root = g.root if isinstance(g, Grammar) else g
     parents = {root: []}
     work = [root]
     _enlist(root, parents, work)
+    seeds = [n for n in parents if n.form == EPSILON or n.in_progress]
+    nullable = set(seeds)
+    _spread(seeds, nullable, parents)
     inner, proven, pending = [], [], []
     for n in parents:
         n.in_grammar = False
+        n.never_null = n not in nullable
         if n.productive:
             proven.append(n)
         elif n.in_progress:

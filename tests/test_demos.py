@@ -1,5 +1,7 @@
 """The demos run end to end (they reach the node registry, debug names and
 every engine switch, which no other test drives through a whole script).
+Demo 04 asserts that the nullability switch changes nullability work only:
+both engines create the same nodes and make the same derive calls.
 
 Demo 03 (worst-case node growth) is left out: it takes about 23 s.
 """

@@ -10,17 +10,17 @@ from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
     Context, ForestSet, NamingError, ParserSettings,
     count_parses, derive, earley_count, earley_recognize, fresh_name,
-    is_nullable, load_bnf, load_grammar, mk_empty, mk_eps, mk_token,
-    name_node, parse, reachable_nodes, recognize, use_context,
+    is_nullable, is_nullable_naive, load_bnf, load_grammar, mk_empty, mk_eps,
+    mk_token, name_node, parse, reachable_nodes, recognize, use_context,
 )
-from derivparse import derivation
+from derivparse import derivation, nullability
 from derivparse.forest import EMPTY_SET
 from derivparse.grammar import NV_NOT, SHARED_EMPTY, new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, all_strings,
-    assert_history_free, expr_tokens, nested_dyck, nested_parens, node_budget,
-    probe_words, random_grammar_source, run_python,
+    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, _parse_record,
+    all_strings, assert_history_free, expr_tokens, nested_dyck, nested_parens,
+    node_budget, probe_words, random_grammar_source, run_python,
 )
 
 
@@ -604,6 +604,63 @@ def test_parse_history_does_not_change_the_work_or_the_forest():
     for src, words in cases:
         assert_history_free(src, words + [_one_edit(rng, w, "ab()n+")
                                           for w in words[:4]])
+
+
+def test_a_never_null_mark_on_a_derivative_is_never_wrong():
+    # a mark built over an unfilled shell may be missing, but the spine
+    # rule trusts every mark it finds
+    rng = random.Random(0x5AFE)
+    for _ in range(40):
+        g = load_grammar(random_grammar_source(rng))
+        for w in all_strings("ab", 3):
+            with g.activate():
+                node = g.root
+                for c in w:
+                    node = derive(node, c)
+                    for n in reachable_nodes(node):
+                        assert not (n.never_null and is_nullable_naive(n))
+
+
+# --- the nullability ablation changes nullability work only -----------------
+
+def _ablation_inputs() -> list:
+    """(source, words): FIXED_CORPUS on its probe words, nested Dyck, nested
+    ARITH_SRC, flat ARITH_LEFT_SRC and a seeded random corpus."""
+    cases = [(src, probe_words(load_bnf(src), "ab")[:12])
+             for src in FIXED_CORPUS]
+    cases += [(DYCK_SRC, [nested_dyck(d) for d in (1, 3, 10, 40)]),
+              (ARITH_SRC, [nested_parens(d) for d in (1, 3, 10, 40)]),
+              (ARITH_LEFT_SRC, [expr_tokens(n) for n in (2, 6, 20, 80)])]
+    rng = random.Random(0xAB1)
+    words = [list(w) for w in all_strings("abc", 2)[:6]] + [["a"] * 8]
+    cases += [(random_grammar_source(rng), words) for _ in range(40)]
+    return cases
+
+
+def test_naive_nullability_never_asks_the_accelerated_engine(monkeypatch):
+    # the spine rule's head guard once queried the accelerated engine on a
+    # grammar node, whatever the switch said
+    def accelerated(node):
+        raise AssertionError("accelerated nullability engine asked")
+
+    monkeypatch.setattr(nullability, "is_nullable", accelerated)
+    monkeypatch.setattr(derivation, "is_nullable", accelerated)
+    for src, words in _ablation_inputs():
+        for w in words:
+            g = load_grammar(src)  # fresh: a warm grammar's cells hide a query
+            g.settings.naive_nullability = True
+            recognize(g, w)
+
+
+def test_naive_nullability_builds_the_same_nodes_and_forests():
+    # both parse through forest.parse_null, which prunes with the
+    # accelerated engine under either switch: it needs the exact verdict,
+    # and the naive engine would sweep the whole graph once per node
+    for src, words in _ablation_inputs():
+        fast, naive = load_grammar(src), load_grammar(src)
+        naive.settings.naive_nullability = True
+        for w in words:
+            assert _parse_record(naive, w) == _parse_record(fast, w), (src, w)
 
 
 # --- binding the engine variant -----------------------------------------------

@@ -383,6 +383,22 @@ def test_a_hand_built_pairing_with_an_empty_payload_counts_zero():
     assert enumerate_trees(fs, 10) == []
 
 
+@pytest.mark.parametrize("fs, red", [
+    # counted 0, but enumerated a and b
+    (_two("a", "b"),
+     compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, EMPTY_SET)))),
+    # counted 2, but enumerated one tree
+    (ForestSet.single_leaf("a"),
+     lift_left(Reduction(PAIR_RIGHT, _two("x", "y")))),
+], ids=["empty-payload", "two-tree-payload"])
+def test_a_lift_of_a_tree_that_is_not_a_pair_raises(fs, red):
+    # count_parses multiplies by the pairings inside a lift wherever it
+    # sits; a lift skipped on a tree that is not a pair enumerated trees
+    # that disagree with the count
+    with pytest.raises(ValueError):
+        enumerate_trees(fs.apply(red), 10)
+
+
 def test_a_long_chain_that_pairs_nothing_has_only_its_inner_child():
     red = reassociate()
     for i in range(100_000):

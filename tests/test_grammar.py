@@ -8,9 +8,10 @@ import pytest
 from derivparse import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
     Context, Grammar,
-    become_node, describe_node, enumerate_trees, load_bnf, load_grammar,
-    mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token, normalize_grammar,
-    parse, reachable_nodes, recognize, tree_text, use_context,
+    become_node, describe_node, enumerate_trees, is_nullable_naive, load_bnf,
+    load_grammar, mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
+    normalize_grammar, parse, reachable_nodes, recognize, tree_text,
+    use_context,
 )
 from derivparse import grammar as grammar_mod
 from derivparse.forest import ForestSet
@@ -198,6 +199,18 @@ def test_every_node_of_a_normalized_grammar_is_marked_productive():
         g = load_grammar(random_grammar_source(rng))
         if g.root.form != EMPTY:
             assert all(n.productive for n in reachable_nodes(g.root))
+
+
+def test_a_normalized_grammar_has_exact_never_null_marks():
+    # the loader builds rules over unmarked placeholders, so the local rule
+    # alone leaves grammar heads unmarked that reject the empty word
+    rng = random.Random(0x4E11)
+    for src in FIXED_CORPUS + [random_grammar_source(rng) for _ in range(60)]:
+        g = load_grammar(src)
+        with g.activate():
+            for n in reachable_nodes(g.root):
+                assert n.never_null != is_nullable_naive(n), (
+                    src, describe_node(n))
 
 
 def test_node_under_construction_counts_as_productive_but_proves_nothing(ctx):

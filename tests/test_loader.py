@@ -1,15 +1,18 @@
 """Grammar text format: happy paths and every diagnostic."""
 
+import random
+
 import pytest
 
 from derivparse import (
     ALT, EPSILON, RED, SEQ, TOKEN,
-    GrammarError, Ref, Term,
-    count_parses, enumerate_trees, load_bnf, load_grammar, load_grammar_file,
-    parse, parse_source, recognize, tree_text,
+    Context, Grammar, GrammarError, Ref, Term,
+    build_graph, count_parses, enumerate_trees, load_bnf, load_grammar,
+    load_grammar_file, normalize_grammar, parse, parse_source, recognize,
+    tree_text, use_context,
 )
 from derivparse.reductions import SPLICE
-from conftest import ARITH_SRC
+from conftest import ARITH_SRC, FIXED_CORPUS, random_grammar_source
 
 
 BALANCED = """
@@ -202,3 +205,19 @@ def test_factored_rules_give_the_trees_of_the_rules_as_written():
     assert count_parses(fs) == 4
     assert [tree_text(t) for t in enumerate_trees(fs, 4)] == order
     assert [tree_text(t) for t in enumerate_trees(fs, 2)] == order[:2]
+
+
+def test_both_load_paths_normalize_alike():
+    # load_grammar normalizes a bare root and then makes the Grammar; the
+    # traced benchmark loader makes the Grammar and then normalizes it.
+    # The spine rule's guards must see the same marks on both.
+    rng = random.Random(0x10AD)
+    for src in FIXED_CORPUS + [random_grammar_source(rng) for _ in range(200)]:
+        direct = load_grammar(src)
+        bnf = load_bnf(src)
+        with use_context(Context()) as ctx:
+            root, table = build_graph(bnf)
+            g = normalize_grammar(Grammar(root, bnf.start, table, bnf))
+        c, d = ctx.counters, direct.counters
+        assert (g.size_G, c.compactions, c.nodes_created) == (
+            direct.size_G, d.compactions, d.nodes_created), src
