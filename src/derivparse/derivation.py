@@ -157,7 +157,9 @@ def _derive(n, c, ctx):
     # read n once: the dead-subgraph rule may rewrite n to Empty while its
     # children are derived, and its old structure has the same language
     l, r = n.left, n.right
-    split = form == SEQ and _nullable(l, ctx)
+    # a head marked never null cannot split: the mark settles it without a
+    # query to the nullability engine
+    split = form == SEQ and not l.never_null and _nullable(l, ctx)
     marker = _MARKERS[ALT if split else form]
     if memo_full:
         if m is None:

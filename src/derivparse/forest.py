@@ -12,7 +12,8 @@ Forests may be cyclic (a cyclic grammar parse can denote infinitely many
 trees).  One iterative, cycle-aware postorder walk serves every consumer:
 counting, enumeration and JSON export are folds over it.  The first
 consumer to walk a ForestSet keeps the postorder on it, so a request that
-counts, enumerates and exports walks the forest once.  A deferred node's
+counts, enumerates and exports walks the forest once; the counts are kept
+too, and enumeration reads them to build only the trees it returns need.  A deferred node's
 children include its reduction's payload forests; the walk reads only the
 reduction parts whose `pairs` bit says they reference one.
 parse_null extracts the forest of empty-word parses from a grammar node,
@@ -28,38 +29,50 @@ from typing import Optional
 from . import grammar as _g
 from . import reductions
 from .nullability import is_nullable
-from .reductions import Reduction
+from .reductions import (
+    COMPOSE, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT, PAIR_LEFT_NULL, PAIR_RIGHT,
+    PRODUCTION, REASSOCIATE, SPLICE, Reduction,
+)
 
 
 # --- resolved trees ---------------------------------------------------------
 
 # Pair and Prod hash once, when built: enumeration dedups whole trees, and an
-# uncached dataclass hash would walk the subtree on every lookup.
+# uncached dataclass hash would walk the subtree on every lookup.  Their
+# constructors write the instance dict directly: enumeration builds a tree
+# node per reduction step, and a frozen dataclass's own __init__ goes
+# through object.__setattr__ once per field.
 
 @dataclass(frozen=True)
 class Leaf:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pair:
     left: object
     right: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left, right):
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash((left, right))
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prod:
     name: str
     children: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.children)))
+    def __init__(self, name: str, children: tuple):
+        d = self.__dict__
+        d["name"] = name
+        d["children"] = children
+        d["_hash"] = hash((name, children))
 
     def __hash__(self) -> int:
         return self._hash
@@ -145,13 +158,15 @@ class ForestSet:
     """A set of parse trees, represented by one forest root (or none).
 
     `_order` is the forest's postorder, kept by the first consumer that
-    walks it (see _walk)."""
+    walks it (see _walk), and `_counts` each node's tree count, kept by the
+    first consumer that counts (see _counts)."""
 
-    __slots__ = ("root", "_order")
+    __slots__ = ("root", "_order", "_counts")
 
     def __init__(self, root: Optional[FNode] = None):
         self.root = root
         self._order = None
+        self._counts = None
 
     def is_empty(self) -> bool:
         return self.root is None
@@ -395,29 +410,38 @@ def _add(a, b):
     return a + b
 
 
+def _counts(fs: ForestSet) -> dict:
+    """count_parses of every node of a non-empty forest set, by id: one fold
+    over the postorder, kept on the set, so a request that counts and then
+    enumerates folds once.  An ambiguity node sums its children, every
+    other node multiplies them (a deferred node's children are its inner
+    forest and its reduction's payload forests).  A child not folded yet is
+    a back edge, so a cycle pumps: INFINITE."""
+    counts = fs._counts
+    if counts is None:
+        counts = fs._counts = {}
+        for n, kids in _walk(fs):
+            if n.kind == AMB:
+                v = 0
+                for c in kids:
+                    v = _add(v, counts.get(c.id, INFINITE))
+            else:
+                v = 1
+                for c in kids:
+                    v = _mul(v, counts.get(c.id, INFINITE))
+            counts[n.id] = v
+    return counts
+
+
 def count_parses(fs: ForestSet):
     """How many distinct trees the forest denotes; INFINITE for cyclic pumps.
 
-    One fold over the postorder, linear in forest size: an ambiguity node
-    sums its children, every other node multiplies them (a deferred node's
-    children are its inner forest and its reduction's payload forests).  A
-    child not folded yet is a back edge, so a cycle pumps: INFINITE.
+    One fold over the postorder, linear in forest size (see _counts).
     """
     root = fs.root
     if root is None:
         return 0
-    counts: dict = {}
-    for n, kids in _walk(fs):
-        if n.kind == AMB:
-            v = 0
-            for c in kids:
-                v = _add(v, counts.get(c.id, INFINITE))
-        else:
-            v = 1
-            for c in kids:
-                v = _mul(v, counts.get(c.id, INFINITE))
-        counts[n.id] = v
-    return counts[root.id]
+    return _counts(fs)[root.id]
 
 
 # --- enumeration ------------------------------------------------------------
@@ -426,18 +450,33 @@ def _dedup(trees):
     return list(dict.fromkeys(trees))
 
 
-_LEFT, _RIGHT = "left", "right"
+class _Side:
+    """The frame of _apply that pairs a lifted component, once its
+    reduction has run, with the component it was lifted out of.  Its kind
+    is itself, so _apply dispatches frames and reductions alike."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self):
+        self.kind = self
+
+
+_LEFT, _RIGHT = _Side(), _Side()
 
 
 def _apply(red: Reduction, t, table) -> list:
-    """Every tree `red` maps `t` to, in order and without duplicates.
+    """Every tree `red` maps `t` to, in order; finding repeats is left to
+    the caller.
 
     A work stack stands in for recursion, so composed and lifted chains may
     nest arbitrarily deep.  Each entry is a tree and the frames still to run
     on it, a linked list of (frame, rest) pairs; a frame is a reduction to
-    apply next, or (_LEFT, right) / (_RIGHT, left) to pair the result with a
-    stored component.  A pairing branches over its payload's trees.  A lift
-    of a non-pair raises, as count_parses would disagree with skipping it.
+    apply next, or _LEFT / _RIGHT followed by the stored component to pair
+    the result with.  A pairing whose payload list holds one tree pairs in
+    place; one with more branches, one entry per payload tree.  Frames
+    dispatch on the kind by identity (Reduction keeps one string per kind),
+    most frequent kind first.  A lift of a non-pair raises, as count_parses
+    would disagree with skipping it.
     """
     out = []
     work = [(t, (red, None))]
@@ -445,24 +484,35 @@ def _apply(red: Reduction, t, table) -> list:
         t, frames = work.pop()
         while frames is not None:
             f, frames = frames
-            if type(f) is tuple:
-                side, other = f
-                t = Pair(t, other) if side is _LEFT else Pair(other, t)
-                continue
             k = f.kind
-            if k == reductions.COMPOSE:
+            if k is COMPOSE:
                 g, h = f.payload
                 frames = (h, (g, frames))
-            elif k == reductions.LIFT_LEFT and isinstance(t, Pair):
-                frames = (f.payload, ((_LEFT, t.right), frames))
+            elif k is _LEFT:
+                other, frames = frames
+                t = Pair(t, other)
+            elif k is LIFT_LEFT and isinstance(t, Pair):
+                frames = (f.payload, (_LEFT, (t.right, frames)))
                 t = t.left
-            elif k == reductions.LIFT_RIGHT and isinstance(t, Pair):
-                frames = (f.payload, ((_RIGHT, t.left), frames))
+            elif k is PAIR_LEFT or k is PAIR_LEFT_NULL or k is PAIR_RIGHT:
+                trees = table[_payload_root(f).id]
+                right = k is PAIR_RIGHT
+                if len(trees) == 1:
+                    t = Pair(t, trees[0]) if right else Pair(trees[0], t)
+                    continue
+                work += [(Pair(t, s) if right else Pair(s, t), frames)
+                         for s in reversed(trees)]
+                break
+            elif k is SPLICE:
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    t = Prod(t.right.name, (t.left,) + t.right.children)
+            elif k is _RIGHT:
+                other, frames = frames
+                t = Pair(other, t)
+            elif k is LIFT_RIGHT and isinstance(t, Pair):
+                frames = (f.payload, (_RIGHT, (t.left, frames)))
                 t = t.right
-            elif k == reductions.REASSOCIATE:
-                if isinstance(t, Pair) and isinstance(t.right, Pair):
-                    t = Pair(Pair(t.left, t.right.left), t.right.right)
-            elif k == reductions.PRODUCTION:
+            elif k is PRODUCTION:
                 name, arity = f.payload
                 parts = []
                 cur = t
@@ -473,61 +523,100 @@ def _apply(red: Reduction, t, table) -> list:
                 if len(parts) != arity:
                     parts = [t]
                 t = Prod(name, tuple(parts))
-            elif k == reductions.SPLICE:
-                if isinstance(t, Pair) and isinstance(t.right, Prod):
-                    t = Prod(t.right.name, (t.left,) + t.right.children)
-            elif k in reductions.PAIRINGS:
-                trees = reversed(table[_payload_root(f).id])
-                if k == reductions.PAIR_RIGHT:
-                    work += [(Pair(t, s), frames) for s in trees]
-                else:
-                    work += [(Pair(s, t), frames) for s in trees]
-                break
+            elif k is REASSOCIATE:
+                if isinstance(t, Pair) and isinstance(t.right, Pair):
+                    t = Pair(Pair(t.left, t.right.left), t.right.right)
             else:
                 raise ValueError(f"cannot apply {k!r} to a {type(t).__name__}")
         else:
             out.append(t)
-    return _dedup(out)
+    return out
 
 
-def _combine(n: FNode, table: dict, limit: int) -> list:
-    """Up to `limit` trees of `n`, built from its children's lists in
-    `table`."""
+def _trees(n: FNode, table: dict, d: int, strict: bool) -> list:
+    """The first `d` distinct trees of `n`, built from its children's lists
+    in `table` (a child with no list gives none).  When `strict`, the first
+    repeated tree ends the list, short of `d`, instead of being skipped."""
     k = n.kind
-    if k == LEAF:
+    if k == DEFER:
+        red = n.red
+        cands = (u for t in table[n.left.id] for u in _apply(red, t, table))
+    elif k == AMB:
+        cands = (t for c in n.children for t in table.get(c.id, ()))
+    elif k == PAIR:  # pairs of distinct trees never repeat
+        right = table[n.right.id]
+        return list(itertools.islice(
+            (Pair(a, b) for a in table[n.left.id] for b in right), d))
+    elif k == LEAF:
         return [Leaf(n.label)]
-    if k == PROD:  # always childless: an empty alternative
+    else:  # PROD: always childless, an empty alternative
         return [Prod(n.label, ())]
-    # a product keeps its first 4 * limit combinations, before deduplication
-    if k == PAIR:
-        left, right = table[n.left.id], table[n.right.id]
-        pairs = (Pair(a, b) for a in left for b in right)
-        return _dedup(itertools.islice(pairs, limit * 4))[:limit]
-    if k == AMB:
-        out = []
-        for c in n.children:
-            out.extend(table[c.id])
-        return _dedup(out)[:limit]
-    # DEFER
-    out = []
-    for t in table[n.left.id]:
-        out.extend(_apply(n.red, t, table))
-        if len(out) >= limit * 4:
+    out: dict = {}
+    for t in cands:
+        if t not in out:
+            out[t] = None
+            if len(out) == d:
+                break
+        elif strict:
             break
-    return _dedup(out)[:limit]
+    return list(out)
 
 
-def enumerate_trees(fs: ForestSet, limit: int) -> list:
-    """Up to `limit` distinct fully resolved trees, deterministically ordered.
+def _demands(order: list, counts: dict, k: int) -> dict:
+    """How many trees each node of an acyclic postorder must give for its
+    root to give its first k, by node id; a node none of those trees goes
+    through is absent.  Every count read is finite: the root's is, so every
+    demanded node's and its children's are.
 
-    One bottom-up fold over the postorder fills a table of up to `limit`
-    trees per node.  An ambiguity node lists its children's trees in stored
-    child order, the order the engine built the alternatives: the grammar's
-    alternative order, with the branch that extends the left half of a
-    nullable concatenation first.  The order depends on neither node ids nor
-    hash seeds nor the engine switches, so it is stable across runs and the
-    same under every switch.  An acyclic forest takes one pass, which gives
-    the exact first `limit` trees in that order.
+    Parents come before children in reverse postorder, so a node's demand,
+    the largest any parent asks of it, is final when it is reached.  An
+    ambiguity node asks its children in order for as many trees as they
+    have, until its demand is met.  A pair or deferred node lists the
+    product of its children's lists, the last child varying fastest: each
+    later child (the pair's right half, the reduction's payloads) is asked
+    for min(k, its count) trees, the first (the left half, the inner forest)
+    for enough that the product reaches k.
+    """
+    want = {order[-1][0].id: k}
+    asked = want.get
+    for n, kids in reversed(order):
+        k = asked(n.id)
+        if not k or not kids:
+            continue
+        if n.kind == AMB:
+            for c in kids:
+                i = c.id
+                d = counts[i]
+                if d:
+                    if d > k:
+                        d = k
+                    if asked(i, 0) < d:
+                        want[i] = d
+                    k -= d
+                    if not k:
+                        break
+            continue
+        per_tree = 1  # the later children's demands multiplied, until >= k
+        for c in kids[1:]:
+            i = c.id
+            d = counts[i]
+            if d > k:
+                d = k
+            if asked(i, 0) < d:
+                want[i] = d
+            if per_tree < k:
+                per_tree *= d
+        i = kids[0].id
+        d = -(-k // per_tree)
+        if asked(i, 0) < d:
+            want[i] = d
+    return want
+
+
+def _full_fold(order: list, limit: int) -> list:
+    """The root's first `limit` trees when every node's demand is `limit`:
+    each node gets a list of up to `limit` trees, on an acyclic forest in
+    one pass.
 
     A cyclic forest repeats the pass.  A back edge reads its child's list
     from the previous pass (empty before the first), so pass p can reach
@@ -539,10 +628,7 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     `limit` trees, when a pass adds no tree anywhere, or after one pass per
     tree the table can hold.
     """
-    root = fs.root
-    if root is None or limit <= 0:
-        return []
-    order = _walk(fs)
+    root = order[-1][0]
     table: dict = {}
     cyclic = False
     for n, kids in order:  # a child not in the table yet is a back edge
@@ -552,7 +638,7 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     for _ in range(len(order) * limit):
         for n, _ in order:
             old = table[n.id]
-            new = _combine(n, table, limit)
+            new = _trees(n, table, limit, False)
             table[n.id] = _dedup(old + new)[:limit] if old else new
         if not cyclic or len(table[root.id]) >= limit:
             break
@@ -561,6 +647,56 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
             break
         size = grown
     return table[root.id]
+
+
+def enumerate_trees(fs: ForestSet, limit: int) -> list:
+    """Up to `limit` distinct fully resolved trees, deterministically ordered.
+
+    A bottom-up fold over the postorder fills a table of trees per node.
+    An ambiguity node lists its children's trees in stored child order, the
+    order the engine built the alternatives: the grammar's alternative
+    order, with the branch that extends the left half of a nullable
+    concatenation first.  A pair or deferred node lists the product of its
+    children's trees, the left half or inner forest varying slowest.  The
+    order depends on neither node ids nor hash seeds nor the engine
+    switches, so it is stable across runs and the same under every switch.
+
+    The fold builds only the trees the root's first `limit` need.  A demand
+    pass, reading each node's count (the fold count_parses makes, kept on
+    the set), gives every node the number of trees its parents take from it
+    (see _demands); the fold fills a list only for nodes with a demand, and
+    stops each list at that many distinct trees.  The cost follows the
+    trees returned, not the forest: the first tree of an ambiguous forest
+    builds one tree per node on one path of alternatives.
+
+    Every node gets demand `limit`, and the whole forest is folded as in
+    _full_fold, in three cases: the root's count is infinite (a cycle
+    pumps, and the demands would be unbounded); it is 0 (nothing would be
+    demanded, yet the reductions must still run, so that a lift of a tree
+    that is not a pair raises); or some list comes up short of its demand
+    or repeats a tree.  Exact counts rule the last out, and the engine's
+    are exact; a hand-built forest that holds one tree twice is counted
+    twice.  Where both folds run, they give the same trees in the same
+    order.
+    """
+    root = fs.root
+    if root is None or limit <= 0:
+        return []
+    order = _walk(fs)
+    counts = _counts(fs)
+    total = counts[root.id]
+    if total is not INFINITE and total:
+        want = _demands(order, counts, min(total, limit))
+        table: dict = {}
+        for n, _ in order:
+            d = want.get(n.id)
+            if d:
+                trees = table[n.id] = _trees(n, table, d, True)
+                if len(trees) < d:
+                    break
+        else:
+            return table[root.id]
+    return _full_fold(order, limit)
 
 
 # --- serialization ----------------------------------------------------------

@@ -34,6 +34,9 @@ LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
 
 PAIRINGS = frozenset((PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL))
 LIFTS = frozenset((LIFT_LEFT, LIFT_RIGHT))
+# each kind's one string object, so the forest layer tests kinds by identity
+_KINDS = {k: k for k in (PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL, REASSOCIATE,
+                         PRODUCTION, SPLICE, COMPOSE, LIFT_LEFT, LIFT_RIGHT)}
 
 # shared, not built per use: lift chains run tens of thousands deep
 _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
@@ -41,13 +44,15 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
-    referenced anywhere in it (see the module docstring).  `forced` keeps a
-    pair-left-null's payload forest once the forest layer has taken it."""
+    referenced anywhere in it (see the module docstring).  A tag equal to
+    one of the module's is stored as the module's own string.  `forced`
+    keeps a pair-left-null's payload forest once the forest layer has taken
+    it."""
 
     __slots__ = ("kind", "payload", "pairs", "forced")
 
     def __init__(self, kind: str, payload=None):
-        self.kind = kind
+        self.kind = kind = _KINDS.get(kind, kind)
         self.payload = payload
         self.forced = None
         if kind == COMPOSE:

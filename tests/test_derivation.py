@@ -663,6 +663,29 @@ def test_naive_nullability_builds_the_same_nodes_and_forests():
             assert _parse_record(naive, w) == _parse_record(fast, w), (src, w)
 
 
+@pytest.mark.parametrize("naive", [False, True], ids=["accelerated", "naive"])
+def test_a_head_marked_never_null_is_never_asked_whether_it_splits(
+        monkeypatch, naive):
+    # the mark settles the split; asking anyway was 2,009 of the 2,011 split
+    # queries on ARITH_SRC's nested_parens(1000), each a graph sweep under
+    # the naive engine
+    real = derivation._nullable
+    asked = [0]
+
+    def checked(node, ctx):
+        assert not node.never_null, node
+        asked[0] += 1
+        return real(node, ctx)
+
+    monkeypatch.setattr(derivation, "_nullable", checked)
+    for src, words in _ablation_inputs() + [(ARITH_SRC, [expr_tokens(400)])]:
+        g = load_grammar(src)
+        g.settings.naive_nullability = naive
+        for w in words:
+            parse(g, w)  # recognize would also ask about the last derivative
+    assert asked[0] > 0  # unmarked heads are still asked
+
+
 # --- binding the engine variant -----------------------------------------------
 
 class _CountingSettings(ParserSettings):

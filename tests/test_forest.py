@@ -1,24 +1,26 @@
 """Parse forests: null parses, counting, enumeration, JSON export."""
 
 import json
+import random
 from math import comb
 
 import pytest
 
 from derivparse import (
     Context, INFINITE, Leaf, Pair, Prod,
-    count_parses, enumerate_trees, forest_to_json, load_grammar, mk_token,
-    pair_left, parse, parse_null, recognize, tree_text, use_context,
+    count_parses, enumerate_trees, forest_to_json, load_bnf, load_grammar,
+    mk_token, pair_left, parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse import forest
-from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet
+from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
 from derivparse.reductions import (
     PAIR_LEFT, PAIR_RIGHT, Reduction, compose, lift_left, lift_right,
     pair_right, production, reassociate,
 )
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, expr_tokens, nested_dyck,
-    run_python,
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
+    distinct_tokens, expr_tokens, nested_dyck, nested_parens, probe_words,
+    random_grammar_source, run_python,
 )
 
 
@@ -360,6 +362,9 @@ def test_pairs_bit_follows_the_parts():
     assert compose(reassociate(), pair_right(fs)).pairs
     assert compose(pair_right(fs), reassociate()).pairs
     assert not compose(reassociate(), lift_left(production("E", 2))).pairs
+    # a tag built at run time is stored as the module's own string, which
+    # enumeration compares by identity
+    assert Reduction("-".join(("pair", "left")), fs).kind is PAIR_LEFT
 
 
 def test_a_hand_built_pairing_inside_a_chain_is_walked():
@@ -459,3 +464,122 @@ def test_a_forest_outlives_later_parses_of_its_grammar(toks):
     fresh = parse(load_grammar(_NULL_PAIRING_SRC), toks)
     assert count_parses(fresh) == n
     assert enumerate_trees(fresh, 10) == trees
+
+
+# --- demand-driven enumeration ----------------------------------------------
+
+AMBIGUOUS_ARITH_SRC = "start = E ;\nE : E '+' E | E '*' E | 'n' ;\n"
+
+
+def _demand_fold_inputs() -> list:
+    """(source, words): FIXED_CORPUS on its probe words, 60 seeded random
+    grammars (cyclic ones among them), the three Catalan families at
+    n = 4..11, and flat and nested arithmetic on both grammars."""
+    cases = [(src, probe_words(load_bnf(src), "ab.")) for src in FIXED_CORPUS]
+    rng = random.Random(0xDE3A)
+    for _ in range(60):
+        src = random_grammar_source(rng)
+        cases.append((src, probe_words(load_bnf(src), "abc")[:40]))
+    ops = ["+", "*"]
+    cases += [
+        (CATALAN_SRC, [["a"] * n for n in range(4, 12)]),
+        (WORST_SRC, [distinct_tokens(n) for n in range(4, 12)]),
+        (AMBIGUOUS_ARITH_SRC,
+         [[ops[i % 2] if i % 2 else "n" for i in range(2 * n - 1)]
+          for n in range(4, 12)]),
+    ]
+    arith = [expr_tokens(n) for n in (2, 10, 60)] + [
+        nested_parens(d) for d in (1, 5, 30)]
+    cases += [(ARITH_SRC, arith), (ARITH_LEFT_SRC, arith)]
+    return cases
+
+
+def test_demand_fold_gives_the_full_folds_trees_in_order(monkeypatch):
+    # the full fold, every node's demand the limit, is the reference; the
+    # engine's counts are exact, so only a forest whose count is infinite
+    # falls back to it
+    full = forest._full_fold
+    fell_back = []
+
+    def recorded(order, limit):
+        fell_back.append(order[-1][0])
+        return full(order, limit)
+
+    monkeypatch.setattr(forest, "_full_fold", recorded)
+    demanded = infinite = 0
+    for src, words in _demand_fold_inputs():
+        g = load_grammar(src)
+        for w in words:
+            fs = parse(g, list(w))
+            if fs.is_empty():
+                continue
+            pumps = count_parses(fs) is INFINITE
+            for k in (1, 2, 3, 10):
+                fell_back.clear()
+                got = [tree_text(t) for t in enumerate_trees(fs, k)]
+                want = [tree_text(t) for t in full(forest._walk(fs), k)]
+                assert got == want, (src, w, k)
+                assert bool(fell_back) == pumps, (src, w, k)
+            infinite += pumps
+            demanded += not pumps
+    assert demanded > 150 and infinite > 10, (demanded, infinite)
+
+
+def test_enumeration_work_follows_the_trees_returned(monkeypatch):
+    # at the full fold every node of the cubic forest got 10 trees:
+    # 7,589 and 56,349 reduction applications at n = 20 and 40
+    calls = [0]
+    real = forest._apply
+
+    def counted(red, t, table):
+        calls[0] += 1
+        return real(red, t, table)
+
+    monkeypatch.setattr(forest, "_apply", counted)
+    g = load_grammar(WORST_SRC)
+    work = {}
+    for n in (20, 40):
+        fs = parse(g, distinct_tokens(n))
+        calls[0] = 0
+        assert len(enumerate_trees(fs, 10)) == 10
+        work[n] = calls[0]
+    assert work[40] <= 2.5 * work[20] and work[40] <= 1000, work
+
+
+def test_a_forest_that_repeats_a_tree_enumerates_it_once():
+    # the count (3) promises a second tree in the first two alternatives;
+    # the shortfall sends the enumeration to the full fold
+    with use_context(Context()):
+        a1, a2, b, c = (ForestSet.single_leaf(x).root for x in "aabc")
+        fs = ForestSet(amb_node([a1, a2, b]))
+        assert count_parses(fs) == 3
+        assert [tree_text(t) for t in enumerate_trees(fs, 2)] == ["a", "b"]
+        # the repeat must not be skipped either: the demand leaves c out,
+        # and b has trees only because the right half asks for them
+        pair = FNode(PAIR)
+        pair.left = amb_node([a1, a2, c, b])
+        pair.right = b
+        fs = ForestSet(pair)
+        assert count_parses(fs) == 4
+        assert [tree_text(t) for t in enumerate_trees(fs, 2)] == [
+            "(a,b)", "(c,b)"]
+
+
+def test_counting_then_enumerating_folds_the_counts_once(monkeypatch):
+    calls = [0]
+    real = forest.count_parses
+
+    def counted(fs):
+        calls[0] += 1
+        return real(fs)
+
+    monkeypatch.setattr(forest, "count_parses", counted)
+    fs = parse(load_grammar(CATALAN_SRC), ["a"] * 6)
+    assert forest.count_parses(fs) == CATALAN[5]
+    counts = fs._counts
+    assert len(enumerate_trees(fs, 10)) == 10
+    assert fs._counts is counts
+    fresh = ForestSet(fs.root)  # enumerating first folds the counts itself
+    assert enumerate_trees(fresh, 10) == enumerate_trees(fs, 10)
+    assert fresh._counts == counts
+    assert calls[0] == 1
