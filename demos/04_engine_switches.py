@@ -1,8 +1,9 @@
 """The three performance mechanisms, toggled one at a time.
 
 Each switch changes work counts, never answers: the accelerated nullability
-fixed point vs full recomputation, the one-slot derivative cache vs a
-per-token map, and construction-time compaction vs raw construction.
+fixed point vs full recomputation, the full derivative memo (every token's
+derivative kept per node, the default) vs the paper's one-slot cache, and
+construction-time compaction vs raw construction.
 
 Run:  python3 demos/04_engine_switches.py
 """
@@ -66,8 +67,8 @@ def main() -> None:
     for k in ("nodes", "uncached", "cached"):
         assert fast[k] == naive[k], (k, fast[k], naive[k])
     print("derivative cache:")
-    show("one slot per node", run(n))
-    show("map per node", run(n, memo_full=True))
+    show("full memo (default)", run(n))
+    show("single slot (--memo single)", run(n, memo_full=False))
     print("compaction:")
     show("on", run(n))
     show("off", run(n, compaction=False))

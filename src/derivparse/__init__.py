@@ -4,8 +4,10 @@ A grammar is a cyclic graph of six expression forms.  Consuming a token means
 taking the derivative of the whole graph with respect to that token; after the
 last token, every parse tree of the input is read out of the nodes that match
 the empty word.  Construction-time compaction, a generation-labelled
-nullability fixed point, and a single-slot derivative cache keep the node
-count cubic in the input length and the practical cost close to linear.
+nullability fixed point, and a derivative cache that keeps every token's
+result per node (one slot first, a map only from a second token) keep the
+node count cubic in the input length and the practical cost close to
+linear.
 
 The oracle module carries an independent Earley recognizer/counter and a
 brute-force language enumerator for cross-checking; they share no code with

@@ -34,8 +34,10 @@ RECURSION_LIMIT = 20000
 
 
 def _add_engine_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--memo", choices=("single", "full"), default="single",
-                    help="derivative cache: one slot per node, or a full map")
+    sp.add_argument("--memo", choices=("single", "full"), default="full",
+                    help="derivative cache: every token's derivative per "
+                         "node (default), or one slot that a new token "
+                         "evicts (the paper's single-entry ablation)")
     sp.add_argument("--compaction", choices=("on", "off"), default="on")
     sp.add_argument("--nullability", choices=("optimized", "naive"),
                     default="optimized")

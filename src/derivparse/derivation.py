@@ -2,10 +2,14 @@
 
 derive(n, c) returns a node whose language is every word w such that c
 followed by w is in n's language, with result trees threaded through so the
-final forest rebuilds full parse trees.  Memoized per (node, token): in the
-default single-entry mode each node holds one cached (token, result) pair and
-an insert under a different token evicts it; full-map mode keeps a dict per
-node for comparison runs.
+final forest rebuilds full parse trees.  Memoized per (node, token).  A
+grammar node's derivative does not depend on the input position, nor do the
+derivatives built from it, so by default a node keeps every token's result:
+the first token it is derived by goes in its slot (d_key, d_val), and only a
+second distinct token makes a map (d_map) for the others (_store).  Most
+derived nodes meet one token only and never make a map.  The single-entry
+mode (memo_full off) is the paper's ablation: one slot, which an insert
+under a different token evicts, and no map is read.
 
 Cycles are handled by a building marker: before the children of a composite
 node are derived, its cache entry is set to a marker of the result's form (a
@@ -92,17 +96,30 @@ def _name(node, n, c, rule) -> None:
         node.name = name_node(n.name, c, rule)
 
 
+def _store(n, c, res, memo_full) -> bool:
+    """Keep res as n's derivative by c, and say whether it went in n's slot
+    or its map.  This is the one location rule: single mode has the slot
+    alone; the full memo puts the first token in the slot and the others in
+    the map.  A map outlives its slot only on a dead node whose finished
+    slot entry was cleared (grammar._drop_derivatives); every token goes to
+    that map, so the entries under construction it keeps stay where their
+    builders read them back."""
+    k = n.d_key
+    if not memo_full or k == c or (k is None and n.d_map is None):
+        n.d_key = c
+        n.d_val = res
+        return True
+    m = n.d_map
+    if m is None:
+        m = n.d_map = {}
+    m[c] = res
+    return False
+
+
 def _put(n, c, res, ctx) -> None:
     if ctx.naming:
         _name(res, n, c, _mint_rule(n, ctx))
-    if ctx.memo_full:
-        m = n.d_map
-        if m is None:
-            m = n.d_map = {}
-        m[c] = res
-    else:
-        n.d_key = c
-        n.d_val = res
+    _store(n, c, res, ctx.memo_full)
 
 
 def _reenter(n, c, form, ctx):
@@ -119,12 +136,13 @@ def derive(n, c: str):
 
 
 def _derive(n, c, ctx):
-    memo_full = ctx.memo_full
-    if memo_full:
-        m = n.d_map
-        hit = m.get(c) if m is not None else None
+    # the slot, then (full memo only) the map
+    if n.d_key == c:
+        hit = n.d_val
+    elif ctx.memo_full and n.d_map is not None:
+        hit = n.d_map.get(c)
     else:
-        hit = n.d_val if n.d_key == c else None
+        hit = None
     if hit is not None:
         ctx.counters.derive_calls_cached += 1
         if not hit.productive:
@@ -161,13 +179,9 @@ def _derive(n, c, ctx):
     # query to the nullability engine
     split = form == SEQ and not l.never_null and _nullable(l, ctx)
     marker = _MARKERS[ALT if split else form]
-    if memo_full:
-        if m is None:
-            m = n.d_map = {}
-        m[c] = marker
-    else:
-        n.d_key = c
-        n.d_val = marker
+    # the entry stays where it is put until it is read back: the
+    # dead-subgraph rule keeps it, and everything derived below is by c
+    in_slot = _store(n, c, marker, ctx.memo_full)
     # the result is _NEW[marker.form](a, b), unless a compaction rule gives
     # a replacement res
     if form == ALT:
@@ -204,18 +218,17 @@ def _derive(n, c, ctx):
             if b is None:
                 b = new_red(d, inj)
         res = _compact_alt(a, b) if compacting else None
-    # the entry is still n's for c: the dead-subgraph rule keeps it
-    shell = n.d_map[c] if memo_full else n.d_val
+    shell = n.d_val if in_slot else n.d_map[c]
     if shell is marker:
         # no cycle re-entered this derivative, so nothing holds it yet
         if res is None:
             res = _NEW[marker.form](a, b)
         if naming:
             _name(res, n, c, MARK_EXTEND if split else EXTEND)
-        if memo_full:
-            n.d_map[c] = res
-        else:
+        if in_slot:
             n.d_val = res
+        else:
+            n.d_map[c] = res
         return res
     if res is not None:
         become_node(shell, res)

@@ -93,11 +93,12 @@ class GrammarNode:
     fn: a Reduction (RED)
 
     The remaining slots are engine state: the nullability cell, the derivative
-    cache (single-entry pair or full dict, depending on the active mode), the
-    under-construction flag, the productive and never-null marks (set only
-    once the structure proves the language non-empty, or without the empty
-    word), the grammar mark (set when a loaded grammar reaches the node), the
-    empty-word parse memo, and the optional debug name.
+    cache (a slot for one token and, under the full memo, a dict made by a
+    second token for the others), the under-construction flag, the
+    productive and never-null marks (set only once the structure proves the
+    language non-empty, or without the empty word), the grammar mark (set
+    when a loaded grammar reaches the node), the empty-word parse memo, and
+    the optional debug name.
     """
 
     __slots__ = (
@@ -146,7 +147,7 @@ class ParserSettings:
     __slots__ = ("memo_full", "compaction", "naive_nullability", "debug_names",
                  "collect_nodes")
 
-    def __init__(self, *, memo_full: bool = False, compaction: bool = True,
+    def __init__(self, *, memo_full: bool = True, compaction: bool = True,
                  naive_nullability: bool = False, debug_names: bool = False,
                  collect_nodes: bool = False):
         self.memo_full = memo_full

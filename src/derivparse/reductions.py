@@ -69,7 +69,9 @@ class Reduction:
             return f"production:{name}/{arity}"
         if k != COMPOSE and k not in _LIFT_OPEN:
             return k
-        # compositions nest as deep as the input is long: no recursion
+        # compositions nest as deep as the input is long: no recursion.  A
+        # compose chain is written as the flat list of its parts, so equal
+        # reductions, however grouped, read the same
         parts = []
         stack = [self]
         while stack:
@@ -77,8 +79,7 @@ class Reduction:
             if type(r) is str:
                 parts.append(r)
             elif r.kind == COMPOSE:
-                parts.append("(")
-                stack += (")", r.payload[1], " . ", r.payload[0])
+                stack += (r.payload[1], " . ", r.payload[0])
             elif r.kind in _LIFT_OPEN:
                 parts.append(_LIFT_OPEN[r.kind])
                 stack += (")", r.payload)

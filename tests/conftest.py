@@ -175,6 +175,32 @@ def expr_tokens(n: int) -> list:
     return toks
 
 
+def mixed_expression(rng: random.Random, n: int, max_depth: int = 4) -> list:
+    """A valid arithmetic expression of about n tokens: operands 'n', binary
+    '+' and '*', unary '-', parentheses nested at most max_depth deep."""
+    out: list = []
+    depth = 0
+    while True:
+        while True:
+            r = rng.random()
+            if r < 0.1:
+                out.append("-")
+            elif r < 0.25 and depth < max_depth:
+                out.append("(")
+                depth += 1
+            else:
+                out.append("n")
+                break
+        while depth and rng.random() < 0.5:
+            out.append(")")
+            depth -= 1
+        if len(out) + depth >= n:
+            break
+        out.append(rng.choice("+*"))
+    out.extend(")" * depth)
+    return out
+
+
 def probe_words(bg, extra_sigma: str) -> list:
     """Up to 40 shortest words of the language, then up to 15 words over
     extra_sigma that it rejects."""

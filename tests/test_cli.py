@@ -64,8 +64,9 @@ def test_parse_count_on_reject(ws, capsys):
 
 
 def test_engine_flags_accepted(ws, capsys):
-    for flags in (["--memo", "full"], ["--compaction", "off"],
-                  ["--nullability", "naive"], ["--debug-names"]):
+    for flags in (["--memo", "full"], ["--memo", "single"],
+                  ["--compaction", "off"], ["--nullability", "naive"],
+                  ["--debug-names"]):
         code = main(["recognize", *flags, g(ws), str(ws / "w4.txt")])
         assert code == 0, flags
         assert capsys.readouterr().out.strip() == "accept"
@@ -155,9 +156,10 @@ def test_bench_emits_one_row_per_input(ws, capsys):
 
 def test_bench_parse_counts_are_engine_independent(ws, capsys):
     plain = _bench_lines(ws, capsys)
-    full = _bench_lines(ws, capsys, "--memo", "full", "--nullability", "naive")
+    single = _bench_lines(ws, capsys, "--memo", "single", "--nullability",
+                          "naive")
     pick = lambda lines: [line.split(",")[-1] for line in lines[1:]]
-    assert pick(plain) == pick(full)
+    assert pick(plain) == pick(single)
 
 
 def test_bench_skips_unreadable_inputs(ws, capsys):

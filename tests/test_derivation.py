@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivparse import (
-    ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
+    ALT, EMPTY, EPSILON, INFINITE, RED, SEQ, TOKEN,
     Context, ForestSet, NamingError, ParserSettings,
-    count_parses, derive, earley_count, earley_recognize, fresh_name,
-    is_nullable, is_nullable_naive, load_bnf, load_grammar, mk_empty, mk_eps,
-    mk_token, name_node, parse, reachable_nodes, recognize, use_context,
+    count_parses, derive, earley_count, earley_recognize, enumerate_trees,
+    fresh_name, is_nullable, is_nullable_naive, load_bnf, load_grammar,
+    mk_empty, mk_eps, mk_token, name_node, parse, reachable_nodes, recognize,
+    tree_text, use_context,
 )
-from derivparse import derivation, nullability
+from derivparse import derivation, grammar, nullability
 from derivparse.forest import EMPTY_SET
 from derivparse.grammar import NV_NOT, SHARED_EMPTY, new_alt, new_seq
 from derivparse.instrumentation import EXTEND, MARK_EXTEND
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, _parse_record,
-    all_strings, assert_history_free, expr_tokens, nested_dyck, nested_parens,
-    node_budget, probe_words, random_grammar_source, run_python,
+    WORST_SRC, all_strings, assert_history_free, distinct_tokens,
+    expr_tokens, mixed_expression, nested_dyck, nested_parens, node_budget,
+    probe_words, random_grammar_source, run_python,
 )
 
 
@@ -97,7 +99,7 @@ def test_derivative_is_memoized_per_node():
 
 def test_single_entry_cache_evicts_on_new_token():
     g = load_grammar("start = S ;\nS : S S | 'a' 'b' ;")
-    assert not g.settings.memo_full
+    g.settings.memo_full = False
     with g.activate():
         base = g.root
         da = derive(base, "a")
@@ -115,11 +117,46 @@ def test_full_map_cache_retains_every_token():
     with g.activate():
         base = g.root
         da = derive(base, "a")
-        derive(base, "b")
+        # slot-first: a node derived by one token has no map
+        assert (base.d_key, base.d_val, base.d_map) == ("a", da, None)
+        db = derive(base, "b")
+        assert (base.d_key, base.d_val, base.d_map) == ("a", da, {"b": db})
         uncached = g.counters.derive_calls_uncached
         da2 = derive(base, "a")      # still cached
-        assert da2 is da
+        assert da2 is da and derive(base, "b") is db
         assert g.counters.derive_calls_uncached == uncached
+
+
+def test_a_map_holds_only_other_tokens_and_single_mode_makes_none():
+    toks = mixed_expression(random.Random(0x5107), 300)
+    for memo_full in (True, False):
+        g = load_grammar(ARITH_LEFT_SRC)
+        g.settings.memo_full = memo_full
+        g.settings.collect_nodes = True
+        assert count_parses(parse(g, toks)) == 1
+        nodes = list(g.created_nodes) + reachable_nodes(g.root)
+        maps = [n for n in nodes if n.d_map is not None]
+        assert all(n.d_key is not None and n.d_key not in n.d_map
+                   for n in maps)
+        assert bool(maps) == memo_full
+        assert any(n.d_key is not None for n in nodes)
+
+
+def test_a_dead_nodes_map_keeps_the_entries_under_construction():
+    # the dead-subgraph rule clears a dead node's finished slot entry and
+    # keeps the map's entries under construction; a shell made for one of
+    # them must replace it there, where its builder reads it back
+    dead = new_alt(mk_token("a"), mk_token("b"))
+    building = new_alt(None, None)
+    building.in_progress = True
+    dead.d_key, dead.d_val, dead.d_map = "a", mk_token("c"), {"b": building}
+    grammar._drop_derivatives(dead)
+    assert (dead.d_key, dead.d_val, dead.d_map) == (None, None,
+                                                    {"b": building})
+    shell = new_alt(None, None)
+    assert not derivation._store(dead, "b", shell, True)
+    assert dead.d_map == {"b": shell} and dead.d_val is None
+    assert derivation._store(dead, "b", shell, False)  # single: the slot
 
 
 def test_derivative_never_loops_on_pathological_self_reference():
@@ -256,7 +293,7 @@ def _unfinished(root) -> list:
             or (n.form == RED and n.fn is None)]
 
 
-@pytest.mark.parametrize("switches", [{}, {"memo_full": True},
+@pytest.mark.parametrize("switches", [{}, {"memo_full": False},
                                       {"compaction": False}])
 def test_every_step_leaves_finished_nodes_and_the_shared_empty_untouched(
         switches):
@@ -483,6 +520,51 @@ def test_nodes_per_token_stay_inside_an_absolute_budget(src, tokens, per_token):
     assert count_parses(fs) == 1
 
 
+def test_mixed_expressions_reuse_the_derivatives_of_earlier_operands():
+    # a grammar node's derivative does not depend on the input position:
+    # kept for every token, the derivatives of 'E', 'T' and those built
+    # from them are reused at each operand, not rebuilt (3.43 nodes per
+    # token with one slot per node)
+    toks = mixed_expression(random.Random(2400), 2400)
+    g = load_grammar(ARITH_SRC)
+    with node_budget(int(2.0 * len(toks))):
+        fs = parse(g, toks)
+    assert count_parses(fs) == 1
+
+
+def _answers(src: str, words, memo_full: bool) -> list:
+    """Verdict, count and the ordered trees at limits 1, 3 and 10 of each
+    word, under one memo mode."""
+    g = load_grammar(src)
+    g.settings.memo_full = memo_full
+    out = []
+    for w in words:
+        fs = parse(g, w)
+        out.append((recognize(g, w), count_parses(fs),
+                    [[tree_text(t) for t in enumerate_trees(fs, k)]
+                     for k in (1, 3, 10)]))
+    return out
+
+
+def test_memo_modes_give_the_same_answers_on_large_inputs():
+    rng = random.Random(0x3E30)
+    cases = [(src, probe_words(load_bnf(src), "ab")) for src in FIXED_CORPUS]
+    for _ in range(60):
+        src = random_grammar_source(rng)
+        cases.append((src, probe_words(load_bnf(src), "abc")))
+    cases += [(src, [mixed_expression(rng, 2000)])
+              for src in (ARITH_SRC, ARITH_LEFT_SRC)]
+    cases += [(DYCK_SRC, [nested_dyck(160)]),
+              (WORST_SRC, [distinct_tokens(12), ["."] * 12])]
+    infinite = 0
+    for src, words in cases:
+        full = _answers(src, words, True)
+        assert _answers(src, words, False) == full, src
+        infinite += sum(count == INFINITE for _, count, _ in full)
+    # cyclic grammars are among them
+    assert infinite > 0
+
+
 def _deep_at_the_default_recursion_limit(src: str, tokens: str, tree: str):
     """Parse, count, export and enumerate in a fresh interpreter at the
     default recursion limit; `tokens` is a Python expression."""
@@ -564,7 +646,7 @@ def test_nested_words_match_the_oracle_under_every_switch():
     cases = [(DYCK_SRC, _nested_dyck_word, "()"),
              (ARITH_SRC, _nested_expression, "+*-()n"),
              (ARITH_LEFT_SRC, _nested_expression, "+*-()n")]
-    configs = [{}, {"memo_full": True}, {"compaction": False},
+    configs = [{}, {"memo_full": False}, {"compaction": False},
                {"naive_nullability": True}]
     checks = accepted = 0
     for src, make, sigma in cases:
@@ -704,7 +786,7 @@ class _CountingSettings(ParserSettings):
 
 
 @pytest.mark.parametrize("switches", [
-    {}, {"memo_full": True}, {"compaction": False}, {"naive_nullability": True},
+    {}, {"memo_full": False}, {"compaction": False}, {"naive_nullability": True},
 ])
 def test_switches_are_read_once_per_parse_not_per_token(switches):
     reads = []
@@ -721,14 +803,20 @@ def test_switches_are_read_once_per_parse_not_per_token(switches):
 
 
 def test_a_switch_changed_while_active_applies_from_the_next_activation():
+    # switched to the single-entry mode while active, the full memo keeps
+    # the 'n' entry past a '+'; from the next activation '+' evicts it
     g = load_grammar(ARITH_SRC)
-    with g.activate() as ctx:
-        g.settings.memo_full = True
-        assert not ctx.memo_full
-        derive(g.root, "n")
-        assert g.root.d_map is None
+    for active in (True, False):
+        with g.activate() as ctx:
+            if active:
+                g.settings.memo_full = False
+                assert ctx.memo_full
+            dn = derive(g.root, "n")
+            derive(g.root, "+")
+            uncached = g.counters.derive_calls_uncached
+            assert (derive(g.root, "n") is dn) == active
+            assert (g.counters.derive_calls_uncached == uncached) == active
     assert recognize(g, ["n"])
-    assert g.root.d_map is not None
 
 
 def test_a_nested_activation_raises_and_leaves_the_grammar_usable():

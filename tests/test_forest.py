@@ -305,11 +305,17 @@ def test_nested_dyck_json_grows_linearly():
     assert size[640] <= 2.5 * size[320], size
 
 
-def test_describe_nests_composed_reductions():
-    red = compose(lift_left(production("E", 3)),
-                  compose(reassociate(), lift_right(pair_right(EMPTY_SET))))
+def test_describe_writes_a_compose_chain_flat():
+    a, b = lift_left(production("E", 3)), reassociate()
+    c = lift_right(compose(pair_right(EMPTY_SET), reassociate()))
+    red = compose(a, compose(b, c))
     assert red.describe() == (
-        "(lift-left(production:E/3) . (reassociate . lift-right(pair-right)))")
+        "lift-left(production:E/3) . reassociate"
+        " . lift-right(pair-right . reassociate)")
+    # composition is associative, so both groupings are one reduction
+    assert compose(compose(a, b), c).describe() == red.describe()
+    assert lift_left(compose(compose(a, b), c)).describe() == (
+        f"lift-left({red.describe()})")
 
 
 def test_deep_forests_export_at_the_default_recursion_limit():

@@ -107,34 +107,55 @@ def test_emit_json_is_parseable_and_complete():
         assert field in out
 
 
+# firings of the two parses below, under the single-entry memo as the
+# dict-counting engine recorded them, and under the default full memo,
+# which rebuilds no derivative that a slot evicted, and so fires fewer
+_PINNED_PARSE_FIRINGS = {
+    False: ({"seq-empty-left": 20, "red-empty": 55, "seq-epsilon-left": 13,
+             "red-compose": 34, "alt-empty-right": 57, "alt-empty-left": 7,
+             "red-epsilon": 10, "dead-subgraph": 16, "seq-float-left": 21},
+            233,
+            {"seq-epsilon-left": 3, "red-compose": 63, "alt-empty-right": 3,
+             "seq-float-left": 38, "seq-empty-left": 22, "red-empty": 2,
+             "seq-associate": 18, "alt-empty-left": 21},
+            170),
+    True: ({"seq-empty-left": 11, "red-empty": 55, "seq-epsilon-left": 4,
+            "red-compose": 34, "alt-empty-right": 57, "alt-empty-left": 7,
+            "red-epsilon": 10, "dead-subgraph": 16, "seq-float-left": 21},
+           215,
+           {"seq-epsilon-left": 2, "red-compose": 62, "alt-empty-right": 2,
+            "seq-float-left": 38, "seq-empty-left": 22, "red-empty": 2,
+            "seq-associate": 18, "alt-empty-left": 21},
+           167),
+}
+
+
 def test_per_rule_firings_are_pinned():
     # firing counts of a load and of two parses that between them fire 11
-    # of the 14 rules, as the dict-counting engine recorded them (the load's
-    # since the spine rule's head guard reads the never-null mark)
+    # of the 14 rules (the load's since the spine rule's head guard reads
+    # the never-null mark)
     nested_left = ["("] * 3 + expr_tokens(40) + [")"] * 3
     g = load_grammar(ARITH_SRC)
     assert g.counters.compaction_firings == {
         "seq-float-left": 3, "seq-float-right": 5, "red-compose": 6,
         "seq-associate": 3}
-    g = load_grammar(ARITH_LEFT_SRC)
-    g.counters.reset()
-    parse(g, nested_left)
-    assert g.counters.compaction_firings == {
-        "seq-empty-left": 20, "red-empty": 55, "seq-epsilon-left": 13,
-        "red-compose": 34, "alt-empty-right": 57, "alt-empty-left": 7,
-        "red-epsilon": 10, "dead-subgraph": 16, "seq-float-left": 21}
-    assert g.counters.compactions == 233
-    with pytest.raises(TypeError):  # a view of the per-rule list
-        g.counters.compaction_firings["red-empty"] = 0
-    g = load_grammar(DYCK_SRC)
-    g.counters.reset()
-    parse(g, ["("] * 20 + [")"] * 20 + ["(", ")"])
-    out = json.loads(emit(g.counters, "json"))
-    assert out["compaction_firings"] == {
-        "seq-epsilon-left": 3, "red-compose": 63, "alt-empty-right": 3,
-        "seq-float-left": 38, "seq-empty-left": 22, "red-empty": 2,
-        "seq-associate": 18, "alt-empty-left": 21}
-    assert out["compactions"] == 170
+    for memo_full, pinned in _PINNED_PARSE_FIRINGS.items():
+        left, left_total, dyck, dyck_total = pinned
+        g = load_grammar(ARITH_LEFT_SRC)
+        g.settings.memo_full = memo_full
+        g.counters.reset()
+        parse(g, nested_left)
+        assert g.counters.compaction_firings == left, memo_full
+        assert g.counters.compactions == left_total, memo_full
+        with pytest.raises(TypeError):  # a view of the per-rule list
+            g.counters.compaction_firings["red-empty"] = 0
+        g = load_grammar(DYCK_SRC)
+        g.settings.memo_full = memo_full
+        g.counters.reset()
+        parse(g, ["("] * 20 + [")"] * 20 + ["(", ")"])
+        out = json.loads(emit(g.counters, "json"))
+        assert out["compaction_firings"] == dyck, memo_full
+        assert out["compactions"] == dyck_total, memo_full
 
 
 def test_emit_rejects_unknown_format():
