@@ -9,58 +9,40 @@ result per node (one slot first, a map only from a second token) keep the
 node count cubic in the input length and the practical cost close to
 linear.
 
-The oracle module carries an independent Earley recognizer/counter and a
-brute-force language enumerator for cross-checking; they share no code with
-the derivative engine, only its Infinite and wildcard constants.
+The exports are grouped as in the README's Python API section: parsing
+(load_grammar, which raises GrammarError with the line:col of a bad source,
+then recognize, parse, and the forest consumers count_parses,
+enumerate_trees, tree_text and forest_to_json); the reference oracles
+(load_bnf, earley_recognize, earley_count, enumerate_language), which share
+no code with the derivative engine, only its Infinite and wildcard
+constants; NamingError, an engine bug that debug names catch; and the layer
+entry points that the traced benchmark calls one at a time.  Engine
+internals are imported from the module that defines them.
 """
 
 from .grammar import (
-    ALT, EMPTY, EPSILON, RED, SEQ, TOKEN, WILDCARD,
-    Context, Grammar, GrammarNode, ParserSettings,
-    become_node, describe_node,
-    mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
-    normalize_grammar, reachable_nodes, use_context,
-)
-from .reductions import (
-    Reduction, compose, lift_left, lift_right,
-    pair_left, pair_left_null, pair_right, production, reassociate,
+    Context, Grammar, normalize_grammar, reachable_nodes, use_context,
 )
 from .forest import (
-    EMPTY_SET, FNode, ForestSet, INFINITE, Leaf, Pair, Prod,
+    INFINITE, Leaf, Pair, Prod,
     count_parses, enumerate_trees, forest_to_json, parse_null, tree_text,
 )
-from .nullability import is_nullable, is_nullable_naive
+from .nullability import is_nullable
 from .derivation import derive, parse, recognize
 from .oracle import (
-    BnfGrammar, Ref, Term, earley_count, earley_recognize, enumerate_language,
+    BnfGrammar, earley_count, earley_recognize, enumerate_language,
 )
-from .loader import (
-    GrammarError, build_graph, load_bnf, load_grammar, load_grammar_file,
-    parse_source,
-)
-from .instrumentation import (
-    CSV_FIELDS, Counters, NamingError, NodeName, emit, fresh_name, name_node,
-)
+from .loader import GrammarError, build_graph, load_bnf, load_grammar
+from .instrumentation import NamingError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALT", "EMPTY", "EPSILON", "RED", "SEQ", "TOKEN", "WILDCARD",
-    "Context", "Grammar", "GrammarNode", "ParserSettings",
-    "become_node", "describe_node",
-    "mk_alt", "mk_empty", "mk_eps", "mk_red", "mk_seq", "mk_token",
-    "normalize_grammar", "reachable_nodes", "use_context",
-    "Reduction", "compose", "lift_left", "lift_right",
-    "pair_left", "pair_left_null", "pair_right", "production", "reassociate",
-    "EMPTY_SET", "FNode", "ForestSet", "INFINITE", "Leaf", "Pair", "Prod",
-    "count_parses", "enumerate_trees", "forest_to_json", "parse_null",
-    "tree_text",
-    "is_nullable", "is_nullable_naive",
-    "derive", "parse", "recognize",
-    "BnfGrammar", "Ref", "Term",
-    "earley_count", "earley_recognize", "enumerate_language",
-    "GrammarError", "build_graph", "load_bnf", "load_grammar",
-    "load_grammar_file", "parse_source",
-    "CSV_FIELDS", "Counters", "NamingError", "NodeName", "emit",
-    "fresh_name", "name_node",
+    "load_grammar", "recognize", "parse",
+    "count_parses", "enumerate_trees", "tree_text", "forest_to_json",
+    "load_bnf", "earley_recognize", "earley_count", "enumerate_language",
+    "GrammarError", "NamingError",
+    "INFINITE", "Leaf", "Pair", "Prod", "BnfGrammar",
+    "Context", "Grammar", "build_graph", "derive", "is_nullable",
+    "normalize_grammar", "parse_null", "reachable_nodes", "use_context",
 ]

@@ -18,7 +18,9 @@ whitespace-separated terminal labels.  Engine variants are selected with
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ import traceback
 from .derivation import parse, recognize
 from .forest import count_parses, forest_to_json
 from .instrumentation import CSV_FIELDS, csv_row, emit
-from .loader import GrammarError, load_grammar
+from .loader import GrammarError, load_grammar_file
 
 # deep derivations recurse; 20k-token inputs need headroom
 RECURSION_LIMIT = 20000
@@ -44,6 +46,18 @@ def _add_engine_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--debug-names", action="store_true",
                     help="track node provenance names (disables tree "
                          "extraction, so not usable with parse/bench)")
+
+
+def _at_least(kind, low):
+    """An argparse type: a finite `kind` number no less than `low`."""
+    def convert(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be at least {low}: "
+                                             f"{text!r}")
+        return value
+    convert.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return convert
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -65,9 +79,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="time every token file in a directory")
     sp.add_argument("grammar")
     sp.add_argument("corpus")
-    sp.add_argument("--rounds", type=int, default=10)
-    sp.add_argument("--warmup", type=int, default=3)
-    sp.add_argument("--min-round-seconds", type=float, default=1.0,
+    sp.add_argument("--rounds", type=_at_least(int, 1), default=10)
+    sp.add_argument("--warmup", type=_at_least(int, 0), default=3)
+    sp.add_argument("--min-round-seconds", type=_at_least(float, 0),
+                    default=1.0,
                     help="repeat the parse within a round at least this long")
     _add_engine_flags(sp)
 
@@ -86,8 +101,7 @@ def _fail(msg: str) -> int:
 
 
 def _load(args):
-    with open(args.grammar, "r", encoding="utf-8") as fh:
-        g = load_grammar(fh.read())
+    g = load_grammar_file(args.grammar)
     st = g.settings
     st.memo_full = args.memo == "full"
     st.compaction = args.compaction == "on"
@@ -138,7 +152,9 @@ def _cmd_bench(args) -> int:
         names = sorted(os.listdir(args.corpus))
     except OSError as e:
         return _fail(str(e))
-    print(",".join(CSV_FIELDS + ("accept", "parse_count")), flush=True)
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(CSV_FIELDS + ("accept", "parse_count"))
+    sys.stdout.flush()
     for name in names:
         path = os.path.join(args.corpus, name)
         if not os.path.isfile(path):
@@ -157,8 +173,9 @@ def _cmd_bench(args) -> int:
             continue
         spt = (sum(per_parse) / len(per_parse)) / max(1, len(toks))
         accept = "1" if not fs.is_empty() else "0"
-        print(f"{csv_row(snap, name, len(toks), spt)},{accept},"
-              f"{count_parses(fs)}", flush=True)
+        out.writerow(csv_row(snap, name, len(toks), spt)
+                     + [accept, count_parses(fs)])
+        sys.stdout.flush()
     return 0
 
 

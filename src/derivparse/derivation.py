@@ -58,8 +58,8 @@ from typing import Iterable
 from .forest import ForestSet, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
-    Grammar, GrammarNode, _active, become_node, collapse_dead, mk_empty,
-    mk_eps, new_alt, new_red, new_seq, reachable_nodes,
+    Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
+    mk_empty, mk_eps, new_alt, new_red, new_seq, reachable_nodes,
     _compact_alt, _compact_red, _compact_seq,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, fresh_name, name_node
@@ -233,20 +233,7 @@ def _derive(n, c, ctx):
     if res is not None:
         become_node(shell, res)
     else:
-        # the children, and the marks by the rule new_* apply
-        shell.left = a
-        if shell.form == RED:
-            shell.fn = b
-            shell.productive = a.productive
-            shell.never_null = a.never_null
-        elif shell.form == ALT:
-            shell.right = b
-            shell.productive = a.productive or b.productive
-            shell.never_null = a.never_null and b.never_null
-        else:
-            shell.right = b
-            shell.productive = a.productive and b.productive
-            shell.never_null = a.never_null or b.never_null
+        fill(shell, a, b)
     shell.in_progress = False
     # a shell that its children do not prove productive may close a cycle
     # that denotes the empty language

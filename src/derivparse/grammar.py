@@ -33,7 +33,7 @@ only under two guards, each backed by a measured counterexample:
   re-derives it per token.  Right-recursive arithmetic on a 541-token
   word creates 13,377 nodes instead of 1,013.
 - p1 is known by structure not to accept the empty word (the never-null
-  mark, see new_alt), so no nullability engine is asked and both engines
+  mark, see fill), so no nullability engine is asked and both engines
   build the same nodes.  A nullable head forks on the next token into a
   fresh (p2 . q) per parse path, where the left-nested p forks once and
   memoizes it.  Random grammar g48 of the benchmark corpus on a^n turns
@@ -252,34 +252,40 @@ def mk_token(label: str) -> GrammarNode:
 # child's marks; a choice is productive if either child is, never null if
 # both are; a concatenation the reverse.  Shells stay unmarked until filled.
 
-def new_alt(left, right) -> GrammarNode:
-    n = _new(ALT)
-    n.left = left
-    n.right = right
-    if left is not None:
-        n.productive = left.productive or right.productive
-        n.never_null = left.never_null and right.never_null
+def fill(n: GrammarNode, a, b) -> GrammarNode:
+    """Give a seq, alt or red node its children a and b (a reduction's b is
+    its fn) and the marks by the local rule, and return it.  A None a leaves
+    it an unmarked shell, which a later fill completes."""
+    n.left = a
+    form = n.form
+    if form == RED:
+        n.fn = b
+    else:
+        n.right = b
+    if a is None:
+        return n
+    if form == ALT:
+        n.productive = a.productive or b.productive
+        n.never_null = a.never_null and b.never_null
+    elif form == SEQ:
+        n.productive = a.productive and b.productive
+        n.never_null = a.never_null or b.never_null
+    else:
+        n.productive = a.productive
+        n.never_null = a.never_null
     return n
+
+
+def new_alt(left, right) -> GrammarNode:
+    return fill(_new(ALT), left, right)
 
 
 def new_seq(left, right) -> GrammarNode:
-    n = _new(SEQ)
-    n.left = left
-    n.right = right
-    if left is not None:
-        n.productive = left.productive and right.productive
-        n.never_null = left.never_null or right.never_null
-    return n
+    return fill(_new(SEQ), left, right)
 
 
 def new_red(child, fn) -> GrammarNode:
-    n = _new(RED)
-    n.left = child
-    n.fn = fn
-    if child is not None:
-        n.productive = child.productive
-        n.never_null = child.never_null
-    return n
+    return fill(_new(RED), child, fn)
 
 
 def _fire(rule: int) -> None:
@@ -428,7 +434,7 @@ def collapse_dead(root: GrammarNode) -> None:
     empty language to Empty.
 
     A node is productive (its language is not empty) by the least fixed
-    point of the local rule that sets the marks (see new_alt).  The walk
+    point of the local rule that sets the marks (see fill).  The walk
     collects the unmarked nodes below root and stops at the rest: a marked
     node is productive, Empty is not, and a node under construction counts
     as productive, since its children are not known yet, but proves

@@ -16,6 +16,8 @@ what pin the cubic allocation bound, so the test suite leans on them.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 from types import MappingProxyType
@@ -114,26 +116,29 @@ class Counters:
 
 
 def csv_row(counters: Counters, file: str, tokens: int,
-            seconds_per_token: float) -> str:
-    """The CSV_FIELDS columns of one row, without a line end."""
-    return ",".join((
+            seconds_per_token: float) -> list:
+    """The CSV_FIELDS values of one row, for a csv.writer to quote."""
+    return [
         file,
-        str(tokens),
-        str(counters.nodes_created),
-        str(counters.derive_calls_cached),
-        str(counters.derive_calls_uncached),
-        str(counters.nullable_visits),
-        str(counters.compactions),
-        repr(seconds_per_token),
-    ))
+        tokens,
+        counters.nodes_created,
+        counters.derive_calls_cached,
+        counters.derive_calls_uncached,
+        counters.nullable_visits,
+        counters.compactions,
+        seconds_per_token,
+    ]
 
 
 def emit(counters: Counters, fmt: str, *, file: str = "", tokens: int = 0,
          seconds_per_token: float = 0.0) -> str:
     """Render counters as a CSV row (with header) or a JSON object."""
     if fmt == "csv":
-        row = csv_row(counters, file, tokens, seconds_per_token)
-        return ",".join(CSV_FIELDS) + "\n" + row + "\n"
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(CSV_FIELDS)
+        out.writerow(csv_row(counters, file, tokens, seconds_per_token))
+        return buf.getvalue()
     if fmt == "json":
         data = counters.as_dict()
         data["file"] = file

@@ -255,17 +255,16 @@ def build_graph(bnf: BnfGrammar) -> tuple:
     return placeholders[bnf.start], placeholders
 
 
-def load_grammar(text: str, *, normalize: bool = True) -> Grammar:
+def load_grammar(text: str) -> Grammar:
     bnf = load_bnf(text)
     with use_context(Context()) as ctx:
         root, table = build_graph(bnf)
-        if normalize:
-            normalize_grammar(root)
+        normalize_grammar(root)
         g = Grammar(root, bnf.start, table, bnf)
         g.counters = ctx.counters
     return g
 
 
-def load_grammar_file(path: str, *, normalize: bool = True) -> Grammar:
+def load_grammar_file(path: str) -> Grammar:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_grammar(fh.read(), normalize=normalize)
+        return load_grammar(fh.read())

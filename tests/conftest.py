@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from derivparse import (enumerate_language, forest_to_json, grammar,
-                        load_grammar, parse)
+from derivparse import (Context, Grammar, build_graph, enumerate_language,
+                        forest_to_json, grammar, load_bnf, load_grammar, parse,
+                        use_context)
 
 # deep grammars on long inputs recurse past the default limit; a test that
 # must see the default limit runs its code through run_python
@@ -49,6 +50,17 @@ def node_budget(n: int):
         yield
     finally:
         grammar._new = real
+
+
+def load_unnormalized(src: str) -> Grammar:
+    """The grammar of src as the loader builds it, before normalize_grammar
+    rewrites it: load_grammar's steps, the last one left out."""
+    bnf = load_bnf(src)
+    with use_context(Context()) as ctx:
+        root, table = build_graph(bnf)
+        g = Grammar(root, bnf.start, table, bnf)
+    g.counters = ctx.counters
+    return g
 
 
 def _parse_record(g, tokens) -> tuple:

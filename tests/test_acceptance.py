@@ -14,14 +14,15 @@ import time
 import pytest
 
 from derivparse import (
-    EMPTY, EPSILON, RED, SEQ,
-    INFINITE, CSV_FIELDS,
+    INFINITE,
     count_parses, earley_count, earley_recognize, enumerate_language,
-    enumerate_trees, is_nullable, is_nullable_naive, load_bnf, load_grammar,
-    parse, recognize, reachable_nodes, tree_text,
+    enumerate_trees, is_nullable, load_bnf, load_grammar, parse, recognize,
+    reachable_nodes, tree_text,
 )
 from derivparse.cli import main as cli_main
+from derivparse.grammar import EMPTY, EPSILON, RED, SEQ
 from derivparse.instrumentation import MARK
+from derivparse.nullability import is_nullable_naive
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
     all_strings, distinct_tokens, expr_tokens, nested_dyck, nested_parens,

@@ -1,11 +1,12 @@
 """Command-line entry points, driven through main(argv)."""
 
+import csv
 import json
 
 import pytest
 
-from derivparse import CSV_FIELDS
 from derivparse.cli import main
+from derivparse.instrumentation import CSV_FIELDS
 
 
 CATALAN_SRC = "start = S ;\nS : S S | 'a' ;\n"
@@ -175,6 +176,45 @@ def test_bench_skips_unreadable_inputs(ws, capsys):
     assert "error:" in captured.err
     assert "junk.txt" in captured.err
     assert len(captured.out.strip().split("\n")) == 2  # header + ok.txt only
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rounds", "0"), ("--warmup", "-1"), ("--min-round-seconds", "-1"),
+    ("--min-round-seconds", "nan"),
+])
+def test_bench_rejects_out_of_range_repeats(ws, capsys, flag, value):
+    corpus = ws / "corpus4"
+    corpus.mkdir()
+    (corpus / "one.txt").write_text("a\n")
+    opts = {"--rounds": "1", "--warmup": "0", "--min-round-seconds": "0.001"}
+    opts[flag] = value
+    argv = ["bench", *(x for kv in opts.items() for x in kv), g(ws),
+            str(corpus)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert "internal error" not in captured.err
+
+
+def test_csv_rows_quote_file_names_with_commas(ws, capsys):
+    corpus = ws / "corpus5"
+    corpus.mkdir()
+    tokens = corpus / "a,b.tok"
+    tokens.write_text("a a\n")
+    code = main(["bench", "--rounds", "1", "--warmup", "0",
+                 "--min-round-seconds", "0.001", g(ws), str(corpus)])
+    assert code == 0
+    bench = capsys.readouterr().out
+    assert main(["stats", "--format", "csv", g(ws), str(tokens)]) == 0
+    stats = capsys.readouterr().out
+    for out, name in ((bench, "a,b.tok"), (stats, str(tokens))):
+        lines = out.splitlines()
+        rows = list(csv.reader(lines))
+        assert len(rows) == len(lines) == 2
+        header, row = rows
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["file"] == name
 
 
 def test_bench_crash_is_not_a_success(ws, capsys, monkeypatch):

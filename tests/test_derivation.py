@@ -7,22 +7,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivparse import (
-    ALT, EMPTY, EPSILON, INFINITE, RED, SEQ, TOKEN,
-    Context, ForestSet, NamingError, ParserSettings,
+    INFINITE, Context, NamingError,
     count_parses, derive, earley_count, earley_recognize, enumerate_trees,
-    fresh_name, is_nullable, is_nullable_naive, load_bnf, load_grammar,
-    mk_empty, mk_eps, mk_token, name_node, parse, reachable_nodes, recognize,
+    is_nullable, load_bnf, load_grammar, parse, reachable_nodes, recognize,
     tree_text, use_context,
 )
 from derivparse import derivation, grammar, nullability
-from derivparse.forest import EMPTY_SET
-from derivparse.grammar import NV_NOT, SHARED_EMPTY, new_alt, new_seq
-from derivparse.instrumentation import EXTEND, MARK_EXTEND
+from derivparse.forest import EMPTY_SET, ForestSet
+from derivparse.grammar import (
+    ALT, EMPTY, EPSILON, NV_NOT, RED, SEQ, SHARED_EMPTY, TOKEN,
+    ParserSettings, mk_empty, mk_eps, mk_token, new_alt, new_seq,
+)
+from derivparse.instrumentation import (
+    EXTEND, MARK_EXTEND, fresh_name, name_node,
+)
+from derivparse.nullability import is_nullable_naive
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, _parse_record,
     WORST_SRC, all_strings, assert_history_free, distinct_tokens,
-    expr_tokens, mixed_expression, nested_dyck, nested_parens, node_budget,
-    probe_words, random_grammar_source, run_python,
+    expr_tokens, load_unnormalized, mixed_expression, nested_dyck,
+    nested_parens, node_budget, probe_words, random_grammar_source,
+    run_python,
 )
 
 
@@ -160,7 +165,7 @@ def test_a_dead_nodes_map_keeps_the_entries_under_construction():
 
 
 def test_derivative_never_loops_on_pathological_self_reference():
-    g = load_grammar("start = S ;\nS : S ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : S ;")
     assert not recognize(g, ["a"])
     assert not recognize(g, [])
 

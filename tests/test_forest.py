@@ -9,18 +9,19 @@ import pytest
 from derivparse import (
     Context, INFINITE, Leaf, Pair, Prod,
     count_parses, enumerate_trees, forest_to_json, load_bnf, load_grammar,
-    mk_token, pair_left, parse, parse_null, recognize, tree_text, use_context,
+    parse, parse_null, recognize, tree_text, use_context,
 )
 from derivparse import forest
 from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
+from derivparse.grammar import mk_token
 from derivparse.reductions import (
     PAIR_LEFT, PAIR_RIGHT, Reduction, compose, lift_left, lift_right,
-    pair_right, production, reassociate,
+    pair_left, pair_right, production, reassociate,
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
-    distinct_tokens, expr_tokens, nested_dyck, nested_parens, probe_words,
-    random_grammar_source, run_python,
+    distinct_tokens, expr_tokens, load_unnormalized, nested_dyck,
+    nested_parens, probe_words, random_grammar_source, run_python,
 )
 
 
@@ -89,7 +90,7 @@ def test_deferred_node_with_empty_payload_counts_zero():
 
 def test_infinitely_ambiguous_count():
     # the unit cycle S -> S pumps forever on any accepted word
-    g = load_grammar("start = S ;\nS : S | 'a' ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : S | 'a' ;")
     fs = parse(g, ["a"])
     assert count_parses(fs) is INFINITE
     assert repr(count_parses(fs)) == "Infinite"
@@ -197,7 +198,7 @@ for src, word in (({CATALAN_SRC!r}, "a" * 7), ({UNIT_CYCLE_SRC!r}, "aa")):
 
 
 def test_enumeration_of_infinite_forest_terminates():
-    g = load_grammar("start = S ;\nS : S | 'a' ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : S | 'a' ;")
     fs = parse(g, ["a"])
     got = enumerate_trees(fs, 8)
     # finitely many distinct finite trees exist even though the count is not
@@ -215,7 +216,7 @@ def test_forest_shares_subtrees_across_ambiguity():
 
 
 def test_parse_null_on_nullable_choice():
-    g = load_grammar("start = A ;\nA : | B ;\nB : ;", normalize=False)
+    g = load_unnormalized("start = A ;\nA : | B ;\nB : ;")
     with g.activate():
         fs = parse_null(g.root)
     texts = sorted(tree_text(t) for t in enumerate_trees(fs, 10))

@@ -6,21 +6,23 @@ import threading
 import pytest
 
 from derivparse import (
-    ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
     Context, Grammar,
-    become_node, describe_node, enumerate_trees, is_nullable_naive, load_bnf,
-    load_grammar, mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
-    normalize_grammar, parse, reachable_nodes, recognize, tree_text,
-    use_context,
+    enumerate_trees, load_bnf, load_grammar, normalize_grammar, parse,
+    reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse import grammar as grammar_mod
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
-    _normalize_step, collapse_dead, new_alt, new_red, new_seq,
+    ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
+    _normalize_step, become_node, collapse_dead, describe_node,
+    mk_alt, mk_empty, mk_eps, mk_red, mk_seq, mk_token,
+    new_alt, new_red, new_seq,
 )
+from derivparse.nullability import is_nullable_naive
 from derivparse.reductions import production
 from conftest import (
-    FIXED_CORPUS, all_strings, probe_words, random_grammar_source,
+    FIXED_CORPUS, all_strings, load_unnormalized, probe_words,
+    random_grammar_source,
 )
 
 
@@ -175,7 +177,7 @@ def test_reachable_nodes_terminates_on_cycles():
 
 
 def test_describe_node_is_cycle_safe():
-    g = load_grammar("start = S ;\nS : S S | 'a' ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : S S | 'a' ;")
     text = describe_node(g.root)
     assert "#" in text
     assert "'a'" in text
@@ -296,7 +298,7 @@ def test_normalization_preserves_the_language():
     words = all_strings("ab", 3)
     for _ in range(60):
         src = random_grammar_source(rng)
-        raw = load_grammar(src, normalize=False)
+        raw = load_unnormalized(src)
         cooked = load_grammar(src)
         for w in words:
             assert recognize(raw, list(w)) == recognize(cooked, list(w)), (src, w)

@@ -6,13 +6,13 @@ from collections import Counter
 import pytest
 
 from derivparse import (
-    CSV_FIELDS, Context, Counters, NamingError, NodeName,
-    emit, fresh_name, load_grammar, mk_alt, mk_empty, mk_token, name_node,
-    parse, recognize, use_context,
+    Context, NamingError, load_grammar, parse, recognize, use_context,
 )
 from derivparse import derivation, grammar
+from derivparse.grammar import mk_alt, mk_empty, mk_token
 from derivparse.instrumentation import (
-    EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND,
+    CSV_FIELDS, EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND, Counters,
+    NodeName, emit, fresh_name, name_node,
 )
 from conftest import ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, expr_tokens
 

@@ -5,14 +5,17 @@ import random
 import pytest
 
 from derivparse import (
-    ALT, EPSILON, RED, SEQ, TOKEN,
-    Context, Grammar, GrammarError, Ref, Term,
+    Context, Grammar, GrammarError,
     build_graph, count_parses, enumerate_trees, load_bnf, load_grammar,
-    load_grammar_file, normalize_grammar, parse, parse_source, recognize,
-    tree_text, use_context,
+    normalize_grammar, parse, recognize, tree_text, use_context,
 )
+from derivparse.grammar import ALT, EPSILON, RED, SEQ, TOKEN
+from derivparse.loader import load_grammar_file, parse_source
+from derivparse.oracle import Ref, Term
 from derivparse.reductions import SPLICE
-from conftest import ARITH_SRC, FIXED_CORPUS, random_grammar_source
+from conftest import (
+    ARITH_SRC, FIXED_CORPUS, load_unnormalized, random_grammar_source,
+)
 
 
 BALANCED = """
@@ -132,7 +135,7 @@ def test_error_is_a_value_error():
 def test_unnormalized_graph_shares_reference_identity():
     # loading without normalization keeps one node per nonterminal, so both
     # uses of B below are literally the same object
-    g = load_grammar("start = A ;\nA : B B ;\nB : 'b' ;", normalize=False)
+    g = load_unnormalized("start = A ;\nA : B B ;\nB : 'b' ;")
     a = g.nonterminal_table["A"]
     assert a.form == RED
     body = a.left
@@ -173,8 +176,7 @@ def test_unreachable_productions_are_not_built():
 
 
 def test_adjacent_alternatives_sharing_a_first_symbol_are_factored():
-    g = load_grammar("start = S ;\nS : 'a' 'b' | 'a' | 'c' | 'a' 'c' ;",
-                     normalize=False)
+    g = load_unnormalized("start = S ;\nS : 'a' 'b' | 'a' | 'c' | 'a' 'c' ;")
     # the first two share 'a' and become one group; the last 'a' alternative
     # is not adjacent to them, so the alternative order stays as written
     body = g.nonterminal_table["S"]

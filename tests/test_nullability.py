@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from derivparse import (
-    Context, ParserSettings,
-    is_nullable, is_nullable_naive,
-    load_grammar, mk_alt, mk_empty, mk_eps, mk_seq, mk_token, use_context,
-)
+from derivparse import Context, is_nullable, use_context
 from derivparse.forest import ForestSet
-from derivparse.grammar import NV_UNKNOWN, new_alt, new_red, new_seq
-from conftest import random_grammar_source
+from derivparse.grammar import (
+    NV_UNKNOWN, ParserSettings, mk_alt, mk_empty, mk_eps, mk_seq, mk_token,
+    new_alt, new_red, new_seq,
+)
+from derivparse.nullability import is_nullable_naive
+from conftest import load_unnormalized, random_grammar_source
 
 
 EPS_TREES = ForestSet.single_leaf("_")
@@ -49,7 +49,7 @@ def test_cyclic_grammars(naive):
         ("start = S ;\nS : S ;", False),               # denotes the empty set
     ]
     for src, expect in cases:
-        g = load_grammar(src, normalize=False)
+        g = load_unnormalized(src)
         g.settings.naive_nullability = naive
         with g.activate():
             fn = is_nullable_naive if naive else is_nullable
@@ -98,7 +98,7 @@ def test_engines_agree_on_random_grammars():
     rng = random.Random(17)
     for _ in range(150):
         src = random_grammar_source(rng)
-        g = load_grammar(src, normalize=False)
+        g = load_unnormalized(src)
         with g.activate():
             want = {name: is_nullable_naive(n)
                     for name, n in g.nonterminal_table.items()}
@@ -108,7 +108,7 @@ def test_engines_agree_on_random_grammars():
 
 
 def test_optimized_engine_reuses_settled_answers():
-    g = load_grammar("start = S ;\nS : '(' S ')' S | ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : '(' S ')' S | ;")
     with g.activate():
         assert is_nullable(g.root)
         first = g.counters.nullable_visits
@@ -117,7 +117,7 @@ def test_optimized_engine_reuses_settled_answers():
 
 
 def test_naive_engine_recomputes_each_query():
-    g = load_grammar("start = S ;\nS : '(' S ')' S | ;", normalize=False)
+    g = load_unnormalized("start = S ;\nS : '(' S ')' S | ;")
     g.settings.naive_nullability = True
     with g.activate():
         assert is_nullable_naive(g.root)
@@ -130,12 +130,12 @@ def test_optimized_never_visits_more_than_naive():
     rng = random.Random(99)
     for _ in range(40):
         src = random_grammar_source(rng)
-        g1 = load_grammar(src, normalize=False)
+        g1 = load_unnormalized(src)
         with g1.activate():
             for n in g1.nonterminal_table.values():
                 is_nullable(n)
             opt = g1.counters.nullable_visits
-        g2 = load_grammar(src, normalize=False)
+        g2 = load_unnormalized(src)
         g2.settings.naive_nullability = True
         with g2.activate():
             for n in g2.nonterminal_table.values():
