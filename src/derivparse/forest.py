@@ -13,9 +13,11 @@ trees).  One iterative, cycle-aware postorder walk serves every consumer:
 counting, enumeration and JSON export are folds over it.  The first
 consumer to walk a ForestSet keeps the postorder on it, so a request that
 counts, enumerates and exports walks the forest once; the counts are kept
-too, and enumeration reads them to build only the trees it returns need.  A deferred node's
-children include its reduction's payload forests; the walk reads only the
-reduction parts whose `pairs` bit says they reference one.
+too, and enumeration reads them to build only the trees that its returned
+trees are made of.  A deferred node's children include its reduction's
+payload forests; the walk reads only the reduction parts whose `pairs` bit
+says they reference one.  Applying a reduction chain builds a tree node
+only for what the chain leaves behind (see _apply).
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
@@ -37,15 +39,24 @@ from .reductions import (
 
 # --- resolved trees ---------------------------------------------------------
 
-# Pair and Prod hash once, when built: enumeration dedups whole trees, and an
-# uncached dataclass hash would walk the subtree on every lookup.  Their
-# constructors write the instance dict directly: enumeration builds a tree
-# node per reduction step, and a frozen dataclass's own __init__ goes
-# through object.__setattr__ once per field.
+# Trees hash once, when built: enumeration dedups whole trees, an uncached
+# dataclass hash would walk the subtree on every lookup, and a parent
+# hashes its children when it is built.  The constructors write the instance
+# dict directly: a frozen dataclass's own __init__ goes through
+# object.__setattr__ once per field.  Each hash is the one the dataclass
+# would compute, the hash of the fields' tuple.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Leaf:
     label: str
+
+    def __init__(self, label: str):
+        d = self.__dict__
+        d["label"] = label
+        d["_hash"] = hash((label,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, init=False)
@@ -464,19 +475,59 @@ class _Side:
 _LEFT, _RIGHT = _Side(), _Side()
 
 
+def _tree(t):
+    """The tree a cell of _apply stands for: every tuple inside `t` becomes
+    a Pair, built bottom-up by a work stack (lifts nest cells as deep as
+    the input); a tree is itself."""
+    if type(t) is not tuple:
+        return t
+    built = []
+    todo = [t]
+    while todo:
+        c = todo.pop()
+        if c is None:  # both halves built: pair them
+            right = built.pop()
+            built[-1] = Pair(built[-1], right)
+        elif type(c) is tuple:
+            todo += (None, c[1], c[0])
+        else:
+            built.append(c)
+    return built[0]
+
+
+def _halves(t):
+    """The (left, right) halves of a cell or of a table Pair; None for any
+    other tree."""
+    if type(t) is tuple:
+        return t
+    if type(t) is Pair:
+        return t.left, t.right
+    return None
+
+
 def _apply(red: Reduction, t, table) -> list:
     """Every tree `red` maps `t` to, in order; finding repeats is left to
     the caller.
 
     A work stack stands in for recursion, so composed and lifted chains may
-    nest arbitrarily deep.  Each entry is a tree and the frames still to run
-    on it, a linked list of (frame, rest) pairs; a frame is a reduction to
-    apply next, or _LEFT / _RIGHT followed by the stored component to pair
-    the result with.  A pairing whose payload list holds one tree pairs in
-    place; one with more branches, one entry per payload tree.  Frames
-    dispatch on the kind by identity (Reduction keeps one string per kind),
-    most frequent kind first.  A lift of a non-pair raises, as count_parses
-    would disagree with skipping it.
+    nest arbitrarily deep.  Each entry is a value and the frames still to
+    run on it, a linked list of (frame, rest) pairs; a frame is a reduction
+    to apply next, or _LEFT / _RIGHT followed by the stored component to
+    pair the result with.  A pairing whose payload list holds one tree pairs
+    in place; one with more branches, one entry per payload tree.
+
+    The pairs a chain makes on its way are cells, builtin (left, right)
+    tuples: not trees, never hashed.  Lifts, reassociate, production and
+    splice take a cell or a table Pair apart alike.  A cell becomes a tree
+    (see _tree) only where it escapes the chain: as a production's child,
+    as a splice's head, or as a tree `red` maps `t` to.  So a production
+    over the spine that pairings and reassociations built reads its
+    children straight out of the cells, and a chain builds only the trees
+    it leaves behind.
+
+    Frames dispatch on the kind by identity (Reduction keeps one string per
+    kind), most frequent kind first.  A lift of a non-pair raises, as
+    count_parses would disagree with skipping it.
     """
     out = []
     work = [(t, (red, None))]
@@ -490,46 +541,50 @@ def _apply(red: Reduction, t, table) -> list:
                 frames = (h, (g, frames))
             elif k is _LEFT:
                 other, frames = frames
-                t = Pair(t, other)
-            elif k is LIFT_LEFT and isinstance(t, Pair):
-                frames = (f.payload, (_LEFT, (t.right, frames)))
-                t = t.left
+                t = (t, other)
+            elif k is LIFT_LEFT and (halves := _halves(t)):
+                t, right = halves
+                frames = (f.payload, (_LEFT, (right, frames)))
             elif k is PAIR_LEFT or k is PAIR_LEFT_NULL or k is PAIR_RIGHT:
                 trees = table[_payload_root(f).id]
                 right = k is PAIR_RIGHT
                 if len(trees) == 1:
-                    t = Pair(t, trees[0]) if right else Pair(trees[0], t)
+                    t = (t, trees[0]) if right else (trees[0], t)
                     continue
-                work += [(Pair(t, s) if right else Pair(s, t), frames)
+                work += [((t, s) if right else (s, t), frames)
                          for s in reversed(trees)]
                 break
             elif k is SPLICE:
-                if isinstance(t, Pair) and isinstance(t.right, Prod):
-                    t = Prod(t.right.name, (t.left,) + t.right.children)
+                halves = _halves(t)
+                if halves and type(halves[1]) is Prod:
+                    head, rest = halves
+                    t = Prod(rest.name, (_tree(head),) + rest.children)
             elif k is _RIGHT:
                 other, frames = frames
-                t = Pair(other, t)
-            elif k is LIFT_RIGHT and isinstance(t, Pair):
-                frames = (f.payload, (_RIGHT, (t.left, frames)))
-                t = t.right
+                t = (other, t)
+            elif k is LIFT_RIGHT and (halves := _halves(t)):
+                left, t = halves
+                frames = (f.payload, (_RIGHT, (left, frames)))
             elif k is PRODUCTION:
                 name, arity = f.payload
                 parts = []
                 cur = t
-                while len(parts) < arity - 1 and isinstance(cur, Pair):
-                    parts.append(cur.left)
-                    cur = cur.right
+                while len(parts) < arity - 1 and (halves := _halves(cur)):
+                    part, cur = halves
+                    parts.append(part)
                 parts.append(cur)
                 if len(parts) != arity:
                     parts = [t]
-                t = Prod(name, tuple(parts))
+                t = Prod(name, tuple(map(_tree, parts)))
             elif k is REASSOCIATE:
-                if isinstance(t, Pair) and isinstance(t.right, Pair):
-                    t = Pair(Pair(t.left, t.right.left), t.right.right)
+                halves = _halves(t)
+                inner = halves and _halves(halves[1])
+                if inner:
+                    t = ((halves[0], inner[0]), inner[1])
             else:
                 raise ValueError(f"cannot apply {k!r} to a {type(t).__name__}")
         else:
-            out.append(t)
+            out.append(_tree(t))
     return out
 
 

@@ -15,13 +15,14 @@ from derivparse import forest
 from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
 from derivparse.grammar import mk_token
 from derivparse.reductions import (
-    PAIR_LEFT, PAIR_RIGHT, Reduction, compose, lift_left, lift_right,
-    pair_left, pair_right, production, reassociate,
+    COMPOSE, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS, PRODUCTION,
+    REASSOCIATE, SPLICE, Reduction, compose, lift_left, lift_right, pair_left,
+    pair_right, production, reassociate, splice,
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
-    distinct_tokens, expr_tokens, load_unnormalized, nested_dyck,
-    nested_parens, probe_words, random_grammar_source, run_python,
+    distinct_tokens, expr_tokens, load_unnormalized, mixed_expression,
+    nested_dyck, nested_parens, probe_words, random_grammar_source, run_python,
 )
 
 
@@ -281,7 +282,7 @@ def test_first_tree_of_a_forest_takes_linear_hash_work(monkeypatch):
     # enumeration dedups whole trees; a tree that rehashed its subtree on
     # every lookup made this quadratic (ratio about 16 for 4x the tokens)
     calls = [0]
-    for cls in (Pair, Prod):
+    for cls in (Leaf, Pair, Prod):
         def counted(self, _hash=cls.__hash__):
             calls[0] += 1
             return _hash(self)
@@ -321,22 +322,28 @@ def test_describe_writes_a_compose_chain_flat():
 
 def test_deep_forests_export_at_the_default_recursion_limit():
     # 1,999 tokens compose reductions 1,001 deep on the right-recursive
-    # grammar and nest the first tree 1,000 deep on both grammars
+    # grammar and nest the first tree 1,000 deep on both grammars; an
+    # operand in 1,000 parentheses nests the lifts of its chain 1,000 deep
     toks = ["n"] + ["+", "n"] * 999
+    nested = nested_parens(1000)
     proc = run_python("-c", f"""
 from derivparse import enumerate_trees, forest_to_json, load_grammar, parse, tree_text
-fs = parse(load_grammar({ARITH_SRC!r}), {toks!r})
+g = load_grammar({ARITH_SRC!r})
+fs, deep = parse(g, {toks!r}), parse(g, {nested!r})
 forest_to_json(fs)
-for fs in (fs, parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r})):
+forest_to_json(deep)
+for fs in (fs, parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r}), deep):
     [t] = enumerate_trees(fs, 1)
     print(tree_text(t))
 """)
     assert proc.returncode == 0, proc.stderr
-    right = left = "E[T[F[n]]]"
+    right = left = deep = "E[T[F[n]]]"
     for _ in range(999):
         right = f"E[T[F[n]] + {right}]"
         left = f"E[{left} + T[F[n]]]"
-    assert proc.stdout == f"{right}\n{left}\n"
+    for _ in range(1000):
+        deep = f"E[T[F[( {deep} )]]]"
+    assert proc.stdout == f"{right}\n{left}\n{deep}\n"
 
 
 # --- reduction parts that pair nothing, and the kept walk --------------------
@@ -350,12 +357,15 @@ def _two(a: str, b: str) -> ForestSet:
     return ForestSet.single_leaf(a).union(ForestSet.single_leaf(b))
 
 
+def _pair_node(left: FNode, right: FNode) -> FNode:
+    pair = FNode(PAIR)
+    pair.left, pair.right = left, right
+    return pair
+
+
 def _pairs_with_c(fs: ForestSet) -> FNode:
     """A pair node: each tree of fs paired with the leaf c."""
-    pair = FNode(PAIR)
-    pair.left = fs.root
-    pair.right = ForestSet.single_leaf("c").root
-    return pair
+    return _pair_node(fs.root, ForestSet.single_leaf("c").root)
 
 
 def test_pairs_bit_follows_the_parts():
@@ -409,6 +419,158 @@ def test_a_lift_of_a_tree_that_is_not_a_pair_raises(fs, red):
     # that disagree with the count
     with pytest.raises(ValueError):
         enumerate_trees(fs.apply(red), 10)
+
+
+# --- the applier against a reference that builds a Pair per step -------------
+
+_PUT_LEFT, _PUT_RIGHT = object(), object()
+
+
+def _reference_apply(red: Reduction, t, table) -> list:
+    """The reference for forest._apply, step by step: every pairing, lift
+    and reassociation step builds a Pair, and production and splice take
+    Pairs apart.  The trees it gives, in its order, are the ones
+    enumeration must return."""
+    out = []
+    work = [(t, (red, None))]
+    while work:
+        t, frames = work.pop()
+        while frames is not None:
+            f, frames = frames
+            if f is _PUT_LEFT or f is _PUT_RIGHT:
+                other, frames = frames
+                t = Pair(t, other) if f is _PUT_LEFT else Pair(other, t)
+                continue
+            k = f.kind
+            if k == COMPOSE:
+                g, h = f.payload
+                frames = (h, (g, frames))
+            elif k in LIFTS:
+                if not isinstance(t, Pair):
+                    raise ValueError(f"cannot apply {k!r} to a {t!r}")
+                if k == LIFT_LEFT:
+                    frames = (f.payload, (_PUT_LEFT, (t.right, frames)))
+                    t = t.left
+                else:
+                    frames = (f.payload, (_PUT_RIGHT, (t.left, frames)))
+                    t = t.right
+            elif k in PAIRINGS:
+                trees = table[forest._payload_root(f).id]
+                work += [(Pair(t, s) if k == PAIR_RIGHT else Pair(s, t), frames)
+                         for s in reversed(trees)]
+                break
+            elif k == SPLICE:
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    t = Prod(t.right.name, (t.left,) + t.right.children)
+            elif k == PRODUCTION:
+                name, arity = f.payload
+                parts = []
+                cur = t
+                while len(parts) < arity - 1 and isinstance(cur, Pair):
+                    parts.append(cur.left)
+                    cur = cur.right
+                parts.append(cur)
+                if len(parts) != arity:
+                    parts = [t]
+                t = Prod(name, tuple(parts))
+            elif k == REASSOCIATE:
+                if isinstance(t, Pair) and isinstance(t.right, Pair):
+                    t = Pair(Pair(t.left, t.right.left), t.right.right)
+            else:
+                raise ValueError(f"cannot apply {k!r} to a {t!r}")
+        else:
+            out.append(t)
+    return out
+
+
+def _enumerated_by_reference(monkeypatch, fs: ForestSet, k: int) -> list:
+    with monkeypatch.context() as m:
+        m.setattr(forest, "_apply", _reference_apply)
+        return enumerate_trees(ForestSet(fs.root), k)
+
+
+def _assert_same_trees(got: list, want: list, where) -> None:
+    assert [tree_text(t) for t in got] == [tree_text(t) for t in want], where
+    assert got == want and [hash(t) for t in got] == [hash(t) for t in want]
+
+
+def test_enumeration_gives_the_reference_appliers_trees(monkeypatch):
+    for src, words in _demand_fold_inputs():
+        g = load_grammar(src)
+        for w in words:
+            fs = parse(g, list(w))
+            for k in (1, 2, 3, 10):
+                _assert_same_trees(enumerate_trees(fs, k),
+                                   _enumerated_by_reference(monkeypatch, fs, k),
+                                   (src, w, k))
+
+
+def _leaf(a: str) -> ForestSet:
+    return ForestSet.single_leaf(a)
+
+
+@pytest.mark.parametrize("fs, red, texts", [
+    # a spine shorter than the arity: the whole pair is the one child
+    (_leaf("a"), compose(production("P", 3), pair_right(_leaf("b"))),
+     ["P[(a,b)]"]),
+    # a splice onto a right half that is not a production changes nothing
+    (_leaf("a"), compose(splice(), pair_right(_two("b", "c"))),
+     ["(a,b)", "(a,c)"]),
+    # a splice whose head is a pair the chain made
+    (ForestSet(_pairs_with_c(_leaf("a"))),
+     compose(splice(), compose(lift_right(production("N", 1)),
+                               lift_left(pair_right(_leaf("b"))))),
+     ["N[(a,b) c]"]),
+    # a reassociation of a pair whose right half is not a pair
+    (_leaf("a"), compose(reassociate(), pair_left(_leaf("b"))), ["(b,a)"]),
+    # a reassociation of a table pair whose right half is a table pair
+    (ForestSet(_pair_node(_leaf("a").root, _pairs_with_c(_leaf("b")))),
+     reassociate(), ["((a,b),c)"]),
+    # a lift of a table pair: the inner tree of a pair node
+    (ForestSet(_pairs_with_c(_two("a", "b"))), lift_left(production("P", 1)),
+     ["(P[a],c)", "(P[b],c)"]),
+    # a pairing with two payload trees inside a lift inside a compose
+    (ForestSet(_pairs_with_c(_leaf("a"))),
+     compose(production("Q", 3), lift_right(pair_right(_two("x", "y")))),
+     ["Q[a c x]", "Q[a c y]"]),
+], ids=["short-spine", "splice-no-prod", "splice-pair-head",
+        "reassociate-no-pair", "reassociate-table-pairs", "lift-table-pair",
+        "pairing-in-lift-in-compose"])
+def test_each_case_of_the_applier_matches_the_reference(monkeypatch, fs, red,
+                                                        texts):
+    fs = fs.apply(red)
+    got = enumerate_trees(fs, 10)
+    assert [tree_text(t) for t in got] == texts
+    _assert_same_trees(got, _enumerated_by_reference(monkeypatch, fs, 10), red)
+
+
+@pytest.mark.parametrize("src", [ARITH_SRC, ARITH_LEFT_SRC],
+                         ids=["right", "left"])
+def test_a_first_tree_builds_about_its_own_nodes(monkeypatch, src):
+    # a Pair per pairing, lift and reassociation step built 5.24 tree nodes
+    # per token on the right-recursive grammar; the tree holds 1.27
+    built = [0]
+    for cls in (Pair, Prod):
+        def counted(self, *args, _init=cls.__init__):
+            built[0] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    toks = mixed_expression(random.Random(400), 400)
+    fs = parse(load_grammar(src), toks)
+    count_parses(fs)
+    built[0] = 0
+    assert len(enumerate_trees(fs, 1)) == 1
+    assert built[0] <= 2.0 * len(toks), built[0] / len(toks)
+
+
+def test_a_chain_of_pairings_becomes_a_tree_without_recursion():
+    # 50,000 pairings nest the chain's cells deeper than the recursion limit
+    b = _leaf("b")
+    red = pair_right(b)
+    for _ in range(49_999):
+        red = compose(pair_right(b), red)
+    [t] = enumerate_trees(_leaf("a").apply(red), 1)
+    assert tree_text(t) == "(" * 50_000 + "a" + ",b)" * 50_000
 
 
 def test_a_long_chain_that_pairs_nothing_has_only_its_inner_child():
