@@ -47,15 +47,18 @@ A name belongs to one derivative, so this engine mints an Empty per failed
 derivative and caches it.
 
 recognize and parse share one fold of derive over the input (_run), inside
-the grammar's activation, whose Context binds the engine variant once;
-caches are cleared first, so parses are independent.
+the grammar's activation, whose Context binds the engine variant once.
+_store notes each grammar node on its first memo entry, and the activation
+clears exactly those nodes when it ends (grammar.Grammar.activate), so a
+parse's derivatives die with it and the next parse starts from the grammar
+alone, at a cost that follows its input, not the grammar.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .forest import ForestSet, parse_null
+from .forest import ForestSet, build_null_forests, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
@@ -96,30 +99,35 @@ def _name(node, n, c, rule) -> None:
         node.name = name_node(n.name, c, rule)
 
 
-def _store(n, c, res, memo_full) -> bool:
+def _store(n, c, res, ctx) -> bool:
     """Keep res as n's derivative by c, and say whether it went in n's slot
-    or its map.  This is the one location rule: single mode has the slot
-    alone; the full memo puts the first token in the slot and the others in
-    the map.  A map outlives its slot only on a dead node whose finished
-    slot entry was cleared (grammar._drop_derivatives); every token goes to
-    that map, so the entries under construction it keeps stay where their
-    builders read them back."""
+    or its map.  This is the one place a memo entry is written, and the one
+    location rule: single mode has the slot alone; the full memo puts the
+    first token in the slot and the others in the map.  A map outlives its
+    slot only on a dead node whose finished slot entry was cleared
+    (grammar._drop_derivatives); every token goes to that map, so the
+    entries under construction it keeps stay where their builders read them
+    back.  A grammar node's first entry notes it on the context, whose
+    activation clears it when the parse ends."""
     k = n.d_key
-    if not memo_full or k == c or (k is None and n.d_map is None):
-        n.d_key = c
-        n.d_val = res
-        return True
-    m = n.d_map
-    if m is None:
-        m = n.d_map = {}
-    m[c] = res
-    return False
+    if k is None and n.d_map is None:
+        if n.in_grammar:
+            ctx.written.append(n)
+    elif ctx.memo_full and k != c:
+        m = n.d_map
+        if m is None:
+            m = n.d_map = {}
+        m[c] = res
+        return False
+    n.d_key = c
+    n.d_val = res
+    return True
 
 
 def _put(n, c, res, ctx) -> None:
     if ctx.naming:
         _name(res, n, c, _mint_rule(n, ctx))
-    _store(n, c, res, ctx.memo_full)
+    _store(n, c, res, ctx)
 
 
 def _reenter(n, c, form, ctx):
@@ -181,7 +189,7 @@ def _derive(n, c, ctx):
     marker = _MARKERS[ALT if split else form]
     # the entry stays where it is put until it is read back: the
     # dead-subgraph rule keeps it, and everything derived below is by c
-    in_slot = _store(n, c, marker, ctx.memo_full)
+    in_slot = _store(n, c, marker, ctx)
     # the result is _NEW[marker.form](a, b), unless a compaction rule gives
     # a replacement res
     if form == ALT:
@@ -244,23 +252,18 @@ def _derive(n, c, ctx):
 
 # --- whole-input operations --------------------------------------------------
 
-def _prepare(g: Grammar, ctx) -> None:
-    nodes = reachable_nodes(g.root)
-    for n in nodes:
-        n.d_key = None
-        n.d_val = None
-        n.d_map = None
-        n.pn_memo = None
-    if ctx.naming:
-        for n in nodes:
-            if n.name is None:
-                n.name = fresh_name()
-
-
-def _run(g: Grammar, tokens: Iterable[str], finish):
-    """Derive g by each token in turn, then finish(last derivative, ctx)."""
+def _run(g: Grammar, tokens: Iterable[str], finish, forests: bool = False):
+    """Derive g by each token in turn, then finish(last derivative, ctx),
+    inside the grammar's activation.  With `forests`, the grammar's
+    empty-word forests are built first, if no parse has built them yet
+    (forest.build_null_forests)."""
     with g.activate() as ctx:
-        _prepare(g, ctx)
+        if ctx.naming:
+            for n in reachable_nodes(g.root):
+                if n.name is None:
+                    n.name = fresh_name()
+        if forests:
+            build_null_forests(g)
         node = g.root
         for c in tokens:
             node = _derive(node, c, ctx)
@@ -276,4 +279,4 @@ def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
 def parse(g: Grammar, tokens: Iterable[str]) -> ForestSet:
     if g.settings.debug_names:
         raise ValueError("tree extraction is not supported with debug names on")
-    return _run(g, tokens, lambda node, ctx: parse_null(node))
+    return _run(g, tokens, lambda node, ctx: parse_null(node), forests=True)

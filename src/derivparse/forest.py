@@ -254,7 +254,10 @@ def parse_null(node) -> ForestSet:
             if form == _g.EPSILON:
                 n.pn_memo = n.results
                 continue
-            if form == _g.EMPTY or form == _g.TOKEN or not is_nullable(n):
+            # a node marked never null has no empty-word parse: the mark
+            # settles it without a nullability query
+            if (n.never_null or form == _g.EMPTY or form == _g.TOKEN
+                    or not is_nullable(n)):
                 n.pn_memo = EMPTY_SET
                 continue
             if form == _g.ALT:
@@ -300,6 +303,18 @@ def parse_null(node) -> ForestSet:
     return node.pn_memo
 
 
+def build_null_forests(g) -> None:
+    """Build the empty-word forest of every node of grammar g, once per
+    grammar.  They are constants of the grammar, built before its first
+    parse derives anything: so every forest node a parse builds comes after
+    them, and a parse's forest is numbered alike on a fresh grammar and on
+    one that parsed before."""
+    if not g.null_forests:
+        for n in _g.reachable_nodes(g.root):
+            parse_null(n)
+        g.null_forests = True
+
+
 # --- the forest walk ---------------------------------------------------------
 
 # Stands in for an empty payload forest.  The engine never builds one (pair
@@ -313,20 +328,18 @@ _NO_TREES = amb_node([])
 def _payload_root(red: Reduction) -> FNode:
     """Root of the forest a pairing reduction pairs against.
 
-    A pair-left-null's forest is forced once and kept on the reduction: its
-    node's parse_null memo is reset by the next parse of the grammar, and a
-    kept walk must see the same forest as every later _apply."""
+    A pair-left-null's forest is its node's parse_null memo, which no later
+    parse resets (see grammar.Grammar), so a kept walk sees the same forest
+    as every later _apply."""
     fs = red.payload
     if red.kind == reductions.PAIR_LEFT_NULL:
-        fs = red.forced
-        if fs is None:
-            fs = red.forced = parse_null(red.payload)
+        fs = parse_null(fs)
     return fs.root or _NO_TREES
 
 
 def _payload_roots(red: Reduction) -> tuple:
-    """Roots of every forest reduction `red` references (lazy ones forced
-    once, see _payload_root), in chain order; an empty payload forest is
+    """Roots of every forest reduction `red` references (see
+    _payload_root), in chain order; an empty payload forest is
     _NO_TREES.  Parts whose `pairs` bit is false reference no forest, so the
     walk never enters them: a composed chain is read only down to its
     pairings, and one that pairs nothing not at all."""
@@ -386,9 +399,9 @@ def _postorder(root: FNode) -> list:
 def _walk(fs: ForestSet) -> list:
     """The postorder of a non-empty forest set, walked by the first consumer
     and kept on the set for the rest.  A forest does not change once built,
-    and a payload forest a walk forces is kept on its reduction (see
-    _payload_root), so the kept list is what a new walk would give, however
-    many parses of the grammar come in between."""
+    and a payload forest is kept on its node (see _payload_root), so the
+    kept list is what a new walk would give, however many parses of the
+    grammar come in between."""
     order = fs._order
     if order is None:
         order = fs._order = _postorder(fs.root)

@@ -94,11 +94,12 @@ class GrammarNode:
 
     The remaining slots are engine state: the nullability cell, the derivative
     cache (a slot for one token and, under the full memo, a dict made by a
-    second token for the others), the under-construction flag, the
-    productive and never-null marks (set only once the structure proves the
-    language non-empty, or without the empty word), the grammar mark (set
-    when a loaded grammar reaches the node), the empty-word parse memo, and
-    the optional debug name.
+    second token for the others; on a grammar node it lasts one activation,
+    see Grammar), the under-construction flag, the productive and never-null
+    marks (set only once the structure proves the language non-empty, or
+    without the empty word), the grammar mark (set when a loaded grammar
+    reaches the node), the empty-word parse memo (a grammar node's is built
+    once, by its grammar's first parse), and the optional debug name.
     """
 
     __slots__ = (
@@ -159,12 +160,14 @@ class ParserSettings:
 
 class Context:
     """What the free-function constructors and engines consult: counters to
-    bump, an optional registry of every node created, and the settings,
+    bump, an optional registry of every node created, the grammar nodes
+    whose derivative memo was written (`written`, kept by the derivative
+    engine so that Grammar.activate clears exactly those), and the settings,
     resolved into plain switch fields when the context is created (debug
     names turn compaction off).  So a switch changed on g.settings while g
     is active applies from the next activation."""
 
-    __slots__ = ("counters", "settings", "created",
+    __slots__ = ("counters", "settings", "created", "written",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -174,6 +177,7 @@ class Context:
         self.counters = counters if counters is not None else Counters()
         self.settings = st
         self.created = created
+        self.written = []
         self.memo_full = st.memo_full
         self.naming = st.debug_names
         self.compacting = st.compaction and not self.naming
@@ -554,11 +558,17 @@ class Grammar:
     """A loaded grammar: root node, table of the nonterminals the start
     symbol reaches (kept for diagnostics and printing), per-grammar counters
     and settings, and the BNF twin the loader derived from the same source.
-    Parses keep caches on the nodes, so one activation at a time: a second,
-    nested or on another thread, raises RuntimeError."""
+
+    A parse keeps its derivatives in the memo slots of the grammar nodes it
+    derives, so one activation at a time: a second, nested or on another
+    thread, raises RuntimeError.  The activation clears those slots when it
+    ends, also when the parse raised, so a parse's derivatives die with it.
+    Each node's empty-word forest is a constant of the grammar: the first
+    parse builds them all (`null_forests` says it has), and nothing resets
+    them."""
 
     __slots__ = ("root", "start", "nonterminal_table", "size_G", "counters",
-                 "settings", "bnf", "created_nodes", "_lock")
+                 "settings", "bnf", "created_nodes", "null_forests", "_lock")
 
     def __init__(self, root: GrammarNode, start: str,
                  nonterminal_table: Optional[dict] = None, bnf=None):
@@ -570,17 +580,23 @@ class Grammar:
         self.settings = ParserSettings()
         self.bnf = bnf
         self.created_nodes = None
+        self.null_forests = False
         self._lock = threading.Lock()
 
     @contextmanager
     def activate(self):
+        """Make a context for one parse the active one; on the way out,
+        clear the derivative memo of every grammar node it wrote."""
+        created = [] if self.settings.collect_nodes else None
+        ctx = Context(self.counters, self.settings, created)
         if not self._lock.acquire(blocking=False):
             raise RuntimeError(f"{self!r} is already active")
         try:
-            created = [] if self.settings.collect_nodes else None
-            with use_context(Context(self.counters, self.settings, created)) as ctx:
+            with use_context(ctx):
                 yield ctx
         finally:
+            for n in ctx.written:
+                n.d_key = n.d_val = n.d_map = None
             self._lock.release()
 
     def __repr__(self) -> str:
@@ -603,10 +619,13 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     until nothing fires.  The never-null marks are settled exactly first, since
     the loader set them over unmarked placeholders: a node is never null unless
     the local rule reaches it upward from an epsilon (or a node under
-    construction).  The grammar marks are cleared while it runs, so the spine
-    rule's guard sees them alike whether a Grammar is made after normalizing
-    (load_grammar) or before (benchmarks/tracing.py); a Grammar's nodes are
-    marked again at its end, a bare root's by its own.
+    construction).  At the end, a node marked never null gets that verdict in
+    its nullability cell too, so no nullability query leaves an assumption
+    on it, nor a derivative subscribed to its flip, which would keep that
+    derivative alive after its parse.  The grammar marks are cleared while
+    it runs, so the spine rule's guard sees them alike whether a Grammar is
+    made after normalizing (load_grammar) or before (benchmarks/tracing.py);
+    a Grammar's nodes are marked again at its end, a bare root's by its own.
     """
     root = g.root if isinstance(g, Grammar) else g
     parents = {root: []}
@@ -639,6 +658,9 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
         work.append(n)
         work += parents[n]
         _enlist(n, parents, work)
+    for n in parents:
+        if n.never_null:
+            n.n_value = NV_NOT
     if isinstance(g, Grammar):
         g.size_G = _mark_grammar(root)
     return g

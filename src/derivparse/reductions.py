@@ -45,16 +45,13 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
     referenced anywhere in it (see the module docstring).  A tag equal to
-    one of the module's is stored as the module's own string.  `forced`
-    keeps a pair-left-null's payload forest once the forest layer has taken
-    it."""
+    one of the module's is stored as the module's own string."""
 
-    __slots__ = ("kind", "payload", "pairs", "forced")
+    __slots__ = ("kind", "payload", "pairs")
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind = _KINDS.get(kind, kind)
         self.payload = payload
-        self.forced = None
         if kind == COMPOSE:
             self.pairs = payload[0].pairs or payload[1].pairs
         elif kind in LIFTS:

@@ -1,5 +1,6 @@
 """Token-derivative engine: semantics, sharing, memo policy, cyclic graphs."""
 
+import gc
 import random
 import threading
 
@@ -12,7 +13,7 @@ from derivparse import (
     is_nullable, load_bnf, load_grammar, parse, reachable_nodes, recognize,
     tree_text, use_context,
 )
-from derivparse import derivation, grammar, nullability
+from derivparse import derivation, forest, grammar, nullability
 from derivparse.forest import EMPTY_SET, ForestSet
 from derivparse.grammar import (
     ALT, EMPTY, EPSILON, NV_NOT, RED, SEQ, SHARED_EMPTY, TOKEN,
@@ -159,9 +160,11 @@ def test_a_dead_nodes_map_keeps_the_entries_under_construction():
     assert (dead.d_key, dead.d_val, dead.d_map) == (None, None,
                                                     {"b": building})
     shell = new_alt(None, None)
-    assert not derivation._store(dead, "b", shell, True)
+    full = Context(settings=ParserSettings(memo_full=True))
+    assert not derivation._store(dead, "b", shell, full)
     assert dead.d_map == {"b": shell} and dead.d_val is None
-    assert derivation._store(dead, "b", shell, False)  # single: the slot
+    single = Context(settings=ParserSettings(memo_full=False))
+    assert derivation._store(dead, "b", shell, single)  # single: the slot
 
 
 def test_derivative_never_loops_on_pathological_self_reference():
@@ -250,12 +253,11 @@ def _unproductive(root) -> list:
 
 def _dead_steps(src: str, words) -> tuple:
     """(steps, steps after which a reachable node is dead), deriving each
-    word token by token from a grammar with fresh caches."""
+    word token by token, each in its own activation of one grammar."""
     g = load_grammar(src)
     steps = bad = 0
     for w in words:
-        with g.activate() as ctx:
-            derivation._prepare(g, ctx)
+        with g.activate():
             node = g.root
             for tok in w:
                 node = derive(node, tok)
@@ -316,8 +318,7 @@ def test_every_step_leaves_finished_nodes_and_the_shared_empty_untouched(
         for k, v in switches.items():
             setattr(g.settings, k, v)
         for w in words:
-            with g.activate() as ctx:
-                derivation._prepare(g, ctx)
+            with g.activate():
                 node = g.root
                 for tok in w:
                     node = derive(node, tok)
@@ -708,6 +709,87 @@ def test_a_never_null_mark_on_a_derivative_is_never_wrong():
                         assert not (n.never_null and is_nullable_naive(n))
 
 
+# --- a parse's derivatives die with it --------------------------------------
+
+def _live_node_ids() -> set:
+    gc.collect()
+    return {o.id for o in gc.get_objects() if type(o) is grammar.GrammarNode}
+
+
+def _retention_inputs() -> list:
+    """(source, words): arithmetic on both grammars, nested Dyck,
+    FIXED_CORPUS on its probe words and 30 seeded random grammars."""
+    rng = random.Random(0x11FE)
+    cases = [(ARITH_SRC, [mixed_expression(rng, 120), nested_parens(20)]),
+             (ARITH_LEFT_SRC, [mixed_expression(rng, 120)]),
+             (DYCK_SRC, [nested_dyck(30), _nested_dyck_word(rng, 40)])]
+    cases += [(src, probe_words(load_bnf(src), "ab")[:8])
+              for src in FIXED_CORPUS]
+    for _ in range(30):
+        src = random_grammar_source(rng)
+        cases.append((src, probe_words(load_bnf(src), "abc")[:8]))
+    return cases
+
+
+@pytest.mark.parametrize("switches", [{}, {"memo_full": False},
+                                      {"compaction": False}])
+def test_after_a_parse_only_the_grammar_is_alive(switches):
+    # the grammar nodes' memo slots once held the last parse's whole
+    # derivative graph until the next parse of the grammar
+    for src, words in _retention_inputs():
+        g = load_grammar(src)
+        for k, v in switches.items():
+            setattr(g.settings, k, v)
+        loaded = _live_node_ids()
+        for w in words:
+            recognize(g, w)
+            count_parses(parse(g, w))
+        assert _live_node_ids() <= loaded, src
+
+
+def test_a_parse_that_raised_leaves_only_the_grammar_alive(monkeypatch):
+    real = derivation._derive
+    calls = [0]
+
+    def failing(n, c, ctx):
+        calls[0] += 1
+        if calls[0] == 40:
+            raise RuntimeError("derive failed")
+        return real(n, c, ctx)
+
+    for src, words in [(ARITH_SRC, [expr_tokens(200)]),
+                       (DYCK_SRC, [nested_dyck(40)])]:
+        g = load_grammar(src)
+        loaded = _live_node_ids()
+        monkeypatch.setattr(derivation, "_derive", failing)
+        for run in (recognize, parse):
+            calls[0] = 0
+            with pytest.raises(RuntimeError, match="derive failed"):
+                run(g, words[0])
+        monkeypatch.setattr(derivation, "_derive", real)
+        assert _live_node_ids() <= loaded, src
+        # and the next parse starts from the grammar alone
+        assert _parse_record(g, words[0]) == _parse_record(load_grammar(src),
+                                                           words[0])
+
+
+def test_a_parse_after_the_first_walks_no_grammar(monkeypatch):
+    # clearing the memos once walked every grammar node before each parse;
+    # the first parse still walks once, to build the empty-word forests
+    def walk(root):
+        raise AssertionError("a grammar walk")
+
+    for src, words in _retention_inputs():
+        g = load_grammar(src)
+        parse(g, words[0])
+        monkeypatch.setattr(grammar, "reachable_nodes", walk)
+        monkeypatch.setattr(derivation, "reachable_nodes", walk)
+        for w in words:
+            recognize(g, w)
+            count_parses(parse(g, w))
+        monkeypatch.undo()
+
+
 # --- the nullability ablation changes nullability work only -----------------
 
 def _ablation_inputs() -> list:
@@ -771,6 +853,25 @@ def test_a_head_marked_never_null_is_never_asked_whether_it_splits(
         for w in words:
             parse(g, w)  # recognize would also ask about the last derivative
     assert asked[0] > 0  # unmarked heads are still asked
+
+
+def test_a_node_marked_never_null_is_never_asked_for_empty_word_parses(
+        monkeypatch):
+    # parse_null reads the mark first, as the derivative engine's split does
+    real = forest.is_nullable
+    asked = [0]
+
+    def checked(node):
+        assert not node.never_null, node
+        asked[0] += 1
+        return real(node)
+
+    monkeypatch.setattr(forest, "is_nullable", checked)
+    for src, words in _ablation_inputs():
+        g = load_grammar(src)
+        for w in words:
+            count_parses(parse(g, w))
+    assert asked[0] > 0  # unmarked nodes are still asked
 
 
 # --- binding the engine variant -----------------------------------------------
