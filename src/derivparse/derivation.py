@@ -11,6 +11,13 @@ derived nodes meet one token only and never make a map.  The single-entry
 mode (memo_full off) is the paper's ablation: one slot, which an insert
 under a different token evicts, and no map is read.
 
+Memo entries are per node, and inside one parse a node may be shared: the
+float-left compaction rule hands back the concatenation it built the first
+time for the same two halves (grammar._shared_seq), so two derivatives may
+share that node and read its memo.  The table that finds it belongs to the
+parse's activation, so derivatives of two parses share nothing but the
+grammar.
+
 Cycles are handled by a building marker: before the children of a composite
 node are derived, its cache entry is set to a marker of the result's form (a
 concatenation whose head is nullable derives into a choice).  A cyclic

@@ -779,11 +779,12 @@ def forest_to_json(fs: ForestSet) -> dict:
     if root is None:
         return {"root": None, "nodes": []}
     out = []
+    texts: dict = {}
     for n, kids in sorted(_walk(fs), key=lambda p: p[0].id):
         out.append({
             "id": n.id,
             "kind": n.kind,
-            "label": n.red.describe() if n.kind == DEFER else n.label,
+            "label": n.red.describe(texts) if n.kind == DEFER else n.label,
             "children": [c.id for c in kids],
         })
     return {"root": root.id, "nodes": out}

@@ -39,6 +39,18 @@ only under two guards, each backed by a measured counterexample:
   memoizes it.  Random grammar g48 of the benchmark corpus on a^n turns
   quadratic without this guard: 2,645 nodes become 26,250 at n=160.
 
+The same rule rebuilds, per operand, the continuation of an operator
+chain: on E : T '+' E | T ; T : F '*' T | F, the derivative of T's tail is
+the head of E's continuation, so every '*' floated that tail's reduction
+out over a fresh (p . q) of two nodes that had not changed (3.0 nodes per
+token on flat products, 1.0 on flat sums, and 3.0 again at every deeper
+precedence level).  So inside one parse the rule builds its concatenation
+through _shared_seq, which hands back the node built the first time for
+the same pair of finished, productive halves; its memoized derivative is
+then a hit at the next operand, and products cost 1.0 nodes per token.
+Within one parse, then, two derivatives may share a node; across parses
+they never do, and the loader never shares.
+
 One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
 language, but no node on it has an Empty child.  The dead-subgraph rule
 (collapse_dead) is one productivity fixed point, over the nodes not yet
@@ -162,12 +174,15 @@ class Context:
     """What the free-function constructors and engines consult: counters to
     bump, an optional registry of every node created, the grammar nodes
     whose derivative memo was written (`written`, kept by the derivative
-    engine so that Grammar.activate clears exactly those), and the settings,
-    resolved into plain switch fields when the context is created (debug
-    names turn compaction off).  So a switch changed on g.settings while g
-    is active applies from the next activation."""
+    engine so that Grammar.activate clears exactly those), the table of
+    concatenations the float-left rule shares (`seqs`, keyed by the pair
+    of halves; only a compacting activation makes one, so it dies with the
+    parse, and any other context, the loader's included, has None), and
+    the settings, resolved into plain switch fields when the context is
+    created (debug names turn compaction off).  So a switch changed on
+    g.settings while g is active applies from the next activation."""
 
-    __slots__ = ("counters", "settings", "created", "written",
+    __slots__ = ("counters", "settings", "created", "written", "seqs",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -178,6 +193,7 @@ class Context:
         self.settings = st
         self.created = created
         self.written = []
+        self.seqs = None
         self.memo_full = st.memo_full
         self.naming = st.debug_names
         self.compacting = st.compaction and not self.naming
@@ -292,6 +308,25 @@ def new_red(child, fn) -> GrammarNode:
     return fill(_new(RED), child, fn)
 
 
+def _shared_seq(left: GrammarNode, right: GrammarNode) -> GrammarNode:
+    """seq(left, right) for the float-left rule: inside a parse, the node
+    first built for these two productive halves (see the module
+    docstring).  A productive node is finished, and a concatenation of two
+    is productive, so a shared node is never a shell and never rewritten
+    by the dead-subgraph rule."""
+    ctx = _active.ctx
+    seqs = ctx.seqs
+    if seqs is None or not (left.productive and right.productive):
+        return new_seq(left, right)
+    key = (left, right)
+    n = seqs.get(key)
+    if n is None:
+        n = seqs[key] = new_seq(left, right)
+    else:
+        ctx.counters.seqs_shared += 1
+    return n
+
+
 def _fire(rule: int) -> None:
     _active.ctx.counters.firings_by_rule[rule] += 1
 
@@ -325,6 +360,8 @@ def _compact_alt(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
 
 
 def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]:
+    """The replacement for (left . right), or None.  seq-float-left, and
+    the seq-associate it may fire with, build through _shared_seq."""
     if left.in_progress or right.in_progress:
         return None
     f = left.form
@@ -348,10 +385,10 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
             # ... then seq-associate, once (see the module docstring for
             # why, and for the measured counterexample behind each guard)
             _fire(SEQ_ASSOCIATE)
-            return new_red(new_seq(p.left, new_seq(p.right, right)),
+            return new_red(_shared_seq(p.left, _shared_seq(p.right, right)),
                            reductions.compose(reductions.lift_left(left.fn),
                                               reductions.reassociate()))
-        return new_red(new_seq(p, right), reductions.lift_left(left.fn))
+        return new_red(_shared_seq(p, right), reductions.lift_left(left.fn))
     # right-child rules: a normalized grammar and its derivatives never have
     # these right children, so these fire only while a grammar loads
     f = right.form
@@ -585,10 +622,13 @@ class Grammar:
 
     @contextmanager
     def activate(self):
-        """Make a context for one parse the active one; on the way out,
-        clear the derivative memo of every grammar node it wrote."""
+        """Make a context for one parse the active one, with a table of
+        shared concatenations under compaction; on the way out, clear the
+        derivative memo of every grammar node it wrote."""
         created = [] if self.settings.collect_nodes else None
         ctx = Context(self.counters, self.settings, created)
+        if ctx.compacting:
+            ctx.seqs = {}
         if not self._lock.acquire(blocking=False):
             raise RuntimeError(f"{self!r} is already active")
         try:

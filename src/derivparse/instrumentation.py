@@ -58,6 +58,7 @@ class Counters:
         "nullable_visits",
         "firings_by_rule",
         "generation_count",
+        "seqs_shared",
     )
 
     def __init__(self) -> None:
@@ -70,6 +71,7 @@ class Counters:
         self.nullable_visits = 0
         self.firings_by_rule = [0] * len(COMPACTION_RULES)
         self.generation_count = 0
+        self.seqs_shared = 0
 
     @property
     def nodes_created(self) -> int:
@@ -105,6 +107,7 @@ class Counters:
             "compactions": self.compactions,
             "compaction_firings": dict(self.compaction_firings),
             "generation_count": self.generation_count,
+            "seqs_shared": self.seqs_shared,
         }
 
     def __repr__(self) -> str:

@@ -21,6 +21,8 @@ every other tag.  It is set once, in the constructor, from the parts' bits
 
 from __future__ import annotations
 
+from typing import Optional
+
 PAIR_LEFT = "pair-left"            # u -> (s, u) for each s in a known tree set
 PAIR_RIGHT = "pair-right"          # u -> (u, s)
 PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, tree set taken lazily from a node's empty-word parses
@@ -59,29 +61,42 @@ class Reduction:
         else:
             self.pairs = kind in PAIRINGS
 
-    def describe(self) -> str:
-        k = self.kind
-        if k == PRODUCTION:
-            name, arity = self.payload
-            return f"production:{name}/{arity}"
-        if k != COMPOSE and k not in _LIFT_OPEN:
-            return k
-        # compositions nest as deep as the input is long: no recursion.  A
-        # compose chain is written as the flat list of its parts, so equal
-        # reductions, however grouped, read the same
+    def describe(self, memo: Optional[dict] = None) -> str:
+        """The reduction as text.  A compose chain is written as the flat
+        list of its parts, so equal reductions, however grouped, read the
+        same.  `memo`, kept by the caller across calls, holds the text of
+        every lift and every other non-compose part by identity, so a part
+        shared between chains is rendered once."""
+        if memo is None:
+            memo = {}
+        # compositions nest as deep as the input is long: no recursion
         parts = []
         stack = [self]
         while stack:
             r = stack.pop()
-            if type(r) is str:
+            t = type(r)
+            if t is str:
                 parts.append(r)
-            elif r.kind == COMPOSE:
+            elif t is tuple:
+                # the end of a lift's text, which starts at parts[start]
+                lift, start = r
+                text = memo[lift] = "".join(parts[start:])
+                del parts[start:]
+                parts.append(text)
+            elif r.kind is COMPOSE:
                 stack += (r.payload[1], " . ", r.payload[0])
+            elif r in memo:
+                parts.append(memo[r])
             elif r.kind in _LIFT_OPEN:
+                stack += ((r, len(parts)), ")", r.payload)
                 parts.append(_LIFT_OPEN[r.kind])
-                stack += (")", r.payload)
             else:
-                parts.append(r.describe())
+                k = r.kind
+                if k is PRODUCTION:
+                    name, arity = r.payload
+                    k = f"production:{name}/{arity}"
+                parts.append(k)
+                memo[r] = k
         return "".join(parts)
 
     def __repr__(self) -> str:

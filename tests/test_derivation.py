@@ -512,10 +512,12 @@ def test_nested_arithmetic_stays_linear_up_to_16k_tokens():
 
 
 # the budgets sit below what the engine created when it made a shell for
-# every derivative it built: 2.0, 5.0, 6.5 and 5.0 nodes per token
+# every derivative it built: 2.0, 5.0, 6.5 and 5.0 nodes per token; flat
+# products, which built a fresh continuation per operand (3.0 nodes per
+# token), share it and meet the flat-sum budget
 @pytest.mark.parametrize("src, tokens, per_token", [
     (ARITH_SRC, lambda: ["n"] + ["+", "n"] * 2000, 1.28),
-    (ARITH_SRC, lambda: ["n"] + ["*", "n"] * 2000, 3.8),
+    (ARITH_SRC, lambda: ["n"] + ["*", "n"] * 2000, 1.28),
     (DYCK_SRC, lambda: nested_dyck(2000), 5.0),
     (ARITH_SRC, lambda: nested_parens(2000), 3.8),
 ], ids=["flat-sum", "flat-product", "nested-dyck", "nested-parens"])
@@ -530,12 +532,97 @@ def test_mixed_expressions_reuse_the_derivatives_of_earlier_operands():
     # a grammar node's derivative does not depend on the input position:
     # kept for every token, the derivatives of 'E', 'T' and those built
     # from them are reused at each operand, not rebuilt (3.43 nodes per
-    # token with one slot per node)
+    # token with one slot per node; 1.63 before the continuations of
+    # products were shared)
     toks = mixed_expression(random.Random(2400), 2400)
     g = load_grammar(ARITH_SRC)
-    with node_budget(int(2.0 * len(toks))):
+    with node_budget(int(1.4 * len(toks))):
         fs = parse(g, toks)
     assert count_parses(fs) == 1
+
+
+def _precedence_source(levels: int) -> str:
+    """One binary operator per precedence level, each right-recursive:
+    E0 : E1 'o0' E0 | E1 ; ... ; A : '(' E0 ')' | 'n' ;"""
+    rules = [f"E{i} : E{i + 1} 'o{i}' E{i} | E{i + 1} ;"
+             for i in range(levels - 1)]
+    rules.append(f"E{levels - 1} : A 'o{levels - 1}' E{levels - 1} | A ;")
+    rules.append("A : '(' E0 ')' | 'n' ;")
+    return "start = E0 ;\n" + "\n".join(rules) + "\n"
+
+
+@pytest.mark.parametrize("memo_full", [True, False])
+def test_precedence_depth_does_not_multiply_the_nodes_per_token(memo_full):
+    # each level's tail derives into the head of the next level's
+    # continuation; before that continuation was shared, every operator
+    # below the outermost cost 3.0 nodes per token against 1.0
+    src = _precedence_source(8)
+    per_token = []
+    for i in range(8):
+        toks = ["n"] + [f"o{i}", "n"] * 400
+        g = load_grammar(src)
+        g.settings.memo_full = memo_full
+        before = g.counters.nodes_created
+        with node_budget(4 * len(toks)):
+            fs = parse(g, toks)
+        assert count_parses(fs) == 1, i
+        per_token.append((g.counters.nodes_created - before) / len(toks))
+    assert max(per_token) <= 1.5 * per_token[0], per_token
+
+
+def test_without_compaction_flat_products_build_every_node():
+    # no compaction, no sharing: the node count is the one the engine
+    # built before continuations were shared
+    toks = ["n"] + ["*", "n"] * 200
+    g = load_grammar(ARITH_SRC)
+    g.settings.compaction = False
+    before = g.counters.nodes_created
+    fs = parse(g, toks)
+    assert g.counters.nodes_created - before == 89_604  # 223.45 per token
+    assert count_parses(fs) == 1
+    assert g.counters.seqs_shared == 0
+
+
+def _last_derivative(g, toks):
+    return derivation._run(g, toks, lambda node, ctx: node)
+
+
+def test_two_parses_never_share_a_derived_node():
+    # the table that shares continuations lives for one parse
+    for src, toks in [(ARITH_SRC, ["n"] + ["*", "n"] * 50),
+                      (ARITH_SRC, mixed_expression(random.Random(7), 200)),
+                      (_precedence_source(8), ["n"] + ["o3", "n"] * 5)]:
+        g = load_grammar(src)
+        first = _last_derivative(g, toks)
+        shared = g.counters.seqs_shared
+        assert shared > 0, src
+        second = _last_derivative(g, toks)
+        assert g.counters.seqs_shared == 2 * shared
+        derived = [{n for n in reachable_nodes(d) if not n.in_grammar}
+                   - {SHARED_EMPTY} for d in (first, second)]
+        assert derived[0] and not derived[0] & derived[1], src
+
+
+def test_only_a_parse_shares_continuations():
+    # the loader and a bare context build every concatenation; an
+    # activation shares one only under compaction, and only when both
+    # halves are finished and productive
+    p, q = mk_token("a"), mk_token("b")
+    shell = grammar.new_seq(None, None)
+    shell.in_progress = True
+    with use_context(Context()) as ctx:
+        assert ctx.seqs is None
+        assert grammar._shared_seq(p, q) is not grammar._shared_seq(p, q)
+    for compaction in (True, False):
+        g = load_grammar(ARITH_SRC)
+        g.settings.compaction = compaction
+        with g.activate() as ctx:
+            assert (ctx.seqs is not None) == compaction
+            a, b = grammar._shared_seq(p, q), grammar._shared_seq(p, q)
+            assert (a is b) == compaction
+            assert grammar._shared_seq(shell, q) is not grammar._shared_seq(
+                shell, q)
+        assert g.counters.seqs_shared == int(compaction)
 
 
 def _answers(src: str, words, memo_full: bool) -> list:

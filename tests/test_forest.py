@@ -320,6 +320,34 @@ def test_describe_writes_a_compose_chain_flat():
         f"lift-left({red.describe()})")
 
 
+def test_a_describe_memo_renders_each_shared_part_once():
+    inner = lift_left(compose(production("T", 3), reassociate()))
+    a = compose(inner, lift_right(inner))
+    texts: dict = {}
+    assert a.describe(texts) == a.describe()
+    assert texts[inner] == inner.describe()
+    # a part found in the memo is not rendered again
+    texts[inner] = "INNER"
+    b = lift_left(compose(inner, splice()))
+    assert b.describe(texts) == "lift-left(INNER . splice)"
+    assert texts[b] == "lift-left(INNER . splice)"
+
+
+def test_json_labels_equal_their_reductions_described_alone():
+    # the export keeps one memo for all its labels; the bytes are those of
+    # describing each defer node's reduction by itself
+    g = load_grammar(ARITH_SRC)
+    for toks in (mixed_expression(random.Random(11), 600), nested_parens(40),
+                 ["n"] + ["*", "n"] * 100):
+        fs = parse(g, toks)
+        by_id = {n.id: n for n, _ in forest._walk(fs)}
+        nodes = forest_to_json(fs)["nodes"]
+        defers = [d for d in nodes if d["kind"] == forest.DEFER]
+        assert defers
+        for d in defers:
+            assert d["label"] == by_id[d["id"]].red.describe()
+
+
 def test_deep_forests_export_at_the_default_recursion_limit():
     # 1,999 tokens compose reductions 1,001 deep on the right-recursive
     # grammar and nest the first tree 1,000 deep on both grammars; an

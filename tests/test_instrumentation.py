@@ -107,6 +107,21 @@ def test_emit_json_is_parseable_and_complete():
         assert field in out
 
 
+def test_shared_continuations_are_counted_copied_and_emitted():
+    # a flat product shares its continuation once; the memo hit on it
+    # does the rest
+    g = load_grammar(ARITH_SRC)
+    recognize(g, ["n"] + ["*", "n"] * 20)
+    c = g.counters
+    snap = c.snapshot()
+    assert snap.seqs_shared == c.seqs_shared == 1
+    assert c.as_dict()["seqs_shared"] == 1
+    assert json.loads(emit(c, "json"))["seqs_shared"] == 1
+    assert "seqs_shared" not in CSV_FIELDS
+    c.reset()
+    assert c.seqs_shared == 0 and snap.seqs_shared == 1
+
+
 # firings of the two parses below, under the single-entry memo as the
 # dict-counting engine recorded them, and under the default full memo,
 # which rebuilds no derivative that a slot evicted, and so fires fewer
