@@ -1,39 +1,53 @@
 """Debug names: watch which input span each derived node covers.
 
-With names enabled, every node minted during derivation carries its origin:
-a base symbol for nodes present before any input, then one appended token
-label per derivative taken.  A bullet records the single split a nullable
+With names enabled, every node the engine builds carries its origin: a base
+symbol for nodes present before any input, then one appended token label per
+derivative taken.  A bullet records the single split a nullable
 concatenation head may introduce.  The engine cross-checks every memo hit
 against the name it would have minted, so a run that completes has verified
-the discipline on every hit.
+the discipline on every hit.  Names build the same graph as --compaction off,
+so a named parse gives that engine's answers.
 
 Run:  python3 demos/05_debug_names.py
 """
 
 from collections import Counter
 
-from derivparse import load_grammar, recognize
+from derivparse import derive, is_nullable, load_grammar, reachable_nodes
 
 
 def main() -> None:
     g = load_grammar("start = S ;\nS : S S | '.' ;")
     g.settings.debug_names = True
-    g.settings.collect_nodes = True
     toks = list("abcdef")
-    assert recognize(g, toks)
+    word = "".join(toks)
 
-    named = [n for n in g.created_nodes if n.name is not None]
-    print(f"{len(named)} named nodes created while consuming {''.join(toks)!r}\n")
+    # the activation names the grammar's nodes; every node reachable from a
+    # derivative is collected, token by token
+    named = {}
+    with g.activate():
+        node = g.root
+        for c in toks:
+            node = derive(node, c)
+            for n in reachable_nodes(node):
+                if n.name is not None:
+                    named[n] = n.name
+        assert is_nullable(node)
+    print(f"{len(named)} named nodes reached while consuming {word!r}\n")
 
-    by_text = Counter(n.name.text() for n in named)
-    print("most common name shapes:")
-    for text, cnt in by_text.most_common(12):
-        print(f"  {text:12} x{cnt}")
+    spans = Counter("".join(nm.parts) for nm in named.values())
+    print("by the input span a name covers:")
+    print(f"  {'span length':>11} {'spans':>5} {'nodes':>5}")
+    for k in range(len(toks) + 1):
+        runs = [s for s in spans if len(s) == k]
+        print(f"  {k:>11} {len(runs):>5} {sum(spans[s] for s in runs):>5}")
 
-    marks = [n for n in named if n.name.mark is not None]
-    print(f"\nnames carrying a split marker: {len(marks)}")
+    assert all(s in word for s in spans)
+    assert all(nm.text().count("•") <= 1 for nm in named.values())
+    marks = sum(nm.mark is not None for nm in named.values())
+    print(f"\nnames carrying a split marker: {marks}")
     print("every name's token labels are one contiguous run of the input,")
-    print("and no name ever carries two markers.")
+    print("and no name carries two markers.")
 
 
 if __name__ == "__main__":

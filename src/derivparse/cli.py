@@ -44,8 +44,9 @@ def _add_engine_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--nullability", choices=("optimized", "naive"),
                     default="optimized")
     sp.add_argument("--debug-names", action="store_true",
-                    help="track node provenance names (disables tree "
-                         "extraction, so not usable with parse/bench)")
+                    help="name every node by its provenance and check each "
+                         "memo hit against its name (builds the "
+                         "--compaction off graph)")
 
 
 def _at_least(kind, low):
@@ -201,9 +202,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 2
-    if args.command in ("parse", "bench") and args.debug_names:
-        return _fail(f"--debug-names does not extract trees; "
-                     f"'{args.command}' needs them")
     try:
         if args.command == "recognize":
             return _cmd_recognize(args)

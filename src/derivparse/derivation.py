@@ -46,12 +46,15 @@ marked when built, and may be cut off from the cycle it leaned on; a memo
 hit on such a node runs the same fixed point before returning it.  Both run
 under compaction only.
 
-Debug names turn compaction off.  _name is the one place a derivative node
-is named: where it is cached (_put), and for the one node never cached, the
-first branch of a nullable-left Seq's choice.  The rule follows from the
-node derived from (_mint_rule), and every memo hit is checked against it.
-A name belongs to one derivative, so this engine mints an Empty per failed
-derivative and caches it.
+Debug names turn compaction off and build the --compaction off graph, so
+they audit the graph that engine parses with.  The activation names the
+grammar's nodes (grammar.Grammar.activate), and _name a derivative where it
+is cached (_put).  The two branches of a nullable-left Seq's choice are not
+cached: the first is named where it is built, without the split marker,
+and the second, the pair-left-null reduction, takes its child's name.  The
+rule follows from the node derived from (_mint_rule), and every memo hit is
+checked against it.  A name belongs to one derivative, so this engine mints
+an Empty per failed derivative and caches it.
 
 recognize and parse share one fold of derive over the input (_run), inside
 the grammar's activation, whose Context binds the engine variant once.
@@ -69,10 +72,10 @@ from .forest import ForestSet, build_null_forests, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
-    mk_empty, mk_eps, new_alt, new_red, new_seq, reachable_nodes,
+    mk_empty, mk_eps, new_alt, new_red, new_seq,
     _compact_alt, _compact_red, _compact_seq,
 )
-from .instrumentation import EXTEND, MARK_EXTEND, NamingError, fresh_name, name_node
+from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
 from .reductions import pair_left_null
 
@@ -101,7 +104,7 @@ def _mint_rule(n, ctx) -> str:
 
 
 def _name(node, n, c, rule) -> None:
-    """The one place a derivative node gets its debug name."""
+    """Name node as n's derivative by c, minted under rule."""
     if n.name is not None:
         node.name = name_node(n.name, c, rule)
 
@@ -215,9 +218,8 @@ def _derive(n, c, ctx):
         # nullable left half: the derivative may consume c in either half,
         # so the result is a choice; its first branch extends the left
         # parse, the second starts the right half, pairing in the left
-        # half's empty-word trees (threaded lazily; skipped entirely in the
-        # pure naming engine).  Only the choice is cached, so the first
-        # branch is named here, without the split marker.
+        # half's empty-word trees (threaded lazily).  Only the choice is
+        # cached, so both branches are named here.
         d = _derive(l, c, ctx)
         a = _compact_seq(d, r) if compacting else None
         if a is None:
@@ -225,13 +227,12 @@ def _derive(n, c, ctx):
             if naming:
                 _name(a, n, c, EXTEND)
         d = _derive(r, c, ctx)
-        if naming:
-            b = d
-        else:
-            inj = pair_left_null(l)
-            b = _compact_red(d, inj) if compacting else None
-            if b is None:
-                b = new_red(d, inj)
+        inj = pair_left_null(l)
+        b = _compact_red(d, inj) if compacting else None
+        if b is None:
+            b = new_red(d, inj)
+            if naming:
+                b.name = d.name
         res = _compact_alt(a, b) if compacting else None
     shell = n.d_val if in_slot else n.d_map[c]
     if shell is marker:
@@ -265,18 +266,12 @@ def _run(g: Grammar, tokens: Iterable[str], finish, forests: bool = False):
     empty-word forests are built first, if no parse has built them yet
     (forest.build_null_forests)."""
     with g.activate() as ctx:
-        if ctx.naming:
-            for n in reachable_nodes(g.root):
-                if n.name is None:
-                    n.name = fresh_name()
         if forests:
             build_null_forests(g)
         node = g.root
         for c in tokens:
             node = _derive(node, c, ctx)
-        result = finish(node, ctx)
-        g.created_nodes = ctx.created
-        return result
+        return finish(node, ctx)
 
 
 def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
@@ -284,6 +279,4 @@ def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
 
 
 def parse(g: Grammar, tokens: Iterable[str]) -> ForestSet:
-    if g.settings.debug_names:
-        raise ValueError("tree extraction is not supported with debug names on")
     return _run(g, tokens, lambda node, ctx: parse_null(node), forests=True)

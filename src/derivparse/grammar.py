@@ -24,8 +24,9 @@ concatenation, and each token of a nested Dyck word would then rebuild that
 spine, one node per open level (603.8 nodes per token at depth 800).  So
 when p = (p1 . p2) the rule re-associates it in the same step, once:
 (p1 . (p2 . q)) -> lift-left(f) after reassociate, and the next token
-derives the head p1 alone (6.5 nodes per token at any depth).  It does so
-only under two guards, each backed by a measured counterexample:
+derives the head p1 alone (nested Dyck words on P : '(' P ')' P | ; cost
+4.0 nodes per token at depths 50, 800 and 5,000).  It does so only under
+two guards, each backed by a measured counterexample:
 
 - p is no grammar node (the grammar mark, set by Grammar and
   normalize_grammar on every node the loaded grammar reaches).  Grammar
@@ -61,13 +62,12 @@ from every cycle-closing node that finishes unproductive.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
 from typing import Optional
 
 from . import reductions
-from .instrumentation import COMPACTION_RULES, FORM_NAMES, Counters
+from .instrumentation import COMPACTION_RULES, FORM_NAMES, Counters, fresh_name
 
 EMPTY, EPSILON, TOKEN, SEQ, ALT, RED = range(6)
 
@@ -93,8 +93,6 @@ WILDCARD = "."
 # nullability facts stored on nodes; UNKNOWN doubles as "assumed not nullable"
 NV_UNKNOWN, NV_NULLABLE, NV_NOT = 0, 1, 2
 
-_node_ids = itertools.count(1)
-
 
 class GrammarNode:
     """One graph node.  Field use depends on `form`:
@@ -115,7 +113,7 @@ class GrammarNode:
     """
 
     __slots__ = (
-        "id", "form", "left", "right", "label", "results", "fn",
+        "form", "left", "right", "label", "results", "fn",
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
         "in_progress", "productive", "never_null", "in_grammar",
@@ -123,7 +121,6 @@ class GrammarNode:
     )
 
     def __init__(self, form: int):
-        self.id = next(_node_ids)
         self.form = form
         self.left = None
         self.right = None
@@ -149,7 +146,7 @@ class GrammarNode:
             extra = f" {self.label!r}"
         elif self.name is not None:
             extra = f" {self.name.text()!r}"
-        return f"<{FORM_NAMES[self.form]}#{self.id}{extra}>"
+        return f"<{FORM_NAMES[self.form]}#{id(self):x}{extra}>"
 
 
 # --- ambient build context --------------------------------------------------
@@ -157,41 +154,35 @@ class GrammarNode:
 class ParserSettings:
     """Engine switches.  Defaults match the CLI defaults."""
 
-    __slots__ = ("memo_full", "compaction", "naive_nullability", "debug_names",
-                 "collect_nodes")
+    __slots__ = ("memo_full", "compaction", "naive_nullability", "debug_names")
 
     def __init__(self, *, memo_full: bool = True, compaction: bool = True,
-                 naive_nullability: bool = False, debug_names: bool = False,
-                 collect_nodes: bool = False):
+                 naive_nullability: bool = False, debug_names: bool = False):
         self.memo_full = memo_full
         self.compaction = compaction
         self.naive_nullability = naive_nullability
         self.debug_names = debug_names
-        self.collect_nodes = collect_nodes
 
 
 class Context:
     """What the free-function constructors and engines consult: counters to
-    bump, an optional registry of every node created, the grammar nodes
-    whose derivative memo was written (`written`, kept by the derivative
-    engine so that Grammar.activate clears exactly those), the table of
-    concatenations the float-left rule shares (`seqs`, keyed by the pair
-    of halves; only a compacting activation makes one, so it dies with the
-    parse, and any other context, the loader's included, has None), and
-    the settings, resolved into plain switch fields when the context is
-    created (debug names turn compaction off).  So a switch changed on
-    g.settings while g is active applies from the next activation."""
+    bump, the grammar nodes whose derivative memo was written (`written`,
+    kept by the derivative engine so that Grammar.activate clears exactly
+    those), the table of concatenations the float-left rule shares (`seqs`,
+    keyed by the pair of halves; only a compacting activation makes one, so
+    it dies with the parse, and any other context, the loader's included,
+    has None), and the settings, resolved into plain switch fields when the
+    context is created (debug names turn compaction off).  So a switch
+    changed on g.settings while g is active applies from the next
+    activation."""
 
-    __slots__ = ("counters", "settings", "created", "written", "seqs",
+    __slots__ = ("counters", "written", "seqs",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
-                 settings: Optional[ParserSettings] = None,
-                 created: Optional[list] = None):
+                 settings: Optional[ParserSettings] = None):
         st = settings if settings is not None else ParserSettings()
         self.counters = counters if counters is not None else Counters()
-        self.settings = st
-        self.created = created
         self.written = []
         self.seqs = None
         self.memo_full = st.memo_full
@@ -223,11 +214,8 @@ def use_context(ctx: Context):
 # --- constructors -----------------------------------------------------------
 
 def _new(form: int) -> GrammarNode:
-    ctx = _active.ctx
     node = GrammarNode(form)
-    ctx.counters.nodes_by_form[form] += 1
-    if ctx.created is not None:
-        ctx.created.append(node)
+    _active.ctx.counters.nodes_by_form[form] += 1
     return node
 
 
@@ -559,8 +547,8 @@ def _spread(work: list, live: set, parents: dict) -> None:
 
 
 def become_node(dst: GrammarNode, src: GrammarNode) -> bool:
-    """Overwrite dst's structural fields with src's.  dst keeps its identity
-    (and id), so existing references to dst now see src's structure.
+    """Overwrite dst's structural fields with src's.  dst keeps its identity,
+    so existing references to dst now see src's structure.
     Returns whether that structure changed: a node becoming itself (or a
     copy of its own shape) is no change, which lets normalization stop."""
     changed = (dst.form != src.form or dst.left is not src.left
@@ -605,7 +593,7 @@ class Grammar:
     them."""
 
     __slots__ = ("root", "start", "nonterminal_table", "size_G", "counters",
-                 "settings", "bnf", "created_nodes", "null_forests", "_lock")
+                 "settings", "bnf", "null_forests", "_lock")
 
     def __init__(self, root: GrammarNode, start: str,
                  nonterminal_table: Optional[dict] = None, bnf=None):
@@ -616,22 +604,25 @@ class Grammar:
         self.counters = Counters()
         self.settings = ParserSettings()
         self.bnf = bnf
-        self.created_nodes = None
         self.null_forests = False
         self._lock = threading.Lock()
 
     @contextmanager
     def activate(self):
         """Make a context for one parse the active one, with a table of
-        shared concatenations under compaction; on the way out, clear the
-        derivative memo of every grammar node it wrote."""
-        created = [] if self.settings.collect_nodes else None
-        ctx = Context(self.counters, self.settings, created)
+        shared concatenations under compaction, and under debug names give
+        every grammar node without a name a fresh one; on the way out, clear
+        the derivative memo of every grammar node it wrote."""
+        ctx = Context(self.counters, self.settings)
         if ctx.compacting:
             ctx.seqs = {}
         if not self._lock.acquire(blocking=False):
             raise RuntimeError(f"{self!r} is already active")
         try:
+            if ctx.naming:
+                for n in reachable_nodes(self.root):
+                    if n.name is None:
+                        n.name = fresh_name()
             with use_context(ctx):
                 yield ctx
         finally:
@@ -728,14 +719,16 @@ def _enlist(top: GrammarNode, parents: dict, work: list) -> None:
 # --- printing ---------------------------------------------------------------
 
 def describe_node(n: GrammarNode, *, max_depth: int = 6) -> str:
-    """A short structural sketch, cycle-safe."""
+    """A short structural sketch, cycle-safe.  Inner nodes are numbered in
+    the order the sketch first meets them, and a node met again on its own
+    path prints as its number."""
+    num: dict = {}
 
     def go(x: GrammarNode, depth: int, seen: frozenset) -> str:
-        if x.id in seen:
-            return f"#{x.id}"
+        if x in seen:
+            return f"#{num[x]}"
         if depth >= max_depth:
             return "..."
-        s = seen | {x.id}
         f = x.form
         if f == EMPTY:
             return "{}"
@@ -743,10 +736,10 @@ def describe_node(n: GrammarNode, *, max_depth: int = 6) -> str:
             return "eps"
         if f == TOKEN:
             return repr(x.label)
-        if f == SEQ:
-            return f"(seq#{x.id} {go(x.left, depth + 1, s)} {go(x.right, depth + 1, s)})"
-        if f == ALT:
-            return f"(alt#{x.id} {go(x.left, depth + 1, s)} {go(x.right, depth + 1, s)})"
-        return f"(red#{x.id} {go(x.left, depth + 1, s)})"
+        i = num.setdefault(x, len(num) + 1)
+        s = seen | {x}
+        kids = " ".join(go(c, depth + 1, s) for c in (x.left, x.right)
+                        if c is not None)
+        return f"({FORM_NAMES[f]}#{i} {kids})"
 
     return go(n, 0, frozenset())

@@ -11,11 +11,15 @@ from derivparse import (Context, Grammar, build_graph, enumerate_language,
                         forest_to_json, grammar, load_bnf, load_grammar, parse,
                         use_context)
 
-# deep grammars on long inputs recurse past the default limit; a test that
-# must see the default limit runs its code through run_python
-sys.setrecursionlimit(20000)
-
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def default_recursion_limit():
+    """Each test starts at the interpreter's default recursion limit:
+    cli.main raises it in-process, and the raised limit would otherwise
+    last for the rest of the session."""
+    sys.setrecursionlimit(1000)
 
 
 def run_python(*args, timeout: float = 120,
@@ -32,24 +36,44 @@ def run_python(*args, timeout: float = 120,
 
 
 @contextmanager
-def node_budget(n: int):
-    """Raise AssertionError as soon as the block creates more than n graph
-    nodes, so a test of a blow-up fails fast instead of exhausting memory."""
+def _watch_new(seen):
+    """Call seen(node) on every graph node the block creates."""
     real = grammar._new
-    created = 0
 
-    def counted(form):
-        nonlocal created
-        created += 1
-        if created > n:
-            raise AssertionError(f"more than {n} nodes created")
-        return real(form)
+    def watched(form):
+        node = real(form)
+        seen(node)
+        return node
 
-    grammar._new = counted
+    grammar._new = watched
     try:
         yield
     finally:
         grammar._new = real
+
+
+@contextmanager
+def node_budget(n: int):
+    """Raise AssertionError as soon as the block creates more than n graph
+    nodes, so a test of a blow-up fails fast instead of exhausting memory."""
+    created = 0
+
+    def count(node):
+        nonlocal created
+        created += 1
+        if created > n:
+            raise AssertionError(f"more than {n} nodes created")
+
+    with _watch_new(count):
+        yield
+
+
+@contextmanager
+def created_nodes():
+    """The list of every graph node the block creates, in creation order."""
+    made = []
+    with _watch_new(made.append):
+        yield made
 
 
 def load_unnormalized(src: str) -> Grammar:

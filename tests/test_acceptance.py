@@ -26,7 +26,7 @@ from derivparse.nullability import is_nullable_naive
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
     all_strings, distinct_tokens, expr_tokens, nested_dyck, nested_parens,
-    probe_words, random_grammar_source,
+    created_nodes, probe_words, random_grammar_source,
 )
 
 
@@ -275,9 +275,9 @@ def test_criterion_6_compaction_soundness_and_normal_form():
     ]
     for src, toks in scan_cases:
         g = load_grammar(src)
-        g.settings.collect_nodes = True
-        assert not parse(g, toks).is_empty()
-        for n in list(g.created_nodes) + reachable_nodes(g.root):
+        with created_nodes() as made:
+            assert not parse(g, toks).is_empty()
+        for n in made + reachable_nodes(g.root):
             scanned += 1
             if (n.form == SEQ and n.right is not None
                     and n.right.form in (EMPTY, EPSILON, RED)):
@@ -308,9 +308,9 @@ def test_criterion_7_naming_discipline():
         for toks in inputs:
             g = load_grammar(src)
             g.settings.debug_names = True
-            g.settings.collect_nodes = True
-            recognize(g, toks)  # NamingError here would fail the test
-            for n in g.created_nodes:
+            with created_nodes() as made:
+                recognize(g, toks)  # NamingError here would fail the test
+            for n in made:
                 if n.name is None:
                     continue
                 names_seen += 1

@@ -73,12 +73,30 @@ def test_engine_flags_accepted(ws, capsys):
         assert capsys.readouterr().out.strip() == "accept"
 
 
-def test_debug_names_refused_where_trees_are_needed(ws, capsys):
-    for cmd in ("parse", "bench"):
-        code = main([cmd, "--debug-names", g(ws), str(ws / "w4.txt")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--debug-names" in err
+def _renumbered(doc: dict) -> tuple:
+    """A forest export with its ids replaced by their rank: forest ids are
+    global, so two parses in one process differ in ids alone."""
+    rank = {n["id"]: i for i, n in enumerate(doc["nodes"])}
+    return rank[doc["root"]], [(n["kind"], n["label"],
+                                [rank[c] for c in n["children"]])
+                               for n in doc["nodes"]]
+
+
+def test_debug_names_work_where_trees_are_needed(ws, capsys):
+    # names build the --compaction off graph, so parse and bench take them
+    # and answer as that engine does
+    w4 = str(ws / "w4.txt")
+    answers = []
+    for flags in (["--debug-names"], ["--compaction", "off"]):
+        assert main(["parse", *flags, g(ws), w4]) == 0
+        doc = _renumbered(json.loads(capsys.readouterr().out))
+        assert main(["parse", "--count", *flags, g(ws), w4]) == 0
+        count = capsys.readouterr().out
+        lines = _bench_lines(ws, capsys, *flags)
+        answers.append((doc, count, [line.split(",")[-2:]
+                                     for line in lines[1:]]))
+    assert answers[0] == answers[1]
+    assert answers[0][1] == "5\n"
 
 
 def test_grammar_error_diagnostic(ws, capsys):

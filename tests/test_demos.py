@@ -1,9 +1,11 @@
-"""The demos run end to end (they reach the node registry, debug names and
-every engine switch, which no other test drives through a whole script).
-Demo 04 asserts that the nullability switch changes nullability work only:
-both engines create the same nodes and make the same derive calls.
+"""The demos run end to end (they reach debug names and every engine
+switch, which no other test drives through a whole script).  Demo 04
+asserts that the nullability switch changes nullability work only: both
+engines create the same nodes and make the same derive calls.  Demo 05
+asserts the naming discipline on every named node it reaches.
 
-Demo 03 (worst-case node growth) is left out: it takes about 23 s.
+Demo 03 (worst-case node growth, cubic) is left out: it takes about 10 s
+on a 2-CPU host, and CI runs it as a step of its own.
 """
 
 import pytest

@@ -25,10 +25,10 @@ from derivparse.instrumentation import (
 from derivparse.nullability import is_nullable_naive
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, _parse_record,
-    WORST_SRC, all_strings, assert_history_free, distinct_tokens,
-    expr_tokens, load_unnormalized, mixed_expression, nested_dyck,
-    nested_parens, node_budget, probe_words, random_grammar_source,
-    run_python,
+    WORST_SRC, all_strings, assert_history_free, created_nodes,
+    distinct_tokens, expr_tokens, load_unnormalized, mixed_expression,
+    nested_dyck, nested_parens, node_budget, probe_words,
+    random_grammar_source, run_python,
 )
 
 
@@ -138,9 +138,9 @@ def test_a_map_holds_only_other_tokens_and_single_mode_makes_none():
     for memo_full in (True, False):
         g = load_grammar(ARITH_LEFT_SRC)
         g.settings.memo_full = memo_full
-        g.settings.collect_nodes = True
-        assert count_parses(parse(g, toks)) == 1
-        nodes = list(g.created_nodes) + reachable_nodes(g.root)
+        with created_nodes() as made:
+            assert count_parses(parse(g, toks)) == 1
+        nodes = made + reachable_nodes(g.root)
         maps = [n for n in nodes if n.d_map is not None]
         assert all(n.d_key is not None and n.d_key not in n.d_map
                    for n in maps)
@@ -798,9 +798,9 @@ def test_a_never_null_mark_on_a_derivative_is_never_wrong():
 
 # --- a parse's derivatives die with it --------------------------------------
 
-def _live_node_ids() -> set:
+def _live_nodes() -> set:
     gc.collect()
-    return {o.id for o in gc.get_objects() if type(o) is grammar.GrammarNode}
+    return {o for o in gc.get_objects() if type(o) is grammar.GrammarNode}
 
 
 def _retention_inputs() -> list:
@@ -827,11 +827,11 @@ def test_after_a_parse_only_the_grammar_is_alive(switches):
         g = load_grammar(src)
         for k, v in switches.items():
             setattr(g.settings, k, v)
-        loaded = _live_node_ids()
+        loaded = _live_nodes()
         for w in words:
             recognize(g, w)
             count_parses(parse(g, w))
-        assert _live_node_ids() <= loaded, src
+        assert _live_nodes() <= loaded, src
 
 
 def test_a_parse_that_raised_leaves_only_the_grammar_alive(monkeypatch):
@@ -847,14 +847,14 @@ def test_a_parse_that_raised_leaves_only_the_grammar_alive(monkeypatch):
     for src, words in [(ARITH_SRC, [expr_tokens(200)]),
                        (DYCK_SRC, [nested_dyck(40)])]:
         g = load_grammar(src)
-        loaded = _live_node_ids()
+        loaded = _live_nodes()
         monkeypatch.setattr(derivation, "_derive", failing)
         for run in (recognize, parse):
             calls[0] = 0
             with pytest.raises(RuntimeError, match="derive failed"):
                 run(g, words[0])
         monkeypatch.setattr(derivation, "_derive", real)
-        assert _live_node_ids() <= loaded, src
+        assert _live_nodes() <= loaded, src
         # and the next parse starts from the grammar alone
         assert _parse_record(g, words[0]) == _parse_record(load_grammar(src),
                                                            words[0])
@@ -870,7 +870,6 @@ def test_a_parse_after_the_first_walks_no_grammar(monkeypatch):
         g = load_grammar(src)
         parse(g, words[0])
         monkeypatch.setattr(grammar, "reachable_nodes", walk)
-        monkeypatch.setattr(derivation, "reachable_nodes", walk)
         for w in words:
             recognize(g, w)
             count_parses(parse(g, w))

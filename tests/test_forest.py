@@ -122,7 +122,7 @@ def test_enumeration_order_does_not_depend_on_node_ids():
 
     expected = first_trees()
     for shift in (1, 2, 3, 17, 100):
-        # throwaway nodes move every later grammar and forest node id
+        # throwaway nodes move every later forest node id
         with use_context(Context()):
             for _ in range(shift):
                 mk_token("x")

@@ -1,20 +1,25 @@
 """Counters, metric emission, and the debug naming discipline."""
 
 import json
+import random
 from collections import Counter
 
 import pytest
 
 from derivparse import (
-    Context, NamingError, load_grammar, parse, recognize, use_context,
+    Context, NamingError, count_parses, enumerate_trees, load_bnf,
+    load_grammar, parse, recognize, tree_text, use_context,
 )
 from derivparse import derivation, grammar
-from derivparse.grammar import mk_alt, mk_empty, mk_token
+from derivparse.grammar import RED, mk_alt, mk_empty, mk_token
 from derivparse.instrumentation import (
     CSV_FIELDS, EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND, Counters,
     NodeName, emit, fresh_name, name_node,
 )
-from conftest import ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, expr_tokens
+from conftest import (
+    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, created_nodes,
+    expr_tokens, probe_words, random_grammar_source,
+)
 
 
 def test_counters_reset():
@@ -61,13 +66,13 @@ def test_counters_by_form_match_the_nodes_a_parse_creates(monkeypatch):
     assert rewritten
     rewritten.clear()
     g = load_grammar(ARITH_SRC)
-    g.settings.collect_nodes = True
     before = g.counters.as_dict()["nodes_by_form"]
-    parse(g, expr_tokens(40))
+    with created_nodes() as nodes:
+        parse(g, expr_tokens(40))
     after = g.counters.as_dict()["nodes_by_form"]
     # nodes a rule rewrote in place changed form after they were counted
-    assert not set(rewritten) & set(g.created_nodes)
-    made = Counter(FORM_NAMES[n.form] for n in g.created_nodes)
+    assert not set(rewritten) & set(nodes)
+    made = Counter(FORM_NAMES[n.form] for n in nodes)
     assert {f: after[f] - before[f] for f in FORM_NAMES} == {
         f: made[f] for f in FORM_NAMES}
     assert g.counters.nodes_created == sum(after.values())
@@ -230,9 +235,9 @@ def test_names_hash_by_value():
 
 def _collect_names(g, tokens):
     g.settings.debug_names = True
-    g.settings.collect_nodes = True
-    assert recognize(g, tokens)
-    return [n.name for n in g.created_nodes if n.name is not None]
+    with created_nodes() as made:
+        assert recognize(g, tokens)
+    return [n.name for n in made if n.name is not None]
 
 
 def test_engine_names_are_suffix_contiguous():
@@ -260,8 +265,31 @@ def test_engine_never_double_marks():
     assert parse_ok  # if a second mark had been needed, NamingError would raise
 
 
-def test_debug_names_block_tree_extraction():
-    g = load_grammar("start = S ;\nS : 'a' ;")
-    g.settings.debug_names = True
-    with pytest.raises(ValueError):
-        parse(g, ["a"])
+def _answer(g, w) -> tuple:
+    """Verdict, count and the ordered first 5 trees of one parse."""
+    fs = parse(g, w)
+    return (recognize(g, w), count_parses(fs),
+            [tree_text(t) for t in enumerate_trees(fs, 5)])
+
+
+def test_debug_names_parse_as_compaction_off():
+    # the naming engine builds the --compaction off graph, the split's
+    # pair-left-null reductions included, so it gives that engine's answers
+    rng = random.Random(0xA3E)
+    sources = FIXED_CORPUS + [random_grammar_source(rng) for _ in range(80)]
+    words_seen = named_reds = 0
+    for src in sources:
+        off, named = load_grammar(src), load_grammar(src)
+        off.settings.compaction = False
+        named.settings.debug_names = True
+        for w in probe_words(load_bnf(src), "abc"):
+            w = list(w)
+            with created_nodes() as made:
+                got = _answer(named, w)
+            assert got == _answer(off, w), (src, w)
+            words_seen += 1
+            for n in made:
+                assert n.name is not None, (src, w, n)
+                assert n.name.text().count(MARK) <= 1, n.name.text()
+                named_reds += n.form == RED
+    assert words_seen > 1000 and named_reds > 0
