@@ -56,6 +56,13 @@ rule follows from the node derived from (_mint_rule), and every memo hit is
 checked against it.  A name belongs to one derivative, so this engine mints
 an Empty per failed derivative and caches it.
 
+Under compaction, the node of a directly left-recursive rule derives as
+its twin (loader.build_graph), a right-recursive node of the same language
+and trees, and keeps the twin's derivative in its own memo.  Its cycles
+then re-enter the twin's entry.  Each token derives each open level's twin
+once, where the rule as written derives into a cycle X = X·α | D(β) that
+the next token rebuilds.
+
 recognize and parse share one fold of derive over the input (_run), inside
 the grammar's activation, whose Context binds the engine variant once.
 _store notes each grammar node on its first memo entry, and the activation
@@ -187,6 +194,11 @@ def _derive(n, c, ctx):
         else:
             return SHARED_EMPTY
         _put(n, c, res, ctx)
+        return res
+    if n.twin is not None and ctx.compacting:
+        # a left-recursive rule derives as its right-recursive twin
+        res = _derive(n.twin, c, ctx)
+        _store(n, c, res, ctx)
         return res
     naming = ctx.naming
     compacting = ctx.compacting

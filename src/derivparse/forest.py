@@ -32,8 +32,8 @@ from . import grammar as _g
 from . import reductions
 from .nullability import is_nullable
 from .reductions import (
-    COMPOSE, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT, PAIR_LEFT_NULL, PAIR_RIGHT,
-    PRODUCTION, REASSOCIATE, SPLICE, Reduction,
+    COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT, PAIR_LEFT_NULL,
+    PAIR_RIGHT, PRODUCTION, REASSOCIATE, SPLICE, Reduction,
 )
 
 
@@ -530,13 +530,15 @@ def _apply(red: Reduction, t, table) -> list:
     in place; one with more branches, one entry per payload tree.
 
     The pairs a chain makes on its way are cells, builtin (left, right)
-    tuples: not trees, never hashed.  Lifts, reassociate, production and
-    splice take a cell or a table Pair apart alike.  A cell becomes a tree
-    (see _tree) only where it escapes the chain: as a production's child,
-    as a splice's head, or as a tree `red` maps `t` to.  So a production
-    over the spine that pairings and reassociations built reads its
-    children straight out of the cells, and a chain builds only the trees
-    it leaves behind.
+    tuples: not trees, never hashed.  Lifts, reassociate, production,
+    splice and fold-left take a cell or a table Pair apart alike.  A cell
+    becomes a tree (see _tree) only where it escapes the chain: as a
+    production's child, as a splice's head or a fold's base, or as a tree
+    `red` maps `t` to.  So a production over the spine that pairings and
+    reassociations built reads its children straight out of the cells, and
+    a chain builds only the trees it leaves behind.  A fold-left walks its
+    tail of productions in a loop, one production per step, down to the
+    childless one.
 
     Frames dispatch on the kind by identity (Reduction keeps one string per
     kind), most frequent kind first.  A lift of a non-pair raises, as
@@ -594,6 +596,14 @@ def _apply(red: Reduction, t, table) -> list:
                 inner = halves and _halves(halves[1])
                 if inner:
                     t = ((halves[0], inner[0]), inner[1])
+            elif k is FOLD_LEFT:
+                halves = _halves(t)
+                if halves and type(halves[1]) is Prod:
+                    t, step = halves
+                    t = _tree(t)
+                    while step.children:
+                        t = Prod(step.name, (t,) + step.children[:-1])
+                        step = step.children[-1]
             else:
                 raise ValueError(f"cannot apply {k!r} to a {type(t).__name__}")
         else:
@@ -726,8 +736,13 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     order, with the branch that extends the left half of a nullable
     concatenation first.  A pair or deferred node lists the product of its
     children's trees, the left half or inner forest varying slowest.  The
-    order depends on neither node ids nor hash seeds nor the engine
-    switches, so it is stable across runs and the same under every switch.
+    order depends on neither node ids nor hash seeds, so it is stable
+    across runs, and it is the same under every switch but one case: a
+    compacting parse derives a directly left-recursive rule through its
+    twin (see loader), which lists the trees that split an input between
+    the rule's base and its left-recursive steps in more than one way
+    longest base first, where the rule as written lists them in its
+    alternatives' order.  All its trees and their count are the same.
 
     The fold builds only the trees the root's first `limit` need.  A demand
     pass, reading each node's count (the fold count_parses makes, kept on

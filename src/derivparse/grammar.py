@@ -110,6 +110,12 @@ class GrammarNode:
     without the empty word), the grammar mark (set when a loaded grammar
     reaches the node), the empty-word parse memo (a grammar node's is built
     once, by its grammar's first parse), and the optional debug name.
+
+    `twin` is set on the node of a directly left-recursive rule only: the
+    right-recursive node of the same language and trees that the loader
+    builds for it, which a compacting parse derives instead (see
+    loader.build_graph).  The walks over a grammar follow it as a third
+    child edge.
     """
 
     __slots__ = (
@@ -117,7 +123,7 @@ class GrammarNode:
         "n_value", "n_gen", "n_dependents",
         "d_key", "d_val", "d_map",
         "in_progress", "productive", "never_null", "in_grammar",
-        "pn_memo", "name",
+        "pn_memo", "name", "twin",
     )
 
     def __init__(self, form: int):
@@ -139,6 +145,7 @@ class GrammarNode:
         self.in_grammar = False
         self.pn_memo = None
         self.name = None
+        self.twin = None
 
     def __repr__(self) -> str:
         extra = ""
@@ -201,14 +208,21 @@ class _Active(threading.local):
 _active = _Active()
 
 
-@contextmanager
-def use_context(ctx: Context):
-    prev = _active.ctx
-    _active.ctx = ctx
-    try:
-        yield ctx
-    finally:
-        _active.ctx = prev
+class use_context:
+    """Make ctx the active context for a with block."""
+
+    __slots__ = ("ctx", "prev")
+
+    def __init__(self, ctx: Context):
+        self.ctx = ctx
+
+    def __enter__(self) -> Context:
+        self.prev = _active.ctx
+        _active.ctx = self.ctx
+        return self.ctx
+
+    def __exit__(self, *exc) -> None:
+        _active.ctx = self.prev
 
 
 # --- constructors -----------------------------------------------------------
@@ -259,41 +273,60 @@ def mk_token(label: str) -> GrammarNode:
 # the empty word), epsilon productive, Empty never null; a reduction has its
 # child's marks; a choice is productive if either child is, never null if
 # both are; a concatenation the reverse.  Shells stay unmarked until filled.
+# new_alt, new_seq and new_red apply the rule as they build; fill applies it
+# to a shell.
 
 def fill(n: GrammarNode, a, b) -> GrammarNode:
-    """Give a seq, alt or red node its children a and b (a reduction's b is
-    its fn) and the marks by the local rule, and return it.  A None a leaves
-    it an unmarked shell, which a later fill completes."""
+    """Give a seq, alt or red shell its children a and b (a reduction's b
+    is its fn) and the marks by the local rule, and return it."""
     n.left = a
     form = n.form
     if form == RED:
         n.fn = b
-    else:
-        n.right = b
-    if a is None:
+        n.productive = a.productive
+        n.never_null = a.never_null
         return n
+    n.right = b
     if form == ALT:
         n.productive = a.productive or b.productive
         n.never_null = a.never_null and b.never_null
-    elif form == SEQ:
+    else:
         n.productive = a.productive and b.productive
         n.never_null = a.never_null or b.never_null
-    else:
-        n.productive = a.productive
-        n.never_null = a.never_null
     return n
 
 
 def new_alt(left, right) -> GrammarNode:
-    return fill(_new(ALT), left, right)
+    """A choice of left and right; a None left makes a shell."""
+    n = _new(ALT)
+    n.left = left
+    n.right = right
+    if left is not None:
+        n.productive = left.productive or right.productive
+        n.never_null = left.never_null and right.never_null
+    return n
 
 
 def new_seq(left, right) -> GrammarNode:
-    return fill(_new(SEQ), left, right)
+    """A concatenation of left and right; a None left makes a shell."""
+    n = _new(SEQ)
+    n.left = left
+    n.right = right
+    if left is not None:
+        n.productive = left.productive and right.productive
+        n.never_null = left.never_null or right.never_null
+    return n
 
 
 def new_red(child, fn) -> GrammarNode:
-    return fill(_new(RED), child, fn)
+    """child under the reduction fn; a None child makes a shell."""
+    n = _new(RED)
+    n.left = child
+    n.fn = fn
+    if child is not None:
+        n.productive = child.productive
+        n.never_null = child.never_null
+    return n
 
 
 def _shared_seq(left: GrammarNode, right: GrammarNode) -> GrammarNode:
@@ -423,20 +456,26 @@ def mk_red(child: GrammarNode, fn) -> GrammarNode:
 # --- graph walks ------------------------------------------------------------
 
 def reachable_nodes(root: GrammarNode) -> list:
-    """Every node reachable through child edges, root first (iterative)."""
+    """Every node reachable through child and twin edges, root first
+    (iterative)."""
     seen = {root}
     order = [root]
     stack = [root]
     while stack:
         n = stack.pop()
         # leaves and reductions have no right child, leaves and unfilled
-        # shells no left one
+        # shells no left one, and only a left-recursive rule has a twin
         c = n.left
         if c is not None and c not in seen:
             seen.add(c)
             order.append(c)
             stack.append(c)
         c = n.right
+        if c is not None and c not in seen:
+            seen.add(c)
+            order.append(c)
+            stack.append(c)
+        c = n.twin
         if c is not None and c not in seen:
             seen.add(c)
             order.append(c)
@@ -665,18 +704,19 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     seeds = [n for n in parents if n.form == EPSILON or n.in_progress]
     nullable = set(seeds)
     _spread(seeds, nullable, parents)
-    inner, proven, pending = [], [], []
+    inner = []
     for n in parents:
         n.in_grammar = False
-        n.never_null = n not in nullable
-        if n.productive:
-            proven.append(n)
-        elif n.in_progress:
-            pending.append(n)
-        elif n.form != EMPTY:
+        if n not in nullable:
+            n.never_null = True
+            n.n_value = NV_NOT
+        else:
+            n.never_null = False
+        if not (n.productive or n.in_progress or n.form == EMPTY):
             inner.append(n)
     if inner:
-        _settle(inner, proven, pending, parents)
+        _settle(inner, [n for n in parents if n.productive],
+                [n for n in parents if n.in_progress], parents)
     work.reverse()  # the root first
     rewrites = 0
     while work:
@@ -689,29 +729,32 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
         work.append(n)
         work += parents[n]
         _enlist(n, parents, work)
-    for n in parents:
-        if n.never_null:
-            n.n_value = NV_NOT
+    if rewrites:  # a rewritten node or a new one may have lost the verdict
+        for n in parents:
+            if n.never_null:
+                n.n_value = NV_NOT
     if isinstance(g, Grammar):
         g.size_G = _mark_grammar(root)
     return g
 
 
 def _enlist(top: GrammarNode, parents: dict, work: list) -> None:
-    """Record top's child edges in `parents`; a child seen for the first
-    time is queued, and so is everything new below it."""
+    """Record top's child and twin edges in `parents`; a child seen for the
+    first time is queued, and so is everything new below it.  A twin has
+    its rule's language, so the productivity and nullability fixed points
+    may read it as one more choice."""
     stack = [top]
     while stack:
         n = stack.pop()
-        for c in (n.left, n.right):
+        for c in (n.left, n.right, n.twin):
             if c is None:
                 continue
             ps = parents.get(c)
             if ps is None:
                 parents[c] = [n]
-                if c.form >= SEQ:  # leaves never change
+                if c.form >= SEQ:  # leaves never change, nor have children
                     work.append(c)
-                stack.append(c)
+                    stack.append(c)
             else:
                 ps.append(n)
 

@@ -27,17 +27,35 @@ E : T '+' E | T ; makes every token rebuild a choice over the derivative of
 T for each open parenthesis.  The splice reduction puts the head's tree
 back in front of the rest's production, so the trees, their count and their
 order are those of the rules as written.
+
+A directly left-recursive rule A : A α1 | … | A αk | β1 | … | βm, where
+no αi or βj derives the empty word and no αi mentions A, derives, at every
+open level, into a cycle X = X·α | D(β) that each token rebuilds.  So the
+rule's node gets a twin of the same language, built beside it from the
+same β and α nodes (Moore's left-recursion removal, with the trees put
+back by one reduction):
+
+    A' = red(seq(B, R), fold-left)     B = β1 | … | βm
+    R  : α1 R | … | αk R | ;           built like a rule named A
+
+R's trees are productions A[α… rest], ending in an empty production that
+every tail of the grammar shares, and fold-left turns
+(A[β…], A[α1… A[α2… []]]) into A[A[A[β…] α1…] α2…], so the trees and
+their count are those of the rule as written.  A compacting parse derives
+the rule's node through its twin (derivation._derive); --compaction off
+and --debug-names derive the rule as written.  Hidden or indirect left
+recursion gets no twin.
 """
 
 from __future__ import annotations
 
 from .forest import PROD, FNode, ForestSet
 from .grammar import (
-    Context, Grammar, become_node, mk_alt, mk_eps, mk_red, mk_seq, mk_token,
-    new_alt, normalize_grammar, use_context,
+    RED, Context, Grammar, fill, mk_eps, mk_token, new_alt, new_red, new_seq,
+    normalize_grammar, use_context,
 )
 from .oracle import BnfGrammar, Ref, Term
-from .reductions import production, splice
+from .reductions import compose, fold_left, lift_left, production, splice
 
 
 class GrammarError(ValueError):
@@ -187,71 +205,210 @@ def load_bnf(text: str) -> BnfGrammar:
     return BnfGrammar(start, productions)
 
 
-def _symbol(sym, placeholders: dict):
-    return placeholders[sym.name] if isinstance(sym, Ref) else mk_token(sym.label)
-
-
-def _build_alternative(name: str, rhs: tuple, placeholders: dict):
-    if not rhs:
-        empty = FNode(PROD)
-        empty.label = name
-        return mk_eps(ForestSet(empty))
-    chain = None
-    for sym in reversed(rhs):
-        node = _symbol(sym, placeholders)
-        chain = node if chain is None else mk_seq(node, chain)
-    return mk_red(chain, production(name, len(rhs)))
-
-
-def _choice(exprs: list):
-    body = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        body = mk_alt(e, body)
-    return body
-
-
-def _build_rule(name: str, alts: list, placeholders: dict):
-    """The body of one rule, its shared first symbols factored: each run of
-    adjacent alternatives that start with the same symbol becomes
-    red(seq(head, choice of the rests), splice)."""
+def _runs(alts: list) -> list:
+    """The alternatives in runs of adjacent ones that start with the same
+    symbol; an empty alternative is a run of its own."""
     runs = []
     for rhs in alts:
         if runs and rhs and runs[-1][-1][:1] == rhs[:1]:
             runs[-1].append(rhs)
         else:
             runs.append([rhs])
-    exprs = []
-    for run in runs:
-        if len(run) == 1:
-            exprs.append(_build_alternative(name, run[0], placeholders))
-        else:
-            rests = _choice([_build_alternative(name, rhs[1:], placeholders)
-                             for rhs in run])
-            exprs.append(mk_red(mk_seq(_symbol(run[0][0], placeholders),
-                                       rests), splice()))
-    return _choice(exprs)
+    return runs
+
+
+def _empty_word(name: str):
+    empty = FNode(PROD)
+    empty.label = name
+    return mk_eps(ForestSet(empty))
+
+
+def _run_parts(name: str, run: list, symbol, seq=new_seq) -> tuple:
+    """(child, reduction) of the node that parses one run of non-empty
+    alternatives: one alternative's production over the concatenation of
+    its symbols, or red(seq(head, choice of the rests), splice).  `seq`
+    makes the concatenations."""
+    if len(run) == 1:
+        rhs = run[0]
+        chain = symbol(rhs[-1])
+        for sym in reversed(rhs[:-1]):
+            chain = seq(symbol(sym), chain)
+        return chain, production(name, len(rhs))
+    head = symbol(run[0][0])
+    rests = [_run_node(name, [rhs[1:]], symbol, seq) for rhs in run]
+    return seq(head, _choice(rests)), splice()
+
+
+def _run_node(name: str, run: list, symbol, seq=new_seq):
+    return (new_red(*_run_parts(name, run, symbol, seq)) if run[0]
+            else _empty_word(name))
+
+
+def _choice(exprs: list):
+    body = exprs[-1]
+    for e in reversed(exprs[:-1]):
+        body = new_alt(e, body)
+    return body
+
+
+def _placeholder(name: str, runs: list):
+    """The node a rule's references point at before its body is built: a
+    shell of the form the body's top node takes, or, for a rule whose one
+    alternative is empty, the whole body."""
+    if len(runs) > 1:
+        return new_alt(None, None)
+    return new_red(None, None) if runs[0][0] else _empty_word(name)
+
+
+def _fill_rule(ph, name: str, runs: list, symbol) -> list:
+    """Build the body of one rule into its placeholder ph (an empty rule's
+    is built whole), and return the node of each of its runs."""
+    if len(runs) > 1:
+        exprs = [_run_node(name, run, symbol) for run in runs]
+        fill(ph, exprs[0], _choice(exprs[1:]))
+        return exprs
+    if ph.form == RED:
+        fill(ph, *_run_parts(name, runs[0], symbol))
+    return [ph]
+
+
+def _least_set(productions: dict, names, terminals: bool) -> set:
+    """The least set of `names` in which each name has an alternative whose
+    symbols are all in the set or, when `terminals`, terminals: the
+    nonterminals that derive some word (with terminals) or the empty word
+    (without)."""
+    found: set = set()
+    # rules mostly use the rules defined after them: the last come first
+    todo = [(name, productions[name]) for name in reversed(names)]
+    grew = True
+    while grew:
+        grew = False
+        rest = []
+        for name, alts in todo:
+            for rhs in alts:
+                for s in rhs:
+                    if type(s) is Term:
+                        if not terminals:
+                            break
+                    elif s.name not in found:
+                        break
+                else:
+                    found.add(name)
+                    grew = True
+                    break
+            else:
+                rest.append((name, alts))
+        todo = rest
+    return found
+
+
+# stands for the tail nonterminal R of a twin (no source name is empty)
+_TAIL = Ref("")
+
+
+def _build_twin(ph, name: str, runs: list, left: list, exprs: list,
+                placeholders: dict, tokens: dict, nullable: set, end):
+    """ph's twin, or None unless the rule is A : A α1 | … | A αk | β1 |
+    … | βm where no αi or βj derives the empty word and no αi mentions A;
+    `left` says which of its runs of alternatives start with A.
+
+    The twin is red(seq(B, R), fold-left), B the choice of the βs and
+    R : α1 R | … | αk R | ; (see the module docstring), built as
+    normalize_grammar leaves it when B is a choice or a reduction over a
+    single symbol: a reduction B is floated out of seq(B, R).  B is the
+    rule's own node for the choice of its βs when they come last, and R's
+    symbols are the rule's nodes: `exprs` are the nodes of its runs,
+    `tokens` its token nodes by label; `end` is the empty word that ends
+    every tail.  An α that ends with B's symbol (E : E '+' T | T) ends with
+    that seq(B, R)."""
+    alphas = []
+    for run, lr in zip(runs, left):
+        for rhs in run:
+            body = rhs[1:] if lr else rhs
+            for s in body:
+                if type(s) is Term or s.name not in nullable:
+                    break
+            else:
+                return None  # derives the empty word
+            if lr:
+                for s in body:
+                    if type(s) is Ref and s.name == name:
+                        return None
+                alphas.append(body + (_TAIL,))
+    k = left.count(True)
+    if any(left[k:]):
+        base = _choice([e for e, lr in zip(exprs, left) if not lr])
+    else:
+        base = ph
+        for _ in range(k):
+            base = base.right
+    fn = fold_left()
+    if base.form == RED:
+        fn = compose(fn, lift_left(base.fn))
+        base = base.left
+    tail = new_alt(None, None)
+    tail.productive = True  # its last alternative is empty
+    top = new_seq(base, tail)
+
+    def symbol(sym):
+        if sym is _TAIL:
+            return tail
+        return placeholders[sym.name] if type(sym) is Ref else tokens[sym.label]
+
+    def seq(a, b):
+        # an α that ends with B's symbol ends with the top's concatenation
+        return top if a is base and b is tail else new_seq(a, b)
+
+    steps = [_run_node(name, run, symbol, seq) for run in _runs(alphas)]
+    fill(tail, steps[0], _choice(steps[1:] + [end]))
+    return new_red(top, fn)
 
 
 def build_graph(bnf: BnfGrammar) -> tuple:
     """(root, nonterminal table) with direct node references between rules.
     Only the nonterminals the start symbol reaches are built, in definition
-    order."""
+    order, each into the placeholder its references point at.  A directly
+    left-recursive rule gets a twin (see the module docstring).
+
+    A placeholder is marked productive when its rule's language is not
+    empty, so every node built over it is marked by the local rule, and
+    normalization proves productive only the rest."""
+    productions = bnf.productions
     reached, work = {bnf.start}, [bnf.start]
     while work:
-        for rhs in bnf.productions[work.pop()]:
+        for rhs in productions[work.pop()]:
             for sym in rhs:
                 if isinstance(sym, Ref) and sym.name not in reached:
                     reached.add(sym.name)
                     work.append(sym.name)
+    runs_of = {name: _runs(alts) for name, alts in productions.items()
+               if name in reached}
+    names = list(runs_of)
+    live = _least_set(productions, names, True)
     placeholders = {}
-    for name in bnf.productions:
-        if name in reached:
-            ph = new_alt(None, None)
-            ph.in_progress = True
-            placeholders[name] = ph
+    for name, runs in runs_of.items():
+        ph = placeholders[name] = _placeholder(name, runs)
+        ph.productive = name in live
+    nullable = end = None
     for name, ph in placeholders.items():
-        become_node(ph, _build_rule(name, bnf.productions[name], placeholders))
-        ph.in_progress = False
+        runs = runs_of[name]
+        tokens: dict = {}
+
+        def symbol(sym, tokens=tokens):
+            if type(sym) is Ref:
+                return placeholders[sym.name]
+            node = tokens[sym.label] = mk_token(sym.label)
+            return node
+
+        exprs = _fill_rule(ph, name, runs, symbol)
+        left = [bool(run[0]) and type(run[0][0]) is Ref
+                and run[0][0].name == name for run in runs]
+        if any(left) and not all(left):
+            if nullable is None:
+                nullable = _least_set(productions, names, False)
+                end = _empty_word("")  # ends every twin's tail
+            ph.twin = _build_twin(ph, name, runs, left, exprs, placeholders,
+                                  tokens, nullable, end)
     return placeholders[bnf.start], placeholders
 
 

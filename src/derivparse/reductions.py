@@ -11,6 +11,9 @@ applies it to just that pair component).  The loader's left factoring needs
 splice: a group of alternatives that share a first symbol parses as
 (head, tree of one rest), and splice puts the head back in front of that
 production's children, so the trees are those of the unfactored rule.
+The loader's right-recursive twin of a left-recursive rule needs
+fold-left, which turns a base tree and a tail of productions back into
+the left spine the rule as written builds.
 
 Only the pairing tags reference forests (their payloads), and a composed
 chain runs as long as the input, so each reduction carries a `pairs` bit:
@@ -29,6 +32,7 @@ PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, tree set taken lazily from 
 REASSOCIATE = "reassociate"        # (t1, (t2, t3)) -> ((t1, t2), t3)
 PRODUCTION = "production"          # right-nested tuple of k children -> named production tree
 SPLICE = "splice"                  # (h, N[k1 .. kn]) -> N[h k1 .. kn]
+FOLD_LEFT = "fold-left"            # (b, N[a1 .. N[a2 .. []]]) -> N[N[b a1 ..] a2 ..]
 COMPOSE = "compose"                # g after f
 LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
@@ -38,7 +42,8 @@ PAIRINGS = frozenset((PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL))
 LIFTS = frozenset((LIFT_LEFT, LIFT_RIGHT))
 # each kind's one string object, so the forest layer tests kinds by identity
 _KINDS = {k: k for k in (PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL, REASSOCIATE,
-                         PRODUCTION, SPLICE, COMPOSE, LIFT_LEFT, LIFT_RIGHT)}
+                         PRODUCTION, SPLICE, FOLD_LEFT, COMPOSE, LIFT_LEFT,
+                         LIFT_RIGHT)}
 
 # shared, not built per use: lift chains run tens of thousands deep
 _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
@@ -122,7 +127,7 @@ def pair_left_null(node) -> Reduction:
 
 
 def reassociate() -> Reduction:
-    return Reduction(REASSOCIATE)
+    return _REASSOCIATE
 
 
 def production(name: str, arity: int) -> Reduction:
@@ -130,7 +135,16 @@ def production(name: str, arity: int) -> Reduction:
 
 
 def splice() -> Reduction:
-    return Reduction(SPLICE)
+    return _SPLICE
+
+
+def fold_left() -> Reduction:
+    return _FOLD_LEFT
+
+
+# the tags without a payload are one shared reduction each
+_REASSOCIATE, _SPLICE, _FOLD_LEFT = map(Reduction,
+                                        (REASSOCIATE, SPLICE, FOLD_LEFT))
 
 
 def compose(g: Reduction, f: Reduction) -> Reduction:

@@ -161,12 +161,24 @@ ARITH_SRC = (
     "T : F '*' T | F ;\n"
     "F : '-' F | '(' E ')' | 'n' ;\n"
 )
-# the same language, left-recursive: the shape whose derivatives build
-# cycles that denote the empty language
+# the same language, left-recursive: as written, the shape whose
+# derivatives build cycles that denote the empty language; the loader
+# gives E and T right-recursive twins
 ARITH_LEFT_SRC = (
     "start = E ;\n"
     "E : E '+' T | T ;\n"
     "T : T '*' F | F ;\n"
+    "F : '-' F | '(' E ')' | 'n' ;\n"
+)
+# the same language, left-recursive through a unit rule: no rule is
+# directly left-recursive, so the loader builds no twin, and derivatives
+# build the cycles that ARITH_LEFT_SRC's rules as written do
+ARITH_INDIRECT_SRC = (
+    "start = E ;\n"
+    "E : X '+' T | T ;\n"
+    "X : E ;\n"
+    "T : Y '*' F | F ;\n"
+    "Y : T ;\n"
     "F : '-' F | '(' E ')' | 'n' ;\n"
 )
 

@@ -24,8 +24,8 @@ from derivparse.instrumentation import (
 )
 from derivparse.nullability import is_nullable_naive
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, _parse_record,
-    WORST_SRC, all_strings, assert_history_free, created_nodes,
+    ARITH_INDIRECT_SRC, ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS,
+    _parse_record, WORST_SRC, all_strings, assert_history_free, created_nodes,
     distinct_tokens, expr_tokens, load_unnormalized, mixed_expression,
     nested_dyck, nested_parens, node_budget, probe_words,
     random_grammar_source, run_python,
@@ -361,7 +361,55 @@ def test_left_recursion_stays_linear_up_to_16k_tokens():
     assert per_token[16000] <= 1.25 * per_token[1000], per_token
 
 
+def test_left_recursive_nesting_costs_what_right_recursive_nesting_does():
+    # the rules as written rebuild the derivative cycle of every open
+    # level per token: 238 nodes per token at d=100
+    per_token = _flat_nodes_per_token(ARITH_LEFT_SRC,
+                                      lambda n: nested_parens(n // 2),
+                                      (1000, 16000))
+    assert max(per_token.values()) <= 3.1, per_token
+
+
+@pytest.mark.parametrize("memo_full", [True, False])
+def test_repeated_left_recursive_nesting_costs_what_flat_operands_do(
+        memo_full):
+    # about 4k tokens of operands in d parentheses joined by '+'; the rules
+    # as written cost 8.9 nodes per token at d=64 (157.9 with one slot per
+    # node) against 4.0 at d=1
+    per_token = {}
+    for d in (1, 64):
+        unit = nested_parens(d)
+        toks = unit + (["+"] + unit) * (4000 // (len(unit) + 1) - 1)
+        g = load_grammar(ARITH_LEFT_SRC)
+        g.settings.memo_full = memo_full
+        before = g.counters.nodes_created
+        with node_budget(5 * len(toks)):
+            assert count_parses(parse(g, toks)) == 1
+        per_token[d] = (g.counters.nodes_created - before) / len(toks)
+    assert per_token[64] <= 1.25 * per_token[1], per_token
+
+
+def test_compaction_off_derives_left_recursion_as_written():
+    # rewritten to right recursion at load, the grammar's derivatives nest
+    # deeper without compaction: the longest expr_tokens input parsed at the
+    # default recursion limit fell from 990 tokens to 438
+    g = load_grammar(ARITH_LEFT_SRC)
+    g.settings.compaction = False
+    assert count_parses(parse(g, expr_tokens(900))) == 1
+
+
+def test_the_worst_case_grammar_gets_no_twin():
+    # L : L L | '.' has an α that mentions L
+    g = load_grammar(WORST_SRC)
+    assert all(n.twin is None for n in reachable_nodes(g.root))
+    before = g.counters.nodes_created
+    parse(g, distinct_tokens(80))
+    assert g.counters.nodes_created - before <= 177_516
+
+
 def test_dead_subgraph_walk_follows_the_compaction_switch(monkeypatch):
+    # indirect left recursion gets no twin: its derivatives still close
+    # cycles that denote the empty language
     walks = []
     real = derivation.collapse_dead
 
@@ -374,7 +422,7 @@ def test_dead_subgraph_walk_follows_the_compaction_switch(monkeypatch):
     results = {}
     for compaction in (False, True):
         for memo_full in (False, True):
-            g = load_grammar(ARITH_LEFT_SRC)
+            g = load_grammar(ARITH_INDIRECT_SRC)
             g.settings.compaction = compaction
             g.settings.memo_full = memo_full
             before = g.counters.compaction_firings.get("dead-subgraph", 0)
@@ -520,7 +568,11 @@ def test_nested_arithmetic_stays_linear_up_to_16k_tokens():
     (ARITH_SRC, lambda: ["n"] + ["*", "n"] * 2000, 1.28),
     (DYCK_SRC, lambda: nested_dyck(2000), 5.0),
     (ARITH_SRC, lambda: nested_parens(2000), 3.8),
-], ids=["flat-sum", "flat-product", "nested-dyck", "nested-parens"])
+    # the left-recursive rules as written: 4.0 and 9.0 nodes per token
+    (ARITH_LEFT_SRC, lambda: ["n"] + ["+", "n"] * 1000, 1.05),
+    (ARITH_LEFT_SRC, lambda: ["n"] + ["*", "n"] * 1000, 1.05),
+], ids=["flat-sum", "flat-product", "nested-dyck", "nested-parens",
+        "left-flat-sum", "left-flat-product"])
 def test_nodes_per_token_stay_inside_an_absolute_budget(src, tokens, per_token):
     toks = tokens()
     with node_budget(int(per_token * len(toks))):
@@ -685,6 +737,15 @@ def test_parentheses_10k_deep_at_the_default_recursion_limit():
     d = 10_000
     _deep_at_the_default_recursion_limit(
         ARITH_SRC, f'["("] * {d} + ["n"] + [")"] * {d}',
+        "E[T[F[( " * d + "E[T[F[n]]]" + " )]]]" * d)
+
+
+def test_left_recursive_parentheses_10k_deep_at_the_default_recursion_limit():
+    # the rules as written raised RecursionError from about d=200; their
+    # right-recursive twins derive as ARITH_SRC's rules do
+    d = 10_000
+    _deep_at_the_default_recursion_limit(
+        ARITH_LEFT_SRC, f'["("] * {d} + ["n"] + [")"] * {d}',
         "E[T[F[( " * d + "E[T[F[n]]]" + " )]]]" * d)
 
 

@@ -9,15 +9,15 @@ import pytest
 from derivparse import (
     Context, INFINITE, Leaf, Pair, Prod,
     count_parses, enumerate_trees, forest_to_json, load_bnf, load_grammar,
-    parse, parse_null, recognize, tree_text, use_context,
+    parse, parse_null, reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse import forest
 from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
 from derivparse.grammar import mk_token
 from derivparse.reductions import (
-    COMPOSE, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS, PRODUCTION,
-    REASSOCIATE, SPLICE, Reduction, compose, lift_left, lift_right, pair_left,
-    pair_right, production, reassociate, splice,
+    COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS,
+    PRODUCTION, REASSOCIATE, SPLICE, Reduction, compose, fold_left, lift_left,
+    lift_right, pair_left, pair_right, production, reassociate, splice,
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
@@ -179,6 +179,52 @@ def test_truncated_tree_subsets_do_not_depend_on_switches(src, words):
             for naive in (False, True):
                 assert trees(compaction=compaction, memo_full=memo_full,
                              naive_nullability=naive) == want
+
+
+def _first_trees(src: str, word, compaction: bool) -> tuple:
+    g = load_grammar(src)
+    g.settings.compaction = compaction
+    fs = parse(g, list(word))
+    return count_parses(fs), [tree_text(t) for t in enumerate_trees(fs, 10)]
+
+
+def _has_twin(src: str) -> bool:
+    return any(n.twin is not None
+               for n in reachable_nodes(load_grammar(src).root))
+
+
+def test_compaction_keeps_the_tree_order_but_for_a_twins_splits():
+    # a left-recursive rule's twin lists the trees that split the input
+    # between base and tail in more than one way longest base first; the
+    # rule as written lists them in its alternatives' order.  From an
+    # infinitely ambiguous forest the two engines may take different trees
+    # of least pumping, twin or not
+    src = "start = A ;\nA : A 'a' | 'a' | 'a' 'a' ;\n"
+    assert _first_trees(src, "aaa", True) == (
+        2, ["A[A[a a] a]", "A[A[A[a] a] a]"])
+    assert _first_trees(src, "aaa", False) == (
+        2, ["A[A[A[a] a] a]", "A[A[a a] a]"])
+    assert not any(map(_has_twin, FIXED_CORPUS))
+    for src in FIXED_CORPUS:
+        for w in probe_words(load_bnf(src), "ab."):
+            assert (_first_trees(src, w, True)
+                    == _first_trees(src, w, False)), (src, w)
+    rng = random.Random(0x0DE7)
+    twins = 0
+    for _ in range(60):
+        src = random_grammar_source(rng)
+        twin = _has_twin(src)
+        twins += twin
+        for w in probe_words(load_bnf(src), "abc"):
+            on, off = _first_trees(src, w, True), _first_trees(src, w, False)
+            assert on[0] == off[0], (src, w)
+            if on[0] is INFINITE:
+                assert len(on[1]) == len(off[1]) == 10, (src, w)
+            elif not twin:
+                assert on[1] == off[1], (src, w)
+            elif on[0] <= 10:
+                assert set(on[1]) == set(off[1]), (src, w)
+    assert twins >= 3, twins
 
 
 def test_enumeration_order_does_not_depend_on_the_hash_seed():
@@ -456,8 +502,8 @@ _PUT_LEFT, _PUT_RIGHT = object(), object()
 
 def _reference_apply(red: Reduction, t, table) -> list:
     """The reference for forest._apply, step by step: every pairing, lift
-    and reassociation step builds a Pair, and production and splice take
-    Pairs apart.  The trees it gives, in its order, are the ones
+    and reassociation step builds a Pair, and production, splice and
+    fold-left take Pairs apart.  The trees it gives, in its order, are the ones
     enumeration must return."""
     out = []
     work = [(t, (red, None))]
@@ -504,6 +550,13 @@ def _reference_apply(red: Reduction, t, table) -> list:
             elif k == REASSOCIATE:
                 if isinstance(t, Pair) and isinstance(t.right, Pair):
                     t = Pair(Pair(t.left, t.right.left), t.right.right)
+            elif k == FOLD_LEFT:
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    acc, step = t.left, t.right
+                    while step.children:
+                        acc = Prod(step.name, (acc,) + step.children[:-1])
+                        step = step.children[-1]
+                    t = acc
             else:
                 raise ValueError(f"cannot apply {k!r} to a {t!r}")
         else:
@@ -537,6 +590,16 @@ def _leaf(a: str) -> ForestSet:
     return ForestSet.single_leaf(a)
 
 
+def _tail(*labels: str) -> ForestSet:
+    """The tree N[l1 N[l2 … []]] of a twin's tail, one step per label."""
+    end = FNode("prod")
+    end.label = ""
+    fs = ForestSet(end)
+    for a in reversed(labels):
+        fs = _leaf(a).apply(compose(production("N", 2), pair_right(fs)))
+    return fs
+
+
 @pytest.mark.parametrize("fs, red, texts", [
     # a spine shorter than the arity: the whole pair is the one child
     (_leaf("a"), compose(production("P", 3), pair_right(_leaf("b"))),
@@ -561,9 +624,20 @@ def _leaf(a: str) -> ForestSet:
     (ForestSet(_pairs_with_c(_leaf("a"))),
      compose(production("Q", 3), lift_right(pair_right(_two("x", "y")))),
      ["Q[a c x]", "Q[a c y]"]),
+    # a fold of a base onto a tail of two steps, and onto an empty tail
+    (_leaf("a"), compose(fold_left(), pair_right(_tail("b", "c"))),
+     ["N[N[a b] c]"]),
+    (_leaf("a"), compose(fold_left(), pair_right(_tail())), ["a"]),
+    # a fold whose base is a pair the chain made
+    (_leaf("a"), compose(fold_left(), compose(lift_left(pair_right(_leaf("b"))),
+                                              pair_right(_tail("c")))),
+     ["N[(a,b) c]"]),
+    # a fold onto a right half that is not a production changes nothing
+    (_leaf("a"), compose(fold_left(), pair_right(_leaf("b"))), ["(a,b)"]),
 ], ids=["short-spine", "splice-no-prod", "splice-pair-head",
         "reassociate-no-pair", "reassociate-table-pairs", "lift-table-pair",
-        "pairing-in-lift-in-compose"])
+        "pairing-in-lift-in-compose", "fold-left", "fold-left-empty-tail",
+        "fold-left-pair-base", "fold-left-no-prod"])
 def test_each_case_of_the_applier_matches_the_reference(monkeypatch, fs, red,
                                                         texts):
     fs = fs.apply(red)

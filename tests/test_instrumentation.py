@@ -17,7 +17,7 @@ from derivparse.instrumentation import (
     NodeName, emit, fresh_name, name_node,
 )
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, created_nodes,
+    ARITH_INDIRECT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, created_nodes,
     expr_tokens, probe_words, random_grammar_source,
 )
 
@@ -62,7 +62,7 @@ def _record_rewrites(monkeypatch) -> list:
 def test_counters_by_form_match_the_nodes_a_parse_creates(monkeypatch):
     rewritten = _record_rewrites(monkeypatch)
     # the recording sees the rewrites of a parse that makes some
-    parse(load_grammar(ARITH_LEFT_SRC), expr_tokens(40))
+    parse(load_grammar(ARITH_INDIRECT_SRC), expr_tokens(40))
     assert rewritten
     rewritten.clear()
     g = load_grammar(ARITH_SRC)
@@ -153,15 +153,17 @@ _PINNED_PARSE_FIRINGS = {
 def test_per_rule_firings_are_pinned():
     # firing counts of a load and of two parses that between them fire 11
     # of the 14 rules (the load's since the spine rule's head guard reads
-    # the never-null mark)
+    # the never-null mark); the left-recursive parse is of the indirect
+    # variant, which gets no twin and fires what ARITH_LEFT_SRC's rules as
+    # written fire
     nested_left = ["("] * 3 + expr_tokens(40) + [")"] * 3
     g = load_grammar(ARITH_SRC)
     assert g.counters.compaction_firings == {
-        "seq-float-left": 3, "seq-float-right": 5, "red-compose": 6,
+        "seq-float-left": 2, "seq-float-right": 4, "red-compose": 5,
         "seq-associate": 3}
     for memo_full, pinned in _PINNED_PARSE_FIRINGS.items():
         left, left_total, dyck, dyck_total = pinned
-        g = load_grammar(ARITH_LEFT_SRC)
+        g = load_grammar(ARITH_INDIRECT_SRC)
         g.settings.memo_full = memo_full
         g.counters.reset()
         parse(g, nested_left)
