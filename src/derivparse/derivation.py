@@ -30,10 +30,9 @@ replacement, or a node built from the children.  If a shell is there, it is
 already some node's child: it takes the children, or the replacement's
 structure is copied into it.  Without that in-place step, every derivative
 along a cyclic spine would keep one stale choice layer per token and parsing
-such grammars would degrade to quadratic.  The dead-subgraph rule keeps a
-cache entry under construction (grammar._drop_derivatives), so the builder
-always finds its shell.  A failed or Empty derivative is the one shared
-Empty (grammar.SHARED_EMPTY), and deriving an Empty makes no cache entry.
+such grammars would degrade to quadratic.  A failed or Empty derivative
+is the one shared Empty (grammar.SHARED_EMPTY), under every switch, and no
+cache entry is made for it.
 
 A shell can close a cycle that denotes the empty language, such as
 X = red(seq(X, t)), which no local rule sees.  So every finished shell is
@@ -51,10 +50,10 @@ they audit the graph that engine parses with.  The activation names the
 grammar's nodes (grammar.Grammar.activate), and _name a derivative where it
 is cached (_put).  The two branches of a nullable-left Seq's choice are not
 cached: the first is named where it is built, without the split marker,
-and the second, the pair-left-null reduction, takes its child's name.  The
-rule follows from the node derived from (_mint_rule), and every memo hit is
-checked against it.  A name belongs to one derivative, so this engine mints
-an Empty per failed derivative and caches it.
+and the second, the pair-left-null reduction, is named as the right half's
+derivative.  The rule follows from the node derived from (_mint_rule), and
+every memo hit is checked against it.  A failed derivative is the shared
+Empty here too, and has no name.
 
 Under compaction, the node of a directly left-recursive rule derives as
 its twin (loader.build_graph), a right-recursive node of the same language
@@ -79,7 +78,7 @@ from .forest import ForestSet, build_null_forests, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
-    mk_empty, mk_eps, new_alt, new_red, new_seq,
+    mk_eps, new_alt, new_red, new_seq,
     _compact_alt, _compact_red, _compact_seq,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
@@ -116,18 +115,16 @@ def _name(node, n, c, rule) -> None:
         node.name = name_node(n.name, c, rule)
 
 
-def _store(n, c, res, ctx) -> bool:
-    """Keep res as n's derivative by c, and say whether it went in n's slot
-    or its map.  This is the one place a memo entry is written, and the one
-    location rule: single mode has the slot alone; the full memo puts the
-    first token in the slot and the others in the map.  A map outlives its
-    slot only on a dead node whose finished slot entry was cleared
-    (grammar._drop_derivatives); every token goes to that map, so the
-    entries under construction it keeps stay where their builders read them
-    back.  A grammar node's first entry notes it on the context, whose
-    activation clears it when the parse ends."""
+def _store(n, c, res, ctx) -> None:
+    """Keep res as n's derivative by c.  This is the one location rule:
+    single mode has the slot alone; the full memo puts the first token in
+    the slot and the others in the map, so an entry is in the slot if and
+    only if the slot's token is c.  Only this module writes memo entries,
+    and nothing but the end of the parse clears them.  A grammar node's
+    first entry notes it on the context, whose activation clears it when
+    the parse ends."""
     k = n.d_key
-    if k is None and n.d_map is None:
+    if k is None:
         if n.in_grammar:
             ctx.written.append(n)
     elif ctx.memo_full and k != c:
@@ -135,10 +132,9 @@ def _store(n, c, res, ctx) -> bool:
         if m is None:
             m = n.d_map = {}
         m[c] = res
-        return False
+        return
     n.d_key = c
     n.d_val = res
-    return True
 
 
 def _put(n, c, res, ctx) -> None:
@@ -189,12 +185,9 @@ def _derive(n, c, ctx):
     if form <= TOKEN:  # Empty, Epsilon, token
         if form == TOKEN and (n.label == c or n.label == WILDCARD):
             res = mk_eps(ForestSet.single_leaf(c))
-        elif ctx.naming:
-            res = mk_empty()
-        else:
-            return SHARED_EMPTY
-        _put(n, c, res, ctx)
-        return res
+            _put(n, c, res, ctx)
+            return res
+        return SHARED_EMPTY
     if n.twin is not None and ctx.compacting:
         # a left-recursive rule derives as its right-recursive twin
         res = _derive(n.twin, c, ctx)
@@ -209,9 +202,9 @@ def _derive(n, c, ctx):
     # query to the nullability engine
     split = form == SEQ and not l.never_null and _nullable(l, ctx)
     marker = _MARKERS[ALT if split else form]
-    # the entry stays where it is put until it is read back: the
-    # dead-subgraph rule keeps it, and everything derived below is by c
-    in_slot = _store(n, c, marker, ctx)
+    # the entry stays where it is put until it is read back: everything
+    # derived below is by c, and only the parse's end clears a memo
+    _store(n, c, marker, ctx)
     # the result is _NEW[marker.form](a, b), unless a compaction rule gives
     # a replacement res
     if form == ALT:
@@ -244,8 +237,9 @@ def _derive(n, c, ctx):
         if b is None:
             b = new_red(d, inj)
             if naming:
-                b.name = d.name
+                _name(b, r, c, _mint_rule(r, ctx))
         res = _compact_alt(a, b) if compacting else None
+    in_slot = n.d_key == c
     shell = n.d_val if in_slot else n.d_map[c]
     if shell is marker:
         # no cycle re-entered this derivative, so nothing holds it yet
@@ -253,6 +247,7 @@ def _derive(n, c, ctx):
             res = _NEW[marker.form](a, b)
         if naming:
             _name(res, n, c, MARK_EXTEND if split else EXTEND)
+        # written here, not through _store, which costs a few percent
         if in_slot:
             n.d_val = res
         else:

@@ -737,12 +737,15 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     concatenation first.  A pair or deferred node lists the product of its
     children's trees, the left half or inner forest varying slowest.  The
     order depends on neither node ids nor hash seeds, so it is stable
-    across runs, and it is the same under every switch but one case: a
-    compacting parse derives a directly left-recursive rule through its
-    twin (see loader), which lists the trees that split an input between
-    the rule's base and its left-recursive steps in more than one way
-    longest base first, where the rule as written lists them in its
-    alternatives' order.  All its trees and their count are the same.
+    across runs.  For a finite forest it is the same under every switch
+    but one case: a compacting parse derives a directly left-recursive
+    rule through its twin (see loader), which lists the trees that split
+    an input between the rule's base and its left-recursive steps in more
+    than one way longest base first, where the rule as written lists them
+    in its alternatives' order.  All its trees and their count are the
+    same.  An infinite forest follows the cycles the engine built, which
+    compaction changes, twin or not: N0 : 'b' 'b' | N0 N1 N0 | N1 N1 ;
+    N1 : N0 | 'a' 'c' | ; on b b a c lists different first trees.
 
     The fold builds only the trees the root's first `limit` need.  A demand
     pass, reading each node's count (the fold count_parses makes, kept on

@@ -510,7 +510,8 @@ def collapse_dead(root: GrammarNode) -> None:
     the mark, so no later walk enters them; those not productive even with
     every node under construction counted are dead.  Degenerate recursions
     like S : 'a' S ; (no base case) and derivative cycles like
-    X = red(seq(X, t)) land here.
+    X = red(seq(X, t)) land here.  The rule rewrites structure and marks
+    only: a dead node's memo entries belong to the derivative engine.
     """
     if root.productive or root.in_progress or root.form == EMPTY:
         return
@@ -557,20 +558,7 @@ def _settle(inner: list, proven: list, pending: list, parents: dict) -> None:
     for n in inner:
         if n not in live:
             become_node(n, SHARED_EMPTY)
-            _drop_derivatives(n)
             _fire(DEAD_SUBGRAPH)
-
-
-def _drop_derivatives(n: GrammarNode) -> None:
-    """Drop a dead node's cached derivatives, so no stale entry keeps dead
-    structure alive.  An entry still under construction stays: the engine
-    builds that derivative further up the stack and reads the entry back."""
-    v = n.d_val
-    if v is not None and not v.in_progress:
-        n.d_key = n.d_val = None
-    m = n.d_map
-    if m is not None:
-        n.d_map = {c: d for c, d in m.items() if d.in_progress} or None
 
 
 def _spread(work: list, live: set, parents: dict) -> None:
@@ -686,13 +674,14 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     node and its children's forms, so a worklist that starts with every
     inner node and revisits a rewritten node, its parents and the nodes its
     rule created reaches the same fixed point as sweeping the whole graph
-    until nothing fires.  The never-null marks are settled exactly first, since
-    the loader set them over unmarked placeholders: a node is never null unless
-    the local rule reaches it upward from an epsilon (or a node under
-    construction).  At the end, a node marked never null gets that verdict in
-    its nullability cell too, so no nullability query leaves an assumption
-    on it, nor a derivative subscribed to its flip, which would keep that
-    derivative alive after its parse.  The grammar marks are cleared while
+    until nothing fires.  The never-null marks are exact as build_graph
+    builds them, since it marks each rule's placeholder by the rule's
+    nullability; on a hand-built graph they are those of the local rule,
+    which are sound.  Rewrites keep them so.  At the end, a node marked
+    never null gets that verdict in its nullability cell too, so no
+    nullability query leaves an assumption on it, nor a derivative
+    subscribed to its flip, which would keep that derivative alive after
+    its parse.  The grammar marks are cleared while
     it runs, so the spine rule's guard sees them alike whether a Grammar is
     made after normalizing (load_grammar) or before (benchmarks/tracing.py);
     a Grammar's nodes are marked again at its end, a bare root's by its own.
@@ -701,17 +690,9 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     parents = {root: []}
     work = [root]
     _enlist(root, parents, work)
-    seeds = [n for n in parents if n.form == EPSILON or n.in_progress]
-    nullable = set(seeds)
-    _spread(seeds, nullable, parents)
     inner = []
     for n in parents:
         n.in_grammar = False
-        if n not in nullable:
-            n.never_null = True
-            n.n_value = NV_NOT
-        else:
-            n.never_null = False
         if not (n.productive or n.in_progress or n.form == EMPTY):
             inner.append(n)
     if inner:
@@ -729,10 +710,9 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
         work.append(n)
         work += parents[n]
         _enlist(n, parents, work)
-    if rewrites:  # a rewritten node or a new one may have lost the verdict
-        for n in parents:
-            if n.never_null:
-                n.n_value = NV_NOT
+    for n in parents:
+        if n.never_null:
+            n.n_value = NV_NOT
     if isinstance(g, Grammar):
         g.size_G = _mark_grammar(root)
     return g
@@ -741,8 +721,8 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
 def _enlist(top: GrammarNode, parents: dict, work: list) -> None:
     """Record top's child and twin edges in `parents`; a child seen for the
     first time is queued, and so is everything new below it.  A twin has
-    its rule's language, so the productivity and nullability fixed points
-    may read it as one more choice."""
+    its rule's language, so the productivity fixed point may read it as one
+    more choice."""
     stack = [top]
     while stack:
         n = stack.pop()

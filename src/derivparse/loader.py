@@ -49,6 +49,8 @@ recursion gets no twin.
 
 from __future__ import annotations
 
+import re
+
 from .forest import PROD, FNode, ForestSet
 from .grammar import (
     RED, Context, Grammar, fill, mk_eps, mk_token, new_alt, new_red, new_seq,
@@ -65,56 +67,39 @@ class GrammarError(ValueError):
         self.col = col
 
 
+# One match per token, after the blanks and comment before it: a newline,
+# a quoted terminal, an unclosed quote, punctuation, a word, any other
+# character, or the end of the text.  A word is a name if it starts with a
+# letter or '_': \w is str.isalnum() or '_', digits included.
+_SCAN = re.compile(r"[ \t\r]*(?:#[^\n]*)?"
+                   r"(?:(\n)|('[^'\n]*')|(')|([=:|;])|(\w+)|(.)|$)")
+_KINDS = (None, "nl", "quote", "open", "punct", "name", "bad")
+
+
 def _tokenize(text: str) -> list:
     toks = []
-    i = 0
-    line = 1
-    col = 1
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _SCAN.finditer(text):
+        i = m.lastindex
+        if i is None:  # the end of the text
+            continue
+        if i == 1:
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "'":
-            start_line, start_col = line, col
-            j = i + 1
-            while j < size and text[j] not in "'\n":
-                j += 1
-            if j >= size or text[j] != "'":
-                raise GrammarError("unterminated terminal", start_line, start_col)
-            label = text[i + 1:j]
-            if not label:
+        kind, value = _KINDS[i], m.group(i)
+        col = m.start(i) - line_start + 1
+        if kind == "quote":
+            value = value[1:-1]
+            if not value:
                 raise GrammarError("empty terminal (use an empty alternative "
-                                   "for the empty word)", start_line, start_col)
-            toks.append(("quote", label, start_line, start_col))
-            col += (j - i) + 1
-            i = j + 1
-            continue
-        if ch in "=:|;":
-            toks.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise GrammarError(f"unexpected character {ch!r}", line, col)
+                                   "for the empty word)", line, col)
+        elif kind == "open":
+            raise GrammarError("unterminated terminal", line, col)
+        elif kind != "punct" and not (value[0].isalpha() or value[0] == "_"):
+            # any other character, or a word that starts with a digit
+            raise GrammarError(f"unexpected character {value[0]!r}", line, col)
+        toks.append((kind, value, line, col))
     return toks
 
 
@@ -371,8 +356,9 @@ def build_graph(bnf: BnfGrammar) -> tuple:
     left-recursive rule gets a twin (see the module docstring).
 
     A placeholder is marked productive when its rule's language is not
-    empty, so every node built over it is marked by the local rule, and
-    normalization proves productive only the rest."""
+    empty, and never null when the rule does not derive the empty word, so
+    the local rule gives every node built over it its exact never-null
+    mark, and normalization proves productive only the rest."""
     productions = bnf.productions
     reached, work = {bnf.start}, [bnf.start]
     while work:
@@ -385,11 +371,13 @@ def build_graph(bnf: BnfGrammar) -> tuple:
                if name in reached}
     names = list(runs_of)
     live = _least_set(productions, names, True)
+    nullable = _least_set(productions, names, False)
     placeholders = {}
     for name, runs in runs_of.items():
         ph = placeholders[name] = _placeholder(name, runs)
         ph.productive = name in live
-    nullable = end = None
+        ph.never_null = name not in nullable
+    end = None
     for name, ph in placeholders.items():
         runs = runs_of[name]
         tokens: dict = {}
@@ -404,8 +392,7 @@ def build_graph(bnf: BnfGrammar) -> tuple:
         left = [bool(run[0]) and type(run[0][0]) is Ref
                 and run[0][0].name == name for run in runs]
         if any(left) and not all(left):
-            if nullable is None:
-                nullable = _least_set(productions, names, False)
+            if end is None:
                 end = _empty_word("")  # ends every twin's tail
             ph.twin = _build_twin(ph, name, runs, left, exprs, placeholders,
                                   tokens, nullable, end)

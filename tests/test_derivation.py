@@ -148,25 +148,6 @@ def test_a_map_holds_only_other_tokens_and_single_mode_makes_none():
         assert any(n.d_key is not None for n in nodes)
 
 
-def test_a_dead_nodes_map_keeps_the_entries_under_construction():
-    # the dead-subgraph rule clears a dead node's finished slot entry and
-    # keeps the map's entries under construction; a shell made for one of
-    # them must replace it there, where its builder reads it back
-    dead = new_alt(mk_token("a"), mk_token("b"))
-    building = new_alt(None, None)
-    building.in_progress = True
-    dead.d_key, dead.d_val, dead.d_map = "a", mk_token("c"), {"b": building}
-    grammar._drop_derivatives(dead)
-    assert (dead.d_key, dead.d_val, dead.d_map) == (None, None,
-                                                    {"b": building})
-    shell = new_alt(None, None)
-    full = Context(settings=ParserSettings(memo_full=True))
-    assert not derivation._store(dead, "b", shell, full)
-    assert dead.d_map == {"b": shell} and dead.d_val is None
-    single = Context(settings=ParserSettings(memo_full=False))
-    assert derivation._store(dead, "b", shell, single)  # single: the slot
-
-
 def test_derivative_never_loops_on_pathological_self_reference():
     g = load_unnormalized("start = S ;\nS : S ;")
     assert not recognize(g, ["a"])

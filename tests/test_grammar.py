@@ -7,8 +7,8 @@ import pytest
 
 from derivparse import (
     Context, Grammar,
-    enumerate_trees, load_bnf, load_grammar, normalize_grammar, parse,
-    reachable_nodes, recognize, tree_text, use_context,
+    count_parses, enumerate_trees, load_bnf, load_grammar, normalize_grammar,
+    parse, reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse import grammar as grammar_mod
 from derivparse.forest import ForestSet
@@ -21,8 +21,8 @@ from derivparse.grammar import (
 from derivparse.nullability import is_nullable_naive
 from derivparse.reductions import production
 from conftest import (
-    FIXED_CORPUS, all_strings, load_unnormalized, probe_words,
-    random_grammar_source,
+    ARITH_INDIRECT_SRC, FIXED_CORPUS, all_strings, expr_tokens,
+    load_unnormalized, probe_words, random_grammar_source,
 )
 
 
@@ -239,27 +239,26 @@ def _dead_cycle():
     return cycle
 
 
-def test_a_dead_node_keeps_only_its_derivatives_under_construction():
-    # the engine reads such an entry back once the derivative's children
-    # are derived; a finished one would only keep dead structure alive
+def test_the_dead_subgraph_rule_leaves_memo_entries_to_the_engine():
+    # the rule rewrites structure only: a dead node keeps its entries, and
+    # an entry under construction stays where its builder reads it back
     building = new_alt(None, None)
     building.in_progress = True
     finished = mk_token("c")
-    for entry, kept in ((building, True), (finished, False)):
-        single = _dead_cycle()
-        single.d_key, single.d_val = "a", entry
-        collapse_dead(single)
-        assert single.form == EMPTY
-        assert (single.d_key, single.d_val) == (("a", entry) if kept
-                                                else (None, None))
-    full = _dead_cycle()
-    full.d_map = {"a": building, "b": finished}
-    collapse_dead(full)
-    assert full.form == EMPTY and full.d_map == {"a": building}
-    full = _dead_cycle()
-    full.d_map = {"b": finished}
-    collapse_dead(full)
-    assert full.d_map is None
+    dead = _dead_cycle()
+    dead.d_key, dead.d_val, dead.d_map = "a", finished, {"b": building}
+    collapse_dead(dead)
+    assert dead.form == EMPTY
+    assert (dead.d_key, dead.d_val, dead.d_map) == (
+        "a", finished, {"b": building})
+    # parses that prove derivatives dead still give the right answer
+    toks = expr_tokens(60)
+    for memo_full in (True, False):
+        g = load_grammar(ARITH_INDIRECT_SRC)
+        g.settings.memo_full = memo_full
+        before = g.counters.compaction_firings.get("dead-subgraph", 0)
+        assert count_parses(parse(g, toks)) == 1
+        assert g.counters.compaction_firings["dead-subgraph"] > before
 
 
 NORMAL_RIGHT_BAN = (EMPTY, EPSILON, RED)

@@ -274,9 +274,17 @@ def _answer(g, w) -> tuple:
             [tree_text(t) for t in enumerate_trees(fs, 5)])
 
 
+def _engine_work(c) -> tuple:
+    """The counters the naming engine shares with --compaction off: all but
+    the nullability ones, since minting a name asks for nullability."""
+    return (c.derive_calls_cached, c.derive_calls_uncached, c.nodes_by_form,
+            c.firings_by_rule)
+
+
 def test_debug_names_parse_as_compaction_off():
     # the naming engine builds the --compaction off graph, the split's
     # pair-left-null reductions included, so it gives that engine's answers
+    # after the same derive calls, nodes and firings
     rng = random.Random(0xA3E)
     sources = FIXED_CORPUS + [random_grammar_source(rng) for _ in range(80)]
     words_seen = named_reds = 0
@@ -289,6 +297,8 @@ def test_debug_names_parse_as_compaction_off():
             with created_nodes() as made:
                 got = _answer(named, w)
             assert got == _answer(off, w), (src, w)
+            assert _engine_work(named.counters) == _engine_work(
+                off.counters), (src, w)
             words_seen += 1
             for n in made:
                 assert n.name is not None, (src, w, n)

@@ -117,6 +117,17 @@ def test_unexpected_character():
     assert "unexpected character '+'" in str(e)
 
 
+def test_names_are_letters_digits_and_underscores_of_any_script():
+    # a name starts with a letter or '_' (str.isalpha) and goes on with
+    # str.isalnum characters or '_': a numeric character such as '½'
+    # continues a name but starts none; a tab is one column
+    g = load_bnf("start = Größe ;\nGröße : 'a' Ω_½ ;\nΩ_½ : 'b' ;")
+    assert g.productions["Größe"] == [(Term("a"), Ref("Ω_½"))]
+    e = _err("start = A ;\nA :\t½ ;")
+    assert "unexpected character '½'" in str(e)
+    assert (e.line, e.col) == (2, 5)
+
+
 def test_unexpected_token_in_body():
     e = _err("start = A ;\nA : 'a' : 'b' ;")
     assert "unexpected ':' in rule body" in str(e)
