@@ -148,6 +148,30 @@ def test_a_map_holds_only_other_tokens_and_single_mode_makes_none():
         assert any(n.d_key is not None for n in nodes)
 
 
+def test_a_dead_nodes_map_keeps_the_entries_under_construction():
+    # the dead-subgraph rule leaves a dead node's memo as it was; a shell
+    # made for an entry under construction replaces it where its builder
+    # reads it back: the map under the full memo, the slot in single mode
+    dead = new_seq(None, mk_token("b"))     # X = X 'b'
+    dead.left = dead
+    building = new_alt(None, None)
+    building.in_progress = True
+    finished = mk_token("c")
+    dead.d_key, dead.d_val, dead.d_map = "a", finished, {"b": building}
+    grammar.collapse_dead(dead)
+    assert dead.form == EMPTY
+    assert (dead.d_key, dead.d_val, dead.d_map) == (
+        "a", finished, {"b": building})
+    shell = new_alt(None, None)
+    full = Context(settings=ParserSettings(memo_full=True))
+    derivation._store(dead, "b", shell, full)
+    assert (dead.d_key, dead.d_val, dead.d_map) == ("a", finished,
+                                                    {"b": shell})
+    single = Context(settings=ParserSettings(memo_full=False))
+    derivation._store(dead, "b", shell, single)
+    assert (dead.d_key, dead.d_val) == ("b", shell)
+
+
 def test_derivative_never_loops_on_pathological_self_reference():
     g = load_unnormalized("start = S ;\nS : S ;")
     assert not recognize(g, ["a"])
