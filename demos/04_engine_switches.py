@@ -83,7 +83,7 @@ def main() -> None:
     show("on", run(n))
     show("off", run(n, compaction=False))
     # the twin of a left-recursive rule is right-recursive: flat input and
-    # nesting cost about what they cost on the right-recursive grammar
+    # nesting cost at most 10 nodes more than on the right-recursive grammar
     nested = ["("] * 100 + ["n"] + [")"] * 100
     for label, toks in ((f"{n} tokens", tokens(n)),
                         (f"{len(nested)} tokens nested", nested)):
@@ -93,7 +93,7 @@ def main() -> None:
         right = run(n, ARITH, toks)
         show("on", on)
         show("off", off)
-        assert on["nodes"] <= 1.1 * right["nodes"], (on, right)
+        assert on["nodes"] - right["nodes"] <= 10, (on, right)
 
 
 if __name__ == "__main__":

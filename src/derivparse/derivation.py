@@ -68,6 +68,23 @@ _store notes each grammar node on its first memo entry, and the activation
 clears exactly those nodes when it ends (grammar.Grammar.activate), so a
 parse's derivatives die with it and the next parse starts from the grammar
 alone, at a cost that follows its input, not the grammar.
+
+Under compaction the fold derives the core, not the top reduction.  The
+red-compose rule folds every token's reduction into the top of the
+derivative, red(core, F), so the derivatives below the top recur and the
+full memo returns them, while the top is rebuilt per token: one node, one
+marker round trip and one memo entry each.  So when a token's derivative
+is a reduction, _run composes its fn into an accumulator, compose(acc, fn),
+the chain red-compose would build, and derives its child by the next
+token; at the end mk_red hands the accumulator back.  That is exact while
+no derivative cycle exists: the top is then a fresh node that nothing
+reaches but the memo entry it was built for, and deriving red(core, F)
+derives core, as _run does, then rebuilds red(D(core).left, compose(F, G))
+when D(core) = red(_, G), as the accumulator does.  A cycle closes only
+where a shell is made (_reenter), which may make the top a node the graph
+reaches again.  So _reenter sets the context's cycled flag, and from the
+token that set it _run hands the accumulator back and derives as the plain
+loop does.
 """
 
 from __future__ import annotations
@@ -78,12 +95,12 @@ from .forest import ForestSet, build_null_forests, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
-    mk_eps, new_alt, new_red, new_seq,
+    mk_eps, mk_red, new_alt, new_red, new_seq,
     _compact_alt, _compact_red, _compact_seq,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
-from .reductions import pair_left_null
+from .reductions import compose, pair_left_null
 
 
 def _marker(form: int) -> GrammarNode:
@@ -144,7 +161,9 @@ def _put(n, c, res, ctx) -> None:
 
 
 def _reenter(n, c, form, ctx):
-    """A cycle came back to a derivative under construction: make its shell."""
+    """A cycle came back to a derivative under construction: make its shell.
+    The parse's derivatives are no longer acyclic, so _run stops peeling."""
+    ctx.cycled = True
     shell = _NEW[form](None, None)
     shell.in_progress = True
     _put(n, c, shell, ctx)
@@ -271,11 +290,25 @@ def _run(g: Grammar, tokens: Iterable[str], finish, forests: bool = False):
     """Derive g by each token in turn, then finish(last derivative, ctx),
     inside the grammar's activation.  With `forests`, the grammar's
     empty-word forests are built first, if no parse has built them yet
-    (forest.build_null_forests)."""
+    (forest.build_null_forests).  Under compaction, the top reduction of
+    each derivative is peeled into one accumulator until a derivative cycle
+    closes (see the module docstring)."""
     with g.activate() as ctx:
         if forests:
             build_null_forests(g)
         node = g.root
+        tokens = iter(tokens)
+        if ctx.compacting:
+            acc = None
+            for c in tokens:
+                node = _derive(node, c, ctx)
+                if ctx.cycled:
+                    break
+                if node.form == RED:
+                    acc = node.fn if acc is None else compose(acc, node.fn)
+                    node = node.left
+            if acc is not None:
+                node = mk_red(node, acc)
         for c in tokens:
             node = _derive(node, c, ctx)
         return finish(node, ctx)

@@ -25,7 +25,7 @@ spine, one node per open level (603.8 nodes per token at depth 800).  So
 when p = (p1 . p2) the rule re-associates it in the same step, once:
 (p1 . (p2 . q)) -> lift-left(f) after reassociate, and the next token
 derives the head p1 alone (nested Dyck words on P : '(' P ')' P | ; cost
-4.0 nodes per token at depths 50, 800 and 5,000).  It does so only under
+3.0 nodes per token at depths 50, 800 and 5,000).  It does so only under
 two guards, each backed by a measured counterexample:
 
 - p is no grammar node (the grammar mark, set by Grammar and
@@ -48,7 +48,7 @@ token on flat products, 1.0 on flat sums, and 3.0 again at every deeper
 precedence level).  So inside one parse the rule builds its concatenation
 through _shared_seq, which hands back the node built the first time for
 the same pair of finished, productive halves; its memoized derivative is
-then a hit at the next operand, and products cost 1.0 nodes per token.
+then a hit at the next operand, and products cost what sums do.
 Within one parse, then, two derivatives may share a node; across parses
 they never do, and the loader never shares.
 
@@ -178,12 +178,14 @@ class Context:
     those), the table of concatenations the float-left rule shares (`seqs`,
     keyed by the pair of halves; only a compacting activation makes one, so
     it dies with the parse, and any other context, the loader's included,
-    has None), and the settings, resolved into plain switch fields when the
-    context is created (debug names turn compaction off).  So a switch
+    has None), whether a derivative cycle has closed (`cycled`, set by the
+    derivative engine when a cycle re-enters a derivative under
+    construction), and the settings, resolved into plain switch fields when
+    the context is created (debug names turn compaction off).  So a switch
     changed on g.settings while g is active applies from the next
     activation."""
 
-    __slots__ = ("counters", "written", "seqs",
+    __slots__ = ("counters", "written", "seqs", "cycled",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -192,6 +194,7 @@ class Context:
         self.counters = counters if counters is not None else Counters()
         self.written = []
         self.seqs = None
+        self.cycled = False
         self.memo_full = st.memo_full
         self.naming = st.debug_names
         self.compacting = st.compaction and not self.naming
@@ -231,13 +234,6 @@ def _new(form: int) -> GrammarNode:
     node = GrammarNode(form)
     _active.ctx.counters.nodes_by_form[form] += 1
     return node
-
-
-def mk_empty() -> GrammarNode:
-    n = _new(EMPTY)
-    n.n_value = NV_NOT
-    n.never_null = True
-    return n
 
 
 # The one Empty the derivative engine returns for every failed or Empty

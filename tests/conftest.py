@@ -87,15 +87,31 @@ def load_unnormalized(src: str) -> Grammar:
     return g
 
 
-def _parse_record(g, tokens) -> tuple:
-    """(nodes created, forest_to_json with ids renumbered by rank) of one
-    parse: forest ids are global, so only their order is comparable."""
-    before = g.counters.nodes_created
-    doc = forest_to_json(parse(g, tokens))
+def mk_empty() -> grammar.GrammarNode:
+    """A new Empty node, counted as created.  The engine builds none: every
+    failed derivative is the one grammar.SHARED_EMPTY."""
+    n = grammar._new(grammar.EMPTY)
+    n.n_value = grammar.NV_NOT
+    n.never_null = True
+    return n
+
+
+def forest_record(fs) -> tuple:
+    """forest_to_json of fs with ids renumbered by rank, as (root, nodes):
+    forest ids are global, so only their order is comparable."""
+    doc = forest_to_json(fs)
     rank = {n["id"]: i for i, n in enumerate(doc["nodes"])}
     nodes = [(rank[n["id"]], n["kind"], n["label"],
               [rank[c] for c in n["children"]]) for n in doc["nodes"]]
-    return g.counters.nodes_created - before, rank.get(doc["root"]), nodes
+    return rank.get(doc["root"]), nodes
+
+
+def _parse_record(g, tokens) -> tuple:
+    """(nodes created, root, nodes) of one parse, the forest as in
+    forest_record."""
+    before = g.counters.nodes_created
+    root, nodes = forest_record(parse(g, tokens))
+    return g.counters.nodes_created - before, root, nodes
 
 
 def assert_history_free(src: str, inputs: list) -> None:

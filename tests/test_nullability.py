@@ -7,11 +7,11 @@ import pytest
 from derivparse import Context, is_nullable, use_context
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
-    NV_UNKNOWN, ParserSettings, mk_alt, mk_empty, mk_eps, mk_seq, mk_token,
+    NV_UNKNOWN, ParserSettings, mk_alt, mk_eps, mk_seq, mk_token,
     new_alt, new_red, new_seq,
 )
 from derivparse.nullability import is_nullable_naive
-from conftest import load_unnormalized, random_grammar_source
+from conftest import load_unnormalized, mk_empty, random_grammar_source
 
 
 EPS_TREES = ForestSet.single_leaf("_")
