@@ -74,21 +74,27 @@ red-compose rule folds every token's reduction into the top of the
 derivative, red(core, F), so the derivatives below the top recur and the
 full memo returns them, while the top is rebuilt per token: one node, one
 marker round trip and one memo entry each.  So when a token's derivative
-is a reduction, _run composes its fn into an accumulator, compose(acc, fn),
-the chain red-compose would build, and derives its child by the next
-token; at the end mk_red hands the accumulator back.  That is exact while
+is a reduction, _run appends its fn to a list and derives its child by
+the next token; at the end mk_red puts the list back on top as one
+compose of its parts in the order they were peeled, the first applied
+last (reductions.chain): the chain red-compose would build, grouped
+flat.  The fns are those of memoized derivatives, so they recur: the
+2,501 fns of a 2,501-token mixed expression hold 261 distinct ones, and
+the forest's readers read each recurring one once.  That is exact while
 no derivative cycle exists: the top is then a fresh node that nothing
 reaches but the memo entry it was built for, and deriving red(core, F)
-derives core, as _run does, then rebuilds red(D(core).left, compose(F, G))
-when D(core) = red(_, G), as the accumulator does.  A cycle closes only
-where a shell is made (_reenter), which may make the top a node the graph
-reaches again.  So _reenter sets the context's cycled flag, and from the
-token that set it _run hands the accumulator back and derives as the plain
-loop does.
+derives core, as _run does, then rebuilds red(D(core).left,
+compose(F, G)) when D(core) = red(_, G), as appending G does.  A cycle
+closes only where a shell is made (_reenter), which may make the top a
+node the graph reaches again.  So _reenter sets the context's cycled
+flag, and from the token that set it _run puts the chain back and
+derives as the plain loop does.  recognize keeps no chain: a reduction
+is nullable exactly when its child is, so it drops the fns.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable
 
 from .forest import ForestSet, build_null_forests, parse_null
@@ -100,7 +106,7 @@ from .grammar import (
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
-from .reductions import compose, pair_left_null
+from .reductions import chain, pair_left_null
 
 
 def _marker(form: int) -> GrammarNode:
@@ -108,6 +114,10 @@ def _marker(form: int) -> GrammarNode:
     m.in_progress = True
     return m
 
+
+# a verdict's way to keep a peeled reduction: a deque of length 0 keeps
+# nothing
+_DROP = deque(maxlen=0).append
 
 # indexed by form: the constructor, and the building marker, of a
 # derivative of that form
@@ -286,29 +296,32 @@ def _derive(n, c, ctx):
 
 # --- whole-input operations --------------------------------------------------
 
-def _run(g: Grammar, tokens: Iterable[str], finish, forests: bool = False):
+def _run(g: Grammar, tokens: Iterable[str], finish, trees: bool = False):
     """Derive g by each token in turn, then finish(last derivative, ctx),
-    inside the grammar's activation.  With `forests`, the grammar's
-    empty-word forests are built first, if no parse has built them yet
-    (forest.build_null_forests).  Under compaction, the top reduction of
-    each derivative is peeled into one accumulator until a derivative cycle
-    closes (see the module docstring)."""
+    inside the grammar's activation.  Under compaction, the top reduction of
+    each derivative is peeled off until a derivative cycle closes (see the
+    module docstring).  With `trees`, the grammar's empty-word forests are
+    built first, if no parse has built them yet
+    (forest.build_null_forests), and the peeled reductions are kept, in
+    order, as one chain over the last derivative; without, they are
+    dropped, as a reduction is nullable exactly when its child is."""
     with g.activate() as ctx:
-        if forests:
+        if trees:
             build_null_forests(g)
         node = g.root
         tokens = iter(tokens)
         if ctx.compacting:
-            acc = None
+            fns = []
+            keep = fns.append if trees else _DROP
             for c in tokens:
                 node = _derive(node, c, ctx)
                 if ctx.cycled:
                     break
                 if node.form == RED:
-                    acc = node.fn if acc is None else compose(acc, node.fn)
+                    keep(node.fn)
                     node = node.left
-            if acc is not None:
-                node = mk_red(node, acc)
+            if fns:
+                node = mk_red(node, chain(fns))
         for c in tokens:
             node = _derive(node, c, ctx)
         return finish(node, ctx)
@@ -319,4 +332,4 @@ def recognize(g: Grammar, tokens: Iterable[str]) -> bool:
 
 
 def parse(g: Grammar, tokens: Iterable[str]) -> ForestSet:
-    return _run(g, tokens, lambda node, ctx: parse_null(node), forests=True)
+    return _run(g, tokens, lambda node, ctx: parse_null(node), trees=True)

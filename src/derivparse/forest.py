@@ -16,8 +16,10 @@ counts, enumerates and exports walks the forest once; the counts are kept
 too, and enumeration reads them to build only the trees that its returned
 trees are made of.  A deferred node's children include its reduction's
 payload forests; the walk reads only the reduction parts whose `pairs` bit
-says they reference one.  Applying a reduction chain builds a tree node
-only for what the chain leaves behind (see _apply).
+says they reference one.  A parse's top reduction is one flat chain whose
+parts recur (see reductions): the walk reads, and the JSON export renders,
+each part that recurs in a chain once.  Applying a reduction chain
+builds a tree node only for what the chain leaves behind (see _apply).
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
@@ -339,26 +341,59 @@ def _payload_root(red: Reduction) -> FNode:
 
 def _payload_roots(red: Reduction) -> tuple:
     """Roots of every forest reduction `red` references (see
-    _payload_root), in chain order; an empty payload forest is
-    _NO_TREES.  Parts whose `pairs` bit is false reference no forest, so the
-    walk never enters them: a composed chain is read only down to its
-    pairings, and one that pairs nothing not at all."""
+    _payload_root), in chain order, the last part's first; an empty payload
+    forest is _NO_TREES.  Parts whose `pairs` bit is false reference no
+    forest, so the walk never enters them: a composed chain is read only
+    down to its pairings, and one that pairs nothing not at all."""
     out = []
-    stack = [red] if red.pairs else []
+    if red.pairs:
+        _read_roots([red], out)
+    return tuple(out)
+
+
+def _read_roots(stack: list, out: list) -> None:
+    """Append to `out` the payload roots of the pairing reductions on
+    `stack`, the top's first."""
     while stack:
         r = stack.pop()
         k = r.kind
-        if k == reductions.COMPOSE:
-            g, f = r.payload
-            if g.pairs:
-                stack.append(g)
-            if f.pairs:
-                stack.append(f)
+        if k is COMPOSE:
+            parts = r.payload
+            if len(parts) == 2:
+                # pushed in order, so the part applied first is read first
+                g, f = parts
+                if g.pairs:
+                    stack.append(g)
+                if f.pairs:
+                    stack.append(f)
+            else:
+                # a chain's roots come before those of the rest of the stack
+                _chain_roots(r, out)
         elif k in reductions.LIFTS:
             stack.append(r.payload)
         else:
             out.append(_payload_root(r))
-    return tuple(out)
+
+
+def _chain_roots(chain: Reduction, out: list) -> None:
+    """Append to `out` the payload roots of a compose of more than two
+    parts.  A part that recurs in it is read once, by identity, and each
+    run of the other parts in one walk, with no call per part."""
+    parts = [g for g in chain.payload if g.pairs]
+    many = chain.recurring
+    if not many:  # one run, in stack order
+        _read_roots(parts, out)
+        return
+    memo = {}
+    for recurs, run in itertools.groupby(reversed(parts), many.__contains__):
+        if recurs:
+            for g in run:
+                roots = memo.get(g)
+                if roots is None:
+                    roots = memo[g] = _payload_roots(g)
+                out += roots
+        else:
+            _read_roots(list(run)[::-1], out)
 
 
 def _fchildren(n: FNode) -> tuple:
@@ -552,8 +587,8 @@ def _apply(red: Reduction, t, table) -> list:
             f, frames = frames
             k = f.kind
             if k is COMPOSE:
-                g, h = f.payload
-                frames = (h, (g, frames))
+                for g in f.payload:
+                    frames = (g, frames)
             elif k is _LEFT:
                 other, frames = frames
                 t = (t, other)

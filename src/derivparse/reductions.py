@@ -15,6 +15,13 @@ The loader's right-recursive twin of a left-recursive rule needs
 fold-left, which turns a base tree and a tail of productions back into
 the left spine the rule as written builds.
 
+A compose holds k >= 2 parts, payload[0] applied last.  Compaction's
+red-compose builds binary ones (compose); a parse keeps the reductions it
+peels off its derivatives, one per token, as one flat chain (chain), whose
+parts are the reductions of memoized derivatives and so recur.  A reader
+of a chain reads each part that recurs in it once, by identity
+(Reduction.recurring), and each part that occurs once in place.
+
 Only the pairing tags reference forests (their payloads), and a composed
 chain runs as long as the input, so each reduction carries a `pairs` bit:
 true for a pairing, taken from the parts for a compose or lift, false for
@@ -24,6 +31,7 @@ every other tag.  It is set once, in the constructor, from the parts' bits
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Optional
 
 PAIR_LEFT = "pair-left"            # u -> (s, u) for each s in a known tree set
@@ -33,7 +41,7 @@ REASSOCIATE = "reassociate"        # (t1, (t2, t3)) -> ((t1, t2), t3)
 PRODUCTION = "production"          # right-nested tuple of k children -> named production tree
 SPLICE = "splice"                  # (h, N[k1 .. kn]) -> N[h k1 .. kn]
 FOLD_LEFT = "fold-left"            # (b, N[a1 .. N[a2 .. []]]) -> N[N[b a1 ..] a2 ..]
-COMPOSE = "compose"                # g after f
+COMPOSE = "compose"                # parts[0] after parts[1] ... after parts[k-1]
 LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
 
@@ -51,27 +59,36 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
-    referenced anywhere in it (see the module docstring).  A tag equal to
+    referenced anywhere in it (see the module docstring).  A compose of
+    more than two parts, a chain, is built by chain(), which also keeps
+    `recurring` on it: the set of its parts that occur in it more than
+    once, so that its readers do not look for them again.  A tag equal to
     one of the module's is stored as the module's own string."""
 
-    __slots__ = ("kind", "payload", "pairs")
+    __slots__ = ("kind", "payload", "pairs", "recurring")
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind = _KINDS.get(kind, kind)
         self.payload = payload
         if kind == COMPOSE:
-            self.pairs = payload[0].pairs or payload[1].pairs
+            # most composes are binary, and built often: the parts after
+            # the second are read only when the first two pair nothing
+            self.pairs = (payload[0].pairs or payload[1].pairs
+                          or len(payload) > 2
+                          and any([f.pairs for f in payload[2:]]))
         elif kind in LIFTS:
             self.pairs = payload.pairs
         else:
             self.pairs = kind in PAIRINGS
 
     def describe(self, memo: Optional[dict] = None) -> str:
-        """The reduction as text.  A compose chain is written as the flat
-        list of its parts, so equal reductions, however grouped, read the
-        same.  `memo`, kept by the caller across calls, holds the text of
-        every lift and every other non-compose part by identity, so a part
-        shared between chains is rendered once."""
+        """The reduction as text.  A compose is written as the flat list of
+        its parts, so equal reductions, however grouped, read the same.
+        `memo`, kept by the caller across calls, holds the text of every
+        lift, every other non-compose part and every part that recurs in a
+        chain, by identity, so a part shared between chains or repeated in
+        one is rendered once; a chain's text joins its parts' texts (see
+        _chain_items)."""
         if memo is None:
             memo = {}
         # compositions nest as deep as the input is long: no recursion
@@ -89,7 +106,11 @@ class Reduction:
                 del parts[start:]
                 parts.append(text)
             elif r.kind is COMPOSE:
-                stack += (r.payload[1], " . ", r.payload[0])
+                ps = r.payload
+                if len(ps) == 2:
+                    stack += (ps[1], " . ", ps[0])
+                else:
+                    stack += reversed(_chain_items(r, memo))
             elif r in memo:
                 parts.append(memo[r])
             elif r.kind in _LIFT_OPEN:
@@ -148,8 +169,43 @@ _REASSOCIATE, _SPLICE, _FOLD_LEFT = map(Reduction,
 
 
 def compose(g: Reduction, f: Reduction) -> Reduction:
-    """g after f."""
+    """g after f: a compose of two parts."""
     return Reduction(COMPOSE, (g, f))
+
+
+def chain(fns: list) -> Reduction:
+    """fns[0] after fns[1] ... after fns[-1]: one compose of k >= 2 parts,
+    fns[0] applied last, or fns[0] itself when it is the only one."""
+    if len(fns) == 1:
+        return fns[0]
+    red = Reduction(COMPOSE, tuple(fns))
+    # each part met again after `seen` took it; on the short chains of
+    # short words, a third of what a Counter costs
+    seen = set()
+    red.recurring = {p for p in red.payload if p in seen or seen.add(p)}
+    return red
+
+
+def _chain_items(red: Reduction, memo: dict) -> list:
+    """The items describe writes for a compose of more than two parts: its
+    parts, in order, with " . " between them.  Each part that recurs in it
+    is rendered once, into `memo`, and each run of parts whose text is in
+    `memo` is one text."""
+    ps = red.payload
+    many = red.recurring
+    for p in many:
+        if p not in memo:
+            memo[p] = p.describe(memo)
+    if many:
+        ps = []
+        for known, run in groupby(red.payload, memo.__contains__):
+            if known:
+                ps.append(" . ".join([memo[p] for p in run]))
+            else:
+                ps += run
+    items = [" . "] * (2 * len(ps) - 1)
+    items[::2] = ps
+    return items
 
 
 def lift_left(f: Reduction) -> Reduction:

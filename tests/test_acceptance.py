@@ -331,13 +331,18 @@ def test_criterion_8_linear_practical_smoke():
     spt = {}
     for n in sizes:
         toks = expr_tokens(n)
-        t0 = time.perf_counter()
-        fs = parse(g, toks)
-        seconds = time.perf_counter() - t0
-        assert count_parses(fs) == 1, n  # the grammar is unambiguous
-        spt[n] = seconds / n
-        if n == 20000:
-            assert seconds < 30.0, seconds
+        # the best of 3 parses, so that one stall of a shared host does not
+        # decide the ratio
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            fs = parse(g, toks)
+            seconds = time.perf_counter() - t0
+            assert count_parses(fs) == 1, n  # the grammar is unambiguous
+            if n == 20000:
+                assert seconds < 30.0, seconds
+            best = min(best, seconds)
+        spt[n] = best / n
     ratio = spt[20000] / spt[2000]
     assert ratio <= 3.0, spt
 

@@ -645,7 +645,7 @@ def test_without_compaction_flat_products_build_every_node():
 
 
 def _last_derivative(g, toks):
-    return derivation._run(g, toks, lambda node, ctx: node)
+    return derivation._run(g, toks, lambda node, ctx: node, trees=True)
 
 
 def test_two_parses_never_share_a_derived_node():
@@ -737,7 +737,7 @@ def _forest_answers(fs) -> tuple:
 
 
 # the first shell closes a cycle at the third token, after two tokens have
-# put reductions into the accumulator
+# put reductions into the chain
 SHELL_LATE_SRC = "start = S ;\nS : 'x' 'y' B ;\nB : C 'a' | 'b' ;\nC : B ;\n"
 
 
@@ -745,7 +745,7 @@ SHELL_LATE_SRC = "start = S ;\nS : 'x' 'y' B ;\nB : C 'a' | 'b' ;\nC : B ;\n"
                                       {"naive_nullability": True}],
                          ids=["default", "single memo", "naive"])
 def test_parse_equals_the_plain_derive_loop(switches):
-    # parse keeps each token's top reduction in an accumulator; it must
+    # parse keeps each token's top reduction in one chain; it must
     # build the forest the plain loop builds, node for node, and so must
     # the plain loop it falls back to once a derivative cycle closes
     rng = random.Random(0x9EE1)
@@ -769,10 +769,11 @@ def test_parse_equals_the_plain_derive_loop(switches):
         for w in words:
             assert (_forest_answers(parse(peeled, w))
                     == _forest_answers(_plain_loop_parse(plain, w))), (src, w)
-    # the fallback on SHELL_LATE_SRC starts from a non-empty accumulator
+    # the fallback on SHELL_LATE_SRC starts from a non-empty chain
     g = load_grammar(SHELL_LATE_SRC)
     cycled = [derivation._run(g, ["x", "y", "b", "a"][:k],
-                              lambda node, ctx: ctx.cycled) for k in (2, 3)]
+                              lambda node, ctx: ctx.cycled, trees=True)
+              for k in (2, 3)]
     assert cycled == [False, True]
 
 
@@ -797,7 +798,36 @@ print(int(kb) / 1024)
     assert proc.returncode == 0, proc.stderr
     per_token, peak_mb = map(float, proc.stdout.split())
     assert per_token < 0.05, per_token
-    assert peak_mb < 90, peak_mb
+    # 38.5 MB with the peeled reductions kept as one flat chain; 66 MB
+    # when the chain was a binary compose per token
+    assert peak_mb < 60, peak_mb
+
+
+def test_recognize_keeps_no_chain():
+    # 1M tokens of mixed expressions: a verdict drops each peeled
+    # reduction, so the peak grows about 1.5 MB past the token list's
+    # (VmHWM 158.6 MB in all when recognize composed a chain)
+    proc = run_python("-c", """
+import random, sys
+sys.path.insert(0, "tests")
+from conftest import ARITH_SRC, mixed_expression
+from derivparse import load_grammar, recognize
+def status(key):
+    with open("/proc/self/status") as f:
+        [kb] = [line.split()[1] for line in f if line.startswith(key + ":")]
+    return int(kb) / 1024
+toks = mixed_expression(random.Random(1), 1_000_000)
+g = load_grammar(ARITH_SRC)
+before = g.counters.nodes_created
+rss = status("VmRSS")
+assert recognize(g, toks)
+print((g.counters.nodes_created - before) / len(toks))
+print(status("VmHWM") - rss)
+""")
+    assert proc.returncode == 0, proc.stderr
+    per_token, grown_mb = map(float, proc.stdout.split())
+    assert per_token < 0.05, per_token
+    assert grown_mb < 10, grown_mb
 
 
 def _deep_at_the_default_recursion_limit(src: str, tokens: str, tree: str):

@@ -11,13 +11,14 @@ from derivparse import (
     count_parses, enumerate_trees, forest_to_json, load_bnf, load_grammar,
     parse, parse_null, reachable_nodes, recognize, tree_text, use_context,
 )
-from derivparse import forest
+from derivparse import derivation, forest
 from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
-from derivparse.grammar import mk_token
+from derivparse.grammar import RED, mk_token
 from derivparse.reductions import (
     COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS,
-    PRODUCTION, REASSOCIATE, SPLICE, Reduction, compose, fold_left, lift_left,
-    lift_right, pair_left, pair_right, production, reassociate, splice,
+    PRODUCTION, REASSOCIATE, SPLICE, Reduction, chain, compose, fold_left,
+    lift_left, lift_right, pair_left, pair_right, production, reassociate,
+    splice,
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
@@ -495,6 +496,97 @@ def test_a_lift_of_a_tree_that_is_not_a_pair_raises(fs, red):
         enumerate_trees(fs.apply(red), 10)
 
 
+# --- a parse's flat chain against the same parts composed two at a time ------
+
+def _grouped(parts: list, left: bool) -> Reduction:
+    """The parts composed two at a time, grouped to the left or right."""
+    if left:
+        red = parts[0]
+        for p in parts[1:]:
+            red = compose(red, p)
+        return red
+    red = parts[-1]
+    for p in reversed(parts[:-1]):
+        red = compose(p, red)
+    return red
+
+
+def _chain_cases() -> list:
+    """(tree, parts) pairs: the parts run last to first on the tree.  The
+    first list repeats a lift and a binary compose, and pairs with forests
+    of two trees, so its chain branches."""
+    x, y, z = _two("x1", "x2"), _two("y1", "y2"), _two("z1", "z2")
+    lift = lift_left(production("A", 1))
+    both = compose(lift_right(production("B", 1)), pair_right(z))
+    px, two = pair_left(x), compose(pair_left(y), pair_right(z))
+    return [
+        (Leaf("a"), [production("P", 2), both, lift, reassociate(), both,
+                     lift, pair_right(x)]),
+        # recurring pairings of one forest and of two, and a chain inside
+        # a chain
+        (Leaf("a"), [lift, two, chain([lift, lift, both]), px, lift, two,
+                     px, px]),
+        # three pairings, none of them twice
+        (Leaf("a"), [production("P", 1), pair_left(z),
+                     lift_left(pair_right(x)), pair_right(y)]),
+        # nothing pairs
+        (Pair(Leaf("a"), Leaf("b")), [production("P", 2), lift, splice(),
+                                      lift, reassociate()]),
+        (Leaf("a"), [production("P", 1), pair_right(x)]),
+    ]
+
+
+def _applied(red: Reduction, t) -> list:
+    roots = forest._payload_roots(red)
+    table = {r.id: enumerate_trees(ForestSet(r), 10) for r in roots}
+    return [tree_text(u) for u in forest._apply(red, t, table)]
+
+
+@pytest.mark.parametrize("case", range(len(_chain_cases())))
+def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
+    t, parts = _chain_cases()[case]
+    flat = chain(parts)
+    assert flat.kind == COMPOSE and flat.payload == tuple(parts)
+    if len(parts) > 2:
+        assert flat.recurring == {p for p in parts if parts.count(p) > 1}
+    inner = ForestSet.single_leaf("t").root
+    want = None
+    for red in (flat, _grouped(parts, True), _grouped(parts, False)):
+        fs = ForestSet(inner).apply(red)
+        entry = _defer_entry(forest_to_json(fs))
+        got = (red.describe(), red.pairs, forest._payload_roots(red),
+               _applied(red, t), entry["label"], entry["children"])
+        want = want or got
+        assert got == want
+    assert want[2] or not flat.pairs
+    # a tree per pick from each pairing's two trees
+    assert len(want[3]) == 2 ** len(want[2])
+
+
+def test_a_chain_of_one_part_is_the_part():
+    part = lift_left(production("A", 1))
+    assert chain([part]) is part
+
+
+def test_a_flat_sum_parses_to_one_chain_with_a_part_per_peeled_token():
+    g = load_grammar(ARITH_SRC)
+    toks = ["n"] + ["+", "n"] * 50
+    # the fold _run makes, with each peeled reduction kept in order
+    with g.activate() as ctx:
+        node, peeled = g.root, []
+        for c in toks:
+            node = derivation._derive(node, c, ctx)
+            if node.form == RED:
+                peeled.append(node.fn.describe())
+                node = node.left
+        assert not ctx.cycled
+    assert len(peeled) == len(toks)
+    red = parse(g, toks).root.red
+    assert red.kind == COMPOSE
+    assert [p.describe() for p in red.payload] == peeled
+    assert all(p.kind != COMPOSE or len(p.payload) == 2 for p in red.payload)
+
+
 # --- the applier against a reference that builds a Pair per step -------------
 
 _PUT_LEFT, _PUT_RIGHT = object(), object()
@@ -517,8 +609,8 @@ def _reference_apply(red: Reduction, t, table) -> list:
                 continue
             k = f.kind
             if k == COMPOSE:
-                g, h = f.payload
-                frames = (h, (g, frames))
+                for g in f.payload:
+                    frames = (g, frames)
             elif k in LIFTS:
                 if not isinstance(t, Pair):
                     raise ValueError(f"cannot apply {k!r} to a {t!r}")

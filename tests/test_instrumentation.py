@@ -131,7 +131,7 @@ def test_shared_continuations_are_counted_copied_and_emitted():
 # dict-counting engine recorded them, and under the default full memo,
 # which rebuilds no derivative that a slot evicted, and so fires fewer.
 # The Dyck parse closes no derivative cycle, so each token's top reduction
-# goes to the parse's accumulator, not through red-compose (63 and 62
+# goes to the parse's chain, not through red-compose (63 and 62
 # firings when it did)
 _PINNED_PARSE_FIRINGS = {
     False: ({"seq-empty-left": 20, "red-empty": 55, "seq-epsilon-left": 13,
