@@ -3,9 +3,9 @@
 A grammar is a cyclic graph of six expression forms.  Consuming a token means
 taking the derivative of the whole graph with respect to that token; after the
 last token, every parse tree of the input is read out of the nodes that match
-the empty word.  Construction-time compaction, a generation-labelled
-nullability fixed point, and a derivative cache that keeps every token's
-result per node (one slot first, a map only from a second token) keep the
+the empty word.  Construction-time compaction, a nullability fixed point
+whose verdicts are final once decided, and a derivative cache that keeps
+every token's result per node (one slot first, a map only from a second token) keep the
 node count cubic in the input length and the practical cost close to
 linear.
 

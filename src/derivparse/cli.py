@@ -5,7 +5,7 @@ Subcommands:
     derivparse recognize GRAMMAR TOKENS      accept/reject, exit 0/1
     derivparse parse     GRAMMAR TOKENS      forest as JSON (or --count)
     derivparse bench     GRAMMAR CORPUS_DIR  one CSV row per token file
-    derivparse stats     GRAMMAR TOKENS      counters for one parse
+    derivparse stats     GRAMMAR TOKENS      counters for one recognize
 
 Grammar files use the format described in the loader module; token files are
 whitespace-separated terminal labels.  Engine variants are selected with
@@ -87,7 +87,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                     help="repeat the parse within a round at least this long")
     _add_engine_flags(sp)
 
-    sp = sub.add_parser("stats", help="counters for a single parse")
+    sp = sub.add_parser("stats", help="counters for a single recognize")
     sp.add_argument("grammar")
     sp.add_argument("tokens")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -57,7 +57,10 @@ language, but no node on it has an Empty child.  The dead-subgraph rule
 (collapse_dead) is one productivity fixed point, over the nodes not yet
 marked productive, that rewrites every node it proves dead to Empty.
 normalize_grammar runs it over the loaded grammar, and the derivative engine
-from every cycle-closing node that finishes unproductive.
+from every cycle-closing node that finishes unproductive.  Nullability is
+the same least fixed point seeded with the nullable nodes instead of the
+productive ones, and the nullability engine closes it with the same
+function (_spread).
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ SEQ_FLOAT_RIGHT = _rule("seq-float-right")
 
 WILDCARD = "."
 
-# nullability facts stored on nodes; UNKNOWN doubles as "assumed not nullable"
+# nullability verdicts stored on nodes; a verdict, once written, is final
 NV_UNKNOWN, NV_NULLABLE, NV_NOT = 0, 1, 2
 
 
@@ -102,10 +105,11 @@ class GrammarNode:
     results: tree set for the empty word (EPSILON)
     fn: a Reduction (RED)
 
-    The remaining slots are engine state: the nullability cell, the derivative
-    cache (a slot for one token and, under the full memo, a dict made by a
-    second token for the others; on a grammar node it lasts one activation,
-    see Grammar), the under-construction flag, the productive and never-null
+    The remaining slots are engine state: the nullability verdict (unknown
+    until a query decides it, then final), the derivative cache (a slot for
+    one token and, under the full memo, a dict made by a second token for
+    the others; on a grammar node it lasts one activation, see Grammar),
+    the under-construction flag, the productive and never-null
     marks (set only once the structure proves the language non-empty, or
     without the empty word), the grammar mark (set when a loaded grammar
     reaches the node), the empty-word parse memo (a grammar node's is built
@@ -120,7 +124,7 @@ class GrammarNode:
 
     __slots__ = (
         "form", "left", "right", "label", "results", "fn",
-        "n_value", "n_gen", "n_dependents",
+        "n_value",
         "d_key", "d_val", "d_map",
         "in_progress", "productive", "never_null", "in_grammar",
         "pn_memo", "name", "twin",
@@ -134,8 +138,6 @@ class GrammarNode:
         self.results = None
         self.fn = None
         self.n_value = NV_UNKNOWN
-        self.n_gen = 0
-        self.n_dependents = None
         self.d_key = None
         self.d_val = None
         self.d_map = None
@@ -558,7 +560,12 @@ def _settle(inner: list, proven: list, pending: list, parents: dict) -> None:
 
 
 def _spread(work: list, live: set, parents: dict) -> None:
-    """Close `live` under the local productivity rule, upward from `work`."""
+    """Close `live` under the local rule, upward from `work`: a parent is
+    added when one child is (a choice, a reduction) or both are (a
+    concatenation).  `parents` maps a node to its parents inside the
+    collected subgraph.  Read with productive frontier nodes as `live`, this
+    is the dead-subgraph fixed point; with nullable ones, the nullability
+    fixed point (nullability.is_nullable)."""
     while work:
         c = work.pop()
         for p in parents.get(c, ()):
@@ -664,23 +671,22 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
     Accepts a Grammar or a bare root node; rewrites in place and returns the
     argument.  Empty-language subgraphs are collapsed first, by the
     dead-subgraph fixed point over every node not yet marked (see
-    collapse_dead), which leaves every reachable node marked or Empty; so
-    the rewriting terminates on cyclic graphs, and a cap on the rewrites
-    guards the rest.  Whether a rule fires on a node depends only on the
-    node and its children's forms, so a worklist that starts with every
-    inner node and revisits a rewritten node, its parents and the nodes its
-    rule created reaches the same fixed point as sweeping the whole graph
-    until nothing fires.  The never-null marks are exact as build_graph
-    builds them, since it marks each rule's placeholder by the rule's
-    nullability; on a hand-built graph they are those of the local rule,
-    which are sound.  Rewrites keep them so.  At the end, a node marked
-    never null gets that verdict in its nullability cell too, so no
-    nullability query leaves an assumption on it, nor a derivative
-    subscribed to its flip, which would keep that derivative alive after
-    its parse.  The grammar marks are cleared while
-    it runs, so the spine rule's guard sees them alike whether a Grammar is
-    made after normalizing (load_grammar) or before (benchmarks/tracing.py);
-    a Grammar's nodes are marked again at its end, a bare root's by its own.
+    collapse_dead): it decides the productivity of the loaded grammar, and
+    leaves every reachable node marked or Empty; so the rewriting
+    terminates on cyclic graphs, and a cap on the rewrites guards the rest.
+    (The same fixed point, grammar._spread, decides nullability at query
+    time.)  Whether a rule fires on a node depends only on the node and its
+    children's forms, so a worklist that starts with every inner node and
+    revisits a rewritten node, its parents and the nodes its rule created
+    reaches the same fixed point as sweeping the whole graph until nothing
+    fires.  The never-null marks are exact as build_graph builds them,
+    since it marks each rule's placeholder by the rule's nullability; on a
+    hand-built graph they are those of the local rule, which are sound.
+    Rewrites keep them so, and the nullability engine reads them as
+    verdicts.  The grammar marks are cleared while it runs, so the spine
+    rule's guard sees them alike whether a Grammar is made after
+    normalizing (load_grammar) or before (benchmarks/tracing.py); a
+    Grammar's nodes are marked again at its end, a bare root's by its own.
     """
     root = g.root if isinstance(g, Grammar) else g
     parents = {root: []}
@@ -706,9 +712,6 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
         work.append(n)
         work += parents[n]
         _enlist(n, parents, work)
-    for n in parents:
-        if n.never_null:
-            n.n_value = NV_NOT
     if isinstance(g, Grammar):
         g.size_G = _mark_grammar(root)
     return g

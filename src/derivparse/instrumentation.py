@@ -49,7 +49,9 @@ class Counters:
     """Monotone event counts for one grammar / parse session.  Nodes are
     counted per form, in a list indexed by the form number (FORM_NAMES
     order), and compaction firings per rule, in a list indexed by the rule
-    number (COMPACTION_RULES order)."""
+    number (COMPACTION_RULES order).  `generation_count` counts top-level
+    queries to the optimized nullability engine, a settled one included,
+    and `nullable_visits` the nodes either engine visits."""
 
     __slots__ = (
         "nodes_by_form",

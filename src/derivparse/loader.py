@@ -257,11 +257,10 @@ def _fill_rule(ph, name: str, runs: list, symbol) -> list:
     return [ph]
 
 
-def _least_set(productions: dict, names, terminals: bool) -> set:
+def _nullable_names(productions: dict, names) -> set:
     """The least set of `names` in which each name has an alternative whose
-    symbols are all in the set or, when `terminals`, terminals: the
-    nonterminals that derive some word (with terminals) or the empty word
-    (without)."""
+    symbols are all in the set: the nonterminals that derive the empty
+    word."""
     found: set = set()
     # rules mostly use the rules defined after them: the last come first
     todo = [(name, productions[name]) for name in reversed(names)]
@@ -272,10 +271,7 @@ def _least_set(productions: dict, names, terminals: bool) -> set:
         for name, alts in todo:
             for rhs in alts:
                 for s in rhs:
-                    if type(s) is Term:
-                        if not terminals:
-                            break
-                    elif s.name not in found:
+                    if type(s) is Term or s.name not in found:
                         break
                 else:
                     found.add(name)
@@ -332,7 +328,6 @@ def _build_twin(ph, name: str, runs: list, left: list, exprs: list,
         fn = compose(fn, lift_left(base.fn))
         base = base.left
     tail = new_alt(None, None)
-    tail.productive = True  # its last alternative is empty
     top = new_seq(base, tail)
 
     def symbol(sym):
@@ -355,10 +350,10 @@ def build_graph(bnf: BnfGrammar) -> tuple:
     order, each into the placeholder its references point at.  A directly
     left-recursive rule gets a twin (see the module docstring).
 
-    A placeholder is marked productive when its rule's language is not
-    empty, and never null when the rule does not derive the empty word, so
-    the local rule gives every node built over it its exact never-null
-    mark, and normalization proves productive only the rest."""
+    A placeholder is marked never null when its rule does not derive the
+    empty word, so the local rule gives every node built over it its exact
+    never-null mark.  Productivity is left to normalization's dead-subgraph
+    fixed point."""
     productions = bnf.productions
     reached, work = {bnf.start}, [bnf.start]
     while work:
@@ -369,13 +364,10 @@ def build_graph(bnf: BnfGrammar) -> tuple:
                     work.append(sym.name)
     runs_of = {name: _runs(alts) for name, alts in productions.items()
                if name in reached}
-    names = list(runs_of)
-    live = _least_set(productions, names, True)
-    nullable = _least_set(productions, names, False)
+    nullable = _nullable_names(productions, list(runs_of))
     placeholders = {}
     for name, runs in runs_of.items():
         ph = placeholders[name] = _placeholder(name, runs)
-        ph.productive = name in live
         ph.never_null = name not in nullable
     end = None
     for name, ph in placeholders.items():

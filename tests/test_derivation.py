@@ -335,10 +335,8 @@ def test_every_step_leaves_finished_nodes_and_the_shared_empty_untouched(
     e = SHARED_EMPTY
     assert (e.form, e.left, e.right, e.label, e.results, e.fn) == (
         EMPTY, None, None, None, None, None)
-    assert (e.d_key, e.d_val, e.d_map, e.n_dependents, e.name) == (
-        None, None, None, None, None)
-    assert (e.n_value, e.n_gen, e.in_progress, e.productive) == (
-        NV_NOT, 0, False, False)
+    assert (e.d_key, e.d_val, e.d_map, e.name) == (None, None, None, None)
+    assert (e.n_value, e.in_progress, e.productive) == (NV_NOT, False, False)
     assert e.pn_memo is EMPTY_SET
 
 

@@ -1,17 +1,21 @@
 """Both nullability engines: base cases, cycles, and cross-agreement."""
 
 import random
+import sys
 
 import pytest
 
-from derivparse import Context, is_nullable, use_context
+from derivparse import Context, derive, is_nullable, load_grammar, use_context
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
-    NV_UNKNOWN, ParserSettings, mk_alt, mk_eps, mk_seq, mk_token,
-    new_alt, new_red, new_seq,
+    NV_NOT, NV_NULLABLE, NV_UNKNOWN, ParserSettings, mk_alt, mk_eps, mk_seq,
+    mk_token, new_alt, new_red, new_seq, reachable_nodes,
 )
 from derivparse.nullability import is_nullable_naive
-from conftest import load_unnormalized, mk_empty, random_grammar_source
+from conftest import (
+    ARITH_INDIRECT_SRC, load_unnormalized, mk_empty, probe_words,
+    random_grammar_source,
+)
 
 
 EPS_TREES = ForestSet.single_leaf("_")
@@ -57,41 +61,70 @@ def test_cyclic_grammars(naive):
 
 
 @pytest.mark.parametrize("naive", [False, True])
-def test_an_unfilled_shell_is_assumed_not_nullable_and_nothing_is_cached(naive):
+def test_a_query_that_reaches_an_unfilled_shell_raises_and_decides_nothing(
+        naive):
     fn = is_nullable_naive if naive else is_nullable
+    error = KeyError if naive else ValueError
     with use_context(Context(settings=ParserSettings(naive_nullability=naive))):
-        shells = [new_alt(None, None), new_seq(None, mk_eps(EPS_TREES)),
-                  new_red(None, None)]
-        for shell in shells:
-            parent = mk_alt(mk_token("a"), shell)
-            assert not fn(shell) and not fn(parent)
-            assert shell.n_value == NV_UNKNOWN
-            # filled later, as the derivative engine fills its shells
-            shell.left = mk_eps(EPS_TREES)
-            if shell.right is None and shell.fn is None:
-                shell.right = mk_token("b")
-            assert fn(shell)
+        for shell in (new_alt(None, None), new_seq(None, mk_eps(EPS_TREES)),
+                      new_red(None, None)):
+            # through a parent whose other child is nullable, and
+            # through a cycle p = alt(q, shell), q = red(p)
+            parent = new_alt(new_red(mk_eps(EPS_TREES), None), shell)
+            p = new_alt(None, shell)
+            q = new_red(p, None)
+            p.left = q
+            nodes = reachable_nodes(parent) + reachable_nodes(q)
+            before = [n.n_value for n in nodes]
+            for top in (shell, parent, q):
+                with pytest.raises(error):
+                    fn(top)
+                assert [n.n_value for n in nodes] == before
 
 
-def test_a_verdict_that_leaned_on_an_unfilled_shell_is_not_kept():
-    # the query's assumptions are no fixed point of the filled graph, so a
-    # later query must not promote them to final verdicts
+def test_a_deep_chain_and_a_long_cycle_are_decided_without_recursion():
+    n = 100_000
+    assert sys.getrecursionlimit() < n
     with use_context(Context()):
-        shell = new_red(None, None)
-        p = new_alt(mk_token("a"), shell)
-        assert not is_nullable(p)
-        assert not is_nullable(p)
-        shell.left = mk_eps(EPS_TREES)
-        assert is_nullable(p)
-        # an assumption that meets the shell only through a cycle
-        shell = new_red(None, None)
-        p = new_alt(None, shell)
-        q = new_red(p, None)
-        p.left = q
-        assert not is_nullable(q)
-        assert not is_nullable(q)
-        shell.left = mk_eps(EPS_TREES)
-        assert is_nullable(q)
+        a = mk_token("a")
+        chain = [mk_eps(EPS_TREES)]
+        for _ in range(n):
+            chain.append(new_alt(chain[-1], a))
+        assert chain[-1].n_value == NV_UNKNOWN
+        assert is_nullable(chain[-1])
+        assert all(x.n_value == NV_NULLABLE for x in chain)
+        ring = [new_alt(None, a) for _ in range(n)]
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            x.left = y
+        assert not is_nullable(ring[0])
+        assert all(x.n_value == NV_NOT for x in ring)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_engines_agree_on_every_node_of_every_derivative(backward):
+    # queried root first, one walk from the top decides a derivative's
+    # nodes; queried in reverse, each walk starts over nodes that earlier
+    # queries decided
+    rng = random.Random(41)
+    cases = [(random_grammar_source(rng), "abc") for _ in range(100)]
+    cases.append((ARITH_INDIRECT_SRC, "n+*()"))
+    queries = 0
+    for src, sigma in cases:
+        g = load_grammar(src)
+        for w in probe_words(g.bnf, sigma):
+            with g.activate():
+                node = g.root
+                for tok in (None,) + w:
+                    if tok is not None:
+                        node = derive(node, tok)
+                    nodes = reachable_nodes(node)
+                    if backward:
+                        nodes.reverse()
+                    for n in nodes:
+                        assert is_nullable(n) == is_nullable_naive(n), (
+                            src, w, tok)
+                    queries += len(nodes)
+    assert queries > 10_000
 
 
 def test_engines_agree_on_random_grammars():
