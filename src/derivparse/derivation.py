@@ -14,9 +14,10 @@ under a different token evicts, and no map is read.
 Memo entries are per node, and inside one parse a node may be shared: the
 float-left compaction rule hands back the concatenation it built the first
 time for the same two halves (grammar._shared_seq), so two derivatives may
-share that node and read its memo.  The table that finds it belongs to the
-parse's activation, so derivatives of two parses share nothing but the
-grammar.
+share that node and read its memo; the reductions the rules build are
+shared by their parts the same way (grammar._shared_red).  The tables
+that find them belong to the parse's activation, so derivatives of two
+parses share nothing but the grammar.
 
 Cycles are handled by a building marker: before the children of a composite
 node are derived, its cache entry is set to a marker of the result's form (a
@@ -78,18 +79,20 @@ is a reduction, _run appends its fn to a list and derives its child by
 the next token; at the end mk_red puts the list back on top as one
 compose of its parts in the order they were peeled, the first applied
 last (reductions.chain): the chain red-compose would build, grouped
-flat.  The fns are those of memoized derivatives, so they recur: the
-2,501 fns of a 2,501-token mixed expression hold 261 distinct ones, and
-the forest's readers read each recurring one once.  That is exact while
-no derivative cycle exists: the top is then a fresh node that nothing
-reaches but the memo entry it was built for, and deriving red(core, F)
-derives core, as _run does, then rebuilds red(D(core).left,
-compose(F, G)) when D(core) = red(_, G), as appending G does.  A cycle
-closes only where a shell is made (_reenter), which may make the top a
-node the graph reaches again.  So _reenter sets the context's cycled
-flag, and from the token that set it _run puts the chain back and
-derives as the plain loop does.  recognize keeps no chain: a reduction
-is nullable exactly when its child is, so it drops the fns.
+flat.  The fns are those of memoized derivatives, so they recur, and the
+parse builds each from the same parts once (grammar._shared_red): the
+2,500 fns of a 2,500-token mixed expression are 18 objects (255 when each
+derivative built its own), and the forest's readers read each once.
+That is exact while no derivative cycle exists: the top is then a fresh
+node that nothing reaches but the memo entry it was built for, and
+deriving red(core, F) derives core, as _run does, then rebuilds
+red(D(core).left, compose(F, G)) when D(core) = red(_, G), as appending
+G does.  A cycle closes only where a shell is made (_reenter), which may
+make the top a node the graph reaches again.  So _reenter sets the
+context's cycled flag, and from the token that set it _run puts the
+chain back and derives as the plain loop does.  recognize keeps no
+chain: a reduction is nullable exactly when its child is, so it drops the
+fns.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
     mk_eps, mk_red, new_alt, new_red, new_seq,
-    _compact_alt, _compact_red, _compact_seq,
+    _compact_alt, _compact_red, _compact_seq, _shared_red,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
@@ -261,7 +264,7 @@ def _derive(n, c, ctx):
             if naming:
                 _name(a, n, c, EXTEND)
         d = _derive(r, c, ctx)
-        inj = pair_left_null(l)
+        inj = _shared_red(pair_left_null, l)
         b = _compact_red(d, inj) if compacting else None
         if b is None:
             b = new_red(d, inj)

@@ -17,8 +17,9 @@ too, and enumeration reads them to build only the trees that its returned
 trees are made of.  A deferred node's children include its reduction's
 payload forests; the walk reads only the reduction parts whose `pairs` bit
 says they reference one.  A parse's top reduction is one flat chain whose
-parts recur (see reductions): the walk reads, and the JSON export renders,
-each part that recurs in a chain once.  Applying a reduction chain
+few distinct parts recur (see reductions): the walk reads, and the JSON
+export renders, each distinct part of a chain once, through a memo keyed
+by identity.  Applying a reduction chain
 builds a tree node only for what the chain leaves behind (see _apply).
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
@@ -367,33 +368,15 @@ def _read_roots(stack: list, out: list) -> None:
                 if f.pairs:
                     stack.append(f)
             else:
-                # a chain's roots come before those of the rest of the stack
-                _chain_roots(r, out)
+                # a chain's roots come before those of the rest of the
+                # stack; each distinct part is read once (see reductions)
+                memo = {g: _payload_roots(g) for g in dict.fromkeys(parts)}
+                out += itertools.chain.from_iterable(
+                    map(memo.__getitem__, reversed(parts)))
         elif k in reductions.LIFTS:
             stack.append(r.payload)
         else:
             out.append(_payload_root(r))
-
-
-def _chain_roots(chain: Reduction, out: list) -> None:
-    """Append to `out` the payload roots of a compose of more than two
-    parts.  A part that recurs in it is read once, by identity, and each
-    run of the other parts in one walk, with no call per part."""
-    parts = [g for g in chain.payload if g.pairs]
-    many = chain.recurring
-    if not many:  # one run, in stack order
-        _read_roots(parts, out)
-        return
-    memo = {}
-    for recurs, run in itertools.groupby(reversed(parts), many.__contains__):
-        if recurs:
-            for g in run:
-                roots = memo.get(g)
-                if roots is None:
-                    roots = memo[g] = _payload_roots(g)
-                out += roots
-        else:
-            _read_roots(list(run)[::-1], out)
 
 
 def _fchildren(n: FNode) -> tuple:

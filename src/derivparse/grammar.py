@@ -52,6 +52,10 @@ then a hit at the next operand, and products cost what sums do.
 Within one parse, then, two derivatives may share a node; across parses
 they never do, and the loader never shares.
 
+The reductions the rules build are shared alike (_shared_red), by their
+parts' identity, so the rewrites a parse peels off its memoized
+derivatives recur as objects, not as copies (see derivation).
+
 One rule is not local: a cycle such as X = red(seq(X, t)) denotes the empty
 language, but no node on it has an Empty child.  The dead-subgraph rule
 (collapse_dead) is one productivity fixed point, over the nodes not yet
@@ -180,14 +184,15 @@ class Context:
     those), the table of concatenations the float-left rule shares (`seqs`,
     keyed by the pair of halves; only a compacting activation makes one, so
     it dies with the parse, and any other context, the loader's included,
-    has None), whether a derivative cycle has closed (`cycled`, set by the
-    derivative engine when a cycle re-enters a derivative under
+    has None), the same for reductions (`reds`, keyed by the constructor
+    and its parts), whether a derivative cycle has closed (`cycled`, set by
+    the derivative engine when a cycle re-enters a derivative under
     construction), and the settings, resolved into plain switch fields when
     the context is created (debug names turn compaction off).  So a switch
     changed on g.settings while g is active applies from the next
     activation."""
 
-    __slots__ = ("counters", "written", "seqs", "cycled",
+    __slots__ = ("counters", "written", "seqs", "reds", "cycled",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -196,6 +201,7 @@ class Context:
         self.counters = counters if counters is not None else Counters()
         self.written = []
         self.seqs = None
+        self.reds = None
         self.cycled = False
         self.memo_full = st.memo_full
         self.naming = st.debug_names
@@ -346,6 +352,22 @@ def _shared_seq(left: GrammarNode, right: GrammarNode) -> GrammarNode:
     return n
 
 
+def _shared_red(make, *parts) -> reductions.Reduction:
+    """make(*parts), a reduction constructor's: inside a parse, the one
+    first built from the same parts (see the module docstring)."""
+    ctx = _active.ctx
+    reds = ctx.reds
+    if reds is None:
+        return make(*parts)
+    key = (make, *parts)
+    r = reds.get(key)
+    if r is None:
+        r = reds[key] = make(*parts)
+    else:
+        ctx.counters.reductions_shared += 1
+    return r
+
+
 def _fire(rule: int) -> None:
     _active.ctx.counters.firings_by_rule[rule] += 1
 
@@ -389,7 +411,8 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
         return left
     if f == EPSILON:
         _fire(SEQ_EPSILON_LEFT)
-        return _red_limited(right, reductions.pair_left(left.results))
+        return _red_limited(right, _shared_red(reductions.pair_left,
+                                               left.results))
     if f == SEQ:
         # ((p1 . p2) . p3) -> (p1 . (p2 . p3)) plus a reassociation rewrite
         _fire(SEQ_ASSOCIATE)
@@ -404,10 +427,12 @@ def _compact_seq(left: GrammarNode, right: GrammarNode) -> Optional[GrammarNode]
             # ... then seq-associate, once (see the module docstring for
             # why, and for the measured counterexample behind each guard)
             _fire(SEQ_ASSOCIATE)
+            lift = _shared_red(reductions.lift_left, left.fn)
             return new_red(_shared_seq(p.left, _shared_seq(p.right, right)),
-                           reductions.compose(reductions.lift_left(left.fn),
-                                              reductions.reassociate()))
-        return new_red(_shared_seq(p, right), reductions.lift_left(left.fn))
+                           _shared_red(reductions.compose, lift,
+                                       reductions.reassociate()))
+        return new_red(_shared_seq(p, right),
+                       _shared_red(reductions.lift_left, left.fn))
     # right-child rules: a normalized grammar and its derivatives never have
     # these right children, so these fire only while a grammar loads
     f = right.form
@@ -432,7 +457,8 @@ def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
         return _red_limited(child, fn)
     if f == RED:
         _fire(RED_COMPOSE)
-        return _red_limited(child.left, reductions.compose(fn, child.fn))
+        return _red_limited(child.left,
+                            _shared_red(reductions.compose, fn, child.fn))
     return None
 
 
@@ -612,7 +638,8 @@ def _normalize_step(n: GrammarNode) -> bool:
 class Grammar:
     """A loaded grammar: root node, table of the nonterminals the start
     symbol reaches (kept for diagnostics and printing), per-grammar counters
-    and settings, and the BNF twin the loader derived from the same source.
+    and settings (the counters given, or new ones), and the BNF twin the
+    loader derived from the same source.
 
     A parse keeps its derivatives in the memo slots of the grammar nodes it
     derives, so one activation at a time: a second, nested or on another
@@ -626,12 +653,13 @@ class Grammar:
                  "settings", "bnf", "null_forests", "_lock")
 
     def __init__(self, root: GrammarNode, start: str,
-                 nonterminal_table: Optional[dict] = None, bnf=None):
+                 nonterminal_table: Optional[dict] = None, bnf=None,
+                 counters: Optional[Counters] = None):
         self.root = root
         self.start = start
         self.nonterminal_table = nonterminal_table or {}
         self.size_G = _mark_grammar(root)
-        self.counters = Counters()
+        self.counters = counters if counters is not None else Counters()
         self.settings = ParserSettings()
         self.bnf = bnf
         self.null_forests = False
@@ -639,13 +667,15 @@ class Grammar:
 
     @contextmanager
     def activate(self):
-        """Make a context for one parse the active one, with a table of
-        shared concatenations under compaction, and under debug names give
-        every grammar node without a name a fresh one; on the way out, clear
-        the derivative memo of every grammar node it wrote."""
+        """Make a context for one parse the active one, with tables of
+        shared concatenations and reductions under compaction, and under
+        debug names give every grammar node without a name a fresh one; on
+        the way out, clear the derivative memo of every grammar node it
+        wrote."""
         ctx = Context(self.counters, self.settings)
         if ctx.compacting:
             ctx.seqs = {}
+            ctx.reds = {}
         if not self._lock.acquire(blocking=False):
             raise RuntimeError(f"{self!r} is already active")
         try:

@@ -51,7 +51,9 @@ class Counters:
     order), and compaction firings per rule, in a list indexed by the rule
     number (COMPACTION_RULES order).  `generation_count` counts top-level
     queries to the optimized nullability engine, a settled one included,
-    and `nullable_visits` the nodes either engine visits."""
+    `nullable_visits` the nodes either engine visits, and `seqs_shared`
+    and `reductions_shared` the concatenations and reductions a parse
+    handed back instead of building them again."""
 
     __slots__ = (
         "nodes_by_form",
@@ -61,6 +63,7 @@ class Counters:
         "firings_by_rule",
         "generation_count",
         "seqs_shared",
+        "reductions_shared",
     )
 
     def __init__(self) -> None:
@@ -74,6 +77,7 @@ class Counters:
         self.firings_by_rule = [0] * len(COMPACTION_RULES)
         self.generation_count = 0
         self.seqs_shared = 0
+        self.reductions_shared = 0
 
     @property
     def nodes_created(self) -> int:
@@ -110,6 +114,7 @@ class Counters:
             "compaction_firings": dict(self.compaction_firings),
             "generation_count": self.generation_count,
             "seqs_shared": self.seqs_shared,
+            "reductions_shared": self.reductions_shared,
         }
 
     def __repr__(self) -> str:

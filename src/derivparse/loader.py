@@ -396,9 +396,7 @@ def load_grammar(text: str) -> Grammar:
     with use_context(Context()) as ctx:
         root, table = build_graph(bnf)
         normalize_grammar(root)
-        g = Grammar(root, bnf.start, table, bnf)
-        g.counters = ctx.counters
-    return g
+        return Grammar(root, bnf.start, table, bnf, ctx.counters)
 
 
 def load_grammar_file(path: str) -> Grammar:

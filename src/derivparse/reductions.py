@@ -18,9 +18,12 @@ the left spine the rule as written builds.
 A compose holds k >= 2 parts, payload[0] applied last.  Compaction's
 red-compose builds binary ones (compose); a parse keeps the reductions it
 peels off its derivatives, one per token, as one flat chain (chain), whose
-parts are the reductions of memoized derivatives and so recur.  A reader
-of a chain reads each part that recurs in it once, by identity
-(Reduction.recurring), and each part that occurs once in place.
+parts are the reductions of memoized derivatives and so recur.  Inside a
+parse, equal reductions built from the same parts are one object
+(grammar._shared_red), so a chain as long as the input holds a handful of
+distinct parts, and a reader of a chain reads it through one memo keyed
+by identity: each distinct part is read once, and every other occurrence
+is a lookup.
 
 Only the pairing tags reference forests (their payloads), and a composed
 chain runs as long as the input, so each reduction carries a `pairs` bit:
@@ -31,7 +34,6 @@ every other tag.  It is set once, in the constructor, from the parts' bits
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Optional
 
 PAIR_LEFT = "pair-left"            # u -> (s, u) for each s in a known tree set
@@ -60,12 +62,10 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
     referenced anywhere in it (see the module docstring).  A compose of
-    more than two parts, a chain, is built by chain(), which also keeps
-    `recurring` on it: the set of its parts that occur in it more than
-    once, so that its readers do not look for them again.  A tag equal to
+    more than two parts, a chain, is built by chain().  A tag equal to
     one of the module's is stored as the module's own string."""
 
-    __slots__ = ("kind", "payload", "pairs", "recurring")
+    __slots__ = ("kind", "payload", "pairs")
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind = _KINDS.get(kind, kind)
@@ -85,10 +85,9 @@ class Reduction:
         """The reduction as text.  A compose is written as the flat list of
         its parts, so equal reductions, however grouped, read the same.
         `memo`, kept by the caller across calls, holds the text of every
-        lift, every other non-compose part and every part that recurs in a
-        chain, by identity, so a part shared between chains or repeated in
-        one is rendered once; a chain's text joins its parts' texts (see
-        _chain_items)."""
+        lift, every other non-compose part and every part of a chain, by
+        identity, so a part shared between chains or repeated in one is
+        rendered once; a chain's text joins its parts' texts."""
         if memo is None:
             memo = {}
         # compositions nest as deep as the input is long: no recursion
@@ -109,8 +108,11 @@ class Reduction:
                 ps = r.payload
                 if len(ps) == 2:
                     stack += (ps[1], " . ", ps[0])
-                else:
-                    stack += reversed(_chain_items(r, memo))
+                else:  # a chain: each distinct part rendered once
+                    for p in dict.fromkeys(ps):
+                        if p not in memo:
+                            memo[p] = p.describe(memo)
+                    parts.append(" . ".join(map(memo.__getitem__, ps)))
             elif r in memo:
                 parts.append(memo[r])
             elif r.kind in _LIFT_OPEN:
@@ -178,34 +180,7 @@ def chain(fns: list) -> Reduction:
     fns[0] applied last, or fns[0] itself when it is the only one."""
     if len(fns) == 1:
         return fns[0]
-    red = Reduction(COMPOSE, tuple(fns))
-    # each part met again after `seen` took it; on the short chains of
-    # short words, a third of what a Counter costs
-    seen = set()
-    red.recurring = {p for p in red.payload if p in seen or seen.add(p)}
-    return red
-
-
-def _chain_items(red: Reduction, memo: dict) -> list:
-    """The items describe writes for a compose of more than two parts: its
-    parts, in order, with " . " between them.  Each part that recurs in it
-    is rendered once, into `memo`, and each run of parts whose text is in
-    `memo` is one text."""
-    ps = red.payload
-    many = red.recurring
-    for p in many:
-        if p not in memo:
-            memo[p] = p.describe(memo)
-    if many:
-        ps = []
-        for known, run in groupby(red.payload, memo.__contains__):
-            if known:
-                ps.append(" . ".join([memo[p] for p in run]))
-            else:
-                ps += run
-    items = [" . "] * (2 * len(ps) - 1)
-    items[::2] = ps
-    return items
+    return Reduction(COMPOSE, tuple(fns))
 
 
 def lift_left(f: Reduction) -> Reduction:

@@ -145,6 +145,7 @@ def test_stats_json(ws, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["tokens"] == 4
     assert data["nodes_created"] > 0
+    assert {"seqs_shared", "reductions_shared"} <= data.keys()
 
 
 def _bench_lines(ws, capsys, *flags):

@@ -13,7 +13,7 @@ from derivparse import (
     is_nullable, load_bnf, load_grammar, parse, reachable_nodes, recognize,
     tree_text, use_context,
 )
-from derivparse import derivation, forest, grammar, nullability
+from derivparse import derivation, forest, grammar, nullability, reductions
 from derivparse.forest import EMPTY_SET, ForestSet
 from derivparse.grammar import (
     ALT, EMPTY, EPSILON, NV_NOT, RED, SEQ, SHARED_EMPTY, TOKEN,
@@ -682,6 +682,95 @@ def test_only_a_parse_shares_continuations():
             assert grammar._shared_seq(shell, q) is not grammar._shared_seq(
                 shell, q)
         assert g.counters.seqs_shared == int(compaction)
+
+
+def _reductions_below(nodes) -> set:
+    """The reductions the reduction nodes among `nodes` carry, with their
+    parts."""
+    found, todo = set(), [n.fn for n in nodes if n.form == RED]
+    while todo:
+        r = todo.pop()
+        if r not in found:
+            found.add(r)
+            if r.kind == reductions.COMPOSE:
+                todo += r.payload
+            elif r.kind in reductions.LIFTS:
+                todo.append(r.payload)
+    return found
+
+
+def _parse_reductions(g, top) -> set:
+    """The reductions a parse of g built below its last derivative `top`:
+    neither the grammar's own nor a tag without a payload."""
+    derived = [n for n in reachable_nodes(top) if not n.in_grammar]
+    return {r for r in _reductions_below(derived) if r.payload is not None
+            } - _reductions_below(reachable_nodes(g.root))
+
+
+def test_two_parses_never_share_a_reduction():
+    # the table that shares reductions lives for one parse
+    for src, toks in [(ARITH_SRC, ["n"] + ["*", "n"] * 50),
+                      (ARITH_SRC, mixed_expression(random.Random(7), 200)),
+                      (ARITH_LEFT_SRC, mixed_expression(random.Random(7), 200)),
+                      (DYCK_SRC, nested_dyck(30))]:
+        g = load_grammar(src)
+        first = _last_derivative(g, toks)
+        shared = g.counters.reductions_shared
+        assert shared > 0, src
+        second = _last_derivative(g, toks)
+        assert g.counters.reductions_shared == 2 * shared
+        built = [_parse_reductions(g, d) for d in (first, second)]
+        assert built[0] and not built[0] & built[1], src
+
+
+def test_only_a_parse_shares_reductions():
+    # the loader, a bare context, compaction off and debug names build a
+    # new reduction per call; a compacting activation hands back the one
+    # first built from the same parts
+    f = reductions.production("A", 1)
+    makers = [(reductions.compose, f, reductions.reassociate()),
+              (reductions.lift_left, f),
+              (reductions.pair_left, ForestSet.single_leaf("a")),
+              (reductions.pair_left_null, mk_token("a"))]
+    with use_context(Context()) as ctx:
+        assert ctx.reds is None
+        for make, *parts in makers:
+            assert grammar._shared_red(make, *parts) is not grammar._shared_red(
+                make, *parts)
+    for switches, shares in [({}, True), ({"compaction": False}, False),
+                             ({"debug_names": True}, False)]:
+        g = load_grammar(ARITH_SRC)
+        assert g.counters.reductions_shared == 0
+        for k, v in switches.items():
+            setattr(g.settings, k, v)
+        with g.activate() as ctx:
+            assert (ctx.reds is not None) == shares
+            for make, *parts in makers:
+                a, b = grammar._shared_red(make, *parts), grammar._shared_red(
+                    make, *parts)
+                assert (a is b) == shares
+                assert (a.kind, a.payload) == (b.kind, b.payload)
+            # other parts, or the same parts under another tag, are another
+            lift = grammar._shared_red(reductions.lift_left, f)
+            assert lift is not grammar._shared_red(
+                reductions.lift_left, reductions.production("A", 1))
+            assert lift is not grammar._shared_red(reductions.lift_right, f)
+        # a hit per maker, and one for `lift`
+        assert g.counters.reductions_shared == (len(makers) + 1) * shares
+
+
+@pytest.mark.parametrize("src, toks, distinct", [
+    (ARITH_SRC, mixed_expression(random.Random(1), 2500), 18),
+    (ARITH_LEFT_SRC, mixed_expression(random.Random(1), 2500), 28),
+    (DYCK_SRC, nested_dyck(2000), 6),
+], ids=["arith", "arith-left", "dyck"])
+def test_a_parse_chain_holds_each_distinct_rewrite_once(src, toks, distinct):
+    # one part per token, shared inside the parse: before the table, the
+    # chains held 255, 195 and 4,000 distinct objects
+    g = load_grammar(src)
+    parts = _last_derivative(g, toks).fn.payload
+    assert len(parts) == len(toks)
+    assert len(set(parts)) == distinct
 
 
 def _answers(src: str, words, memo_full: bool) -> list:

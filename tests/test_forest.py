@@ -547,8 +547,6 @@ def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
     t, parts = _chain_cases()[case]
     flat = chain(parts)
     assert flat.kind == COMPOSE and flat.payload == tuple(parts)
-    if len(parts) > 2:
-        assert flat.recurring == {p for p in parts if parts.count(p) > 1}
     inner = ForestSet.single_leaf("t").root
     want = None
     for red in (flat, _grouped(parts, True), _grouped(parts, False)):

@@ -127,6 +127,21 @@ def test_shared_continuations_are_counted_copied_and_emitted():
     assert c.seqs_shared == 0 and snap.seqs_shared == 1
 
 
+def test_shared_reductions_are_counted_copied_and_emitted():
+    # a flat product floats the same reduction out at three operands; the
+    # memo hit on the shared continuation does the rest
+    g = load_grammar(ARITH_SRC)
+    recognize(g, ["n"] + ["*", "n"] * 20)
+    c = g.counters
+    snap = c.snapshot()
+    assert snap.reductions_shared == c.reductions_shared == 3
+    assert c.as_dict()["reductions_shared"] == 3
+    assert json.loads(emit(c, "json"))["reductions_shared"] == 3
+    assert "reductions_shared" not in CSV_FIELDS
+    c.reset()
+    assert c.reductions_shared == 0 and snap.reductions_shared == 3
+
+
 # firings of the two parses below, under the single-entry memo as the
 # dict-counting engine recorded them, and under the default full memo,
 # which rebuilds no derivative that a slot evicted, and so fires fewer.

@@ -9,6 +9,7 @@ from derivparse import (
     build_graph, count_parses, enumerate_trees, load_bnf, load_grammar,
     normalize_grammar, parse, recognize, tree_text, use_context,
 )
+from derivparse import grammar
 from derivparse.grammar import ALT, EPSILON, RED, SEQ, TOKEN
 from derivparse.loader import load_grammar_file, parse_source
 from derivparse.oracle import Ref, Term
@@ -218,6 +219,21 @@ def test_factored_rules_give_the_trees_of_the_rules_as_written():
     assert count_parses(fs) == 4
     assert [tree_text(t) for t in enumerate_trees(fs, 4)] == order
     assert [tree_text(t) for t in enumerate_trees(fs, 2)] == order[:2]
+
+
+def test_load_grammar_counts_into_the_counters_it_builds(monkeypatch):
+    # one Counters per load: the loader's context counts the load, and the
+    # grammar keeps counting in it
+    made = []
+
+    class Counting(grammar.Counters):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(grammar, "Counters", Counting)
+    g = load_grammar(ARITH_SRC)
+    assert made == [g.counters] and g.counters.compactions > 0
 
 
 def test_both_load_paths_normalize_alike():
