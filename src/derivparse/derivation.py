@@ -50,11 +50,11 @@ Debug names turn compaction off and build the --compaction off graph, so
 they audit the graph that engine parses with.  The activation names the
 grammar's nodes (grammar.Grammar.activate), and _name a derivative where it
 is cached (_put).  The two branches of a nullable-left Seq's choice are not
-cached: the first is named where it is built, without the split marker,
-and the second, the pair-left-null reduction, is named as the right half's
-derivative.  The rule follows from the node derived from (_mint_rule), and
-every memo hit is checked against it.  A failed derivative is the shared
-Empty here too, and has no name.
+cached, so both are named where they are built: the first without the
+split marker, and the second, the pair-left-null reduction, as the right
+half's derivative.  The rule follows from the node derived from
+(_mint_rule), and every memo hit is checked against it.  A failed
+derivative is the shared Empty here too, and has no name.
 
 Under compaction, the node of a directly left-recursive rule derives as
 its twin (loader.build_graph), a right-recursive node of the same language
@@ -78,7 +78,7 @@ marker round trip and one memo entry each.  So when a token's derivative
 is a reduction, _run appends its fn to a list and derives its child by
 the next token; at the end mk_red puts the list back on top as one
 compose of its parts in the order they were peeled, the first applied
-last (reductions.chain): the chain red-compose would build, grouped
+last (reductions.compose): the chain red-compose would build, grouped
 flat.  The fns are those of memoized derivatives, so they recur, and the
 parse builds each from the same parts once (grammar._shared_red): the
 2,500 fns of a 2,500-token mixed expression are 18 objects (255 when each
@@ -104,12 +104,12 @@ from .forest import ForestSet, build_null_forests, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
-    mk_eps, mk_red, new_alt, new_red, new_seq,
+    mk_eps, mk_red, mk_seq, new_alt, new_red, new_seq,
     _compact_alt, _compact_red, _compact_seq, _shared_red,
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
-from .reductions import chain, pair_left_null
+from .reductions import compose, pair_left_null
 
 
 def _marker(form: int) -> GrammarNode:
@@ -258,18 +258,13 @@ def _derive(n, c, ctx):
         # half's empty-word trees (threaded lazily).  Only the choice is
         # cached, so both branches are named here.
         d = _derive(l, c, ctx)
-        a = _compact_seq(d, r) if compacting else None
-        if a is None:
-            a = new_seq(d, r)
-            if naming:
-                _name(a, n, c, EXTEND)
+        a = mk_seq(d, r) if compacting else new_seq(d, r)
         d = _derive(r, c, ctx)
         inj = _shared_red(pair_left_null, l)
-        b = _compact_red(d, inj) if compacting else None
-        if b is None:
-            b = new_red(d, inj)
-            if naming:
-                _name(b, r, c, _mint_rule(r, ctx))
+        b = mk_red(d, inj) if compacting else new_red(d, inj)
+        if naming:  # debug names imply compaction off: both are new
+            _name(a, n, c, EXTEND)
+            _name(b, r, c, _mint_rule(r, ctx))
         res = _compact_alt(a, b) if compacting else None
     in_slot = n.d_key == c
     shell = n.d_val if in_slot else n.d_map[c]
@@ -324,7 +319,7 @@ def _run(g: Grammar, tokens: Iterable[str], finish, trees: bool = False):
                     keep(node.fn)
                     node = node.left
             if fns:
-                node = mk_red(node, chain(fns))
+                node = mk_red(node, compose(*fns))
         for c in tokens:
             node = _derive(node, c, ctx)
         return finish(node, ctx)

@@ -15,12 +15,13 @@ consumer to walk a ForestSet keeps the postorder on it, so a request that
 counts, enumerates and exports walks the forest once; the counts are kept
 too, and enumeration reads them to build only the trees that its returned
 trees are made of.  A deferred node's children include its reduction's
-payload forests; the walk reads only the reduction parts whose `pairs` bit
-says they reference one.  A parse's top reduction is one flat chain whose
-few distinct parts recur (see reductions): the walk reads, and the JSON
-export renders, each distinct part of a chain once, through a memo keyed
-by identity.  Applying a reduction chain
-builds a tree node only for what the chain leaves behind (see _apply).
+payload forests; one walk (_payload_roots) finds them, reading only the
+reduction parts whose `pairs` bit says they reference one.  A parse's top
+reduction is one flat chain whose few distinct parts recur (see
+reductions): that walk reads, and the JSON export renders, each distinct
+part of a chain once, through a memo keyed by identity, and both stream a
+binary compose.  Applying a reduction chain builds a tree node only for
+what the chain leaves behind (see _apply).
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
@@ -346,15 +347,10 @@ def _payload_roots(red: Reduction) -> tuple:
     forest is _NO_TREES.  Parts whose `pairs` bit is false reference no
     forest, so the walk never enters them: a composed chain is read only
     down to its pairings, and one that pairs nothing not at all."""
+    if not red.pairs:
+        return ()
     out = []
-    if red.pairs:
-        _read_roots([red], out)
-    return tuple(out)
-
-
-def _read_roots(stack: list, out: list) -> None:
-    """Append to `out` the payload roots of the pairing reductions on
-    `stack`, the top's first."""
+    stack = [red]
     while stack:
         r = stack.pop()
         k = r.kind
@@ -369,7 +365,7 @@ def _read_roots(stack: list, out: list) -> None:
                     stack.append(f)
             else:
                 # a chain's roots come before those of the rest of the
-                # stack; each distinct part is read once (see reductions)
+                # stack; each distinct part is read once
                 memo = {g: _payload_roots(g) for g in dict.fromkeys(parts)}
                 out += itertools.chain.from_iterable(
                     map(memo.__getitem__, reversed(parts)))
@@ -377,6 +373,7 @@ def _read_roots(stack: list, out: list) -> None:
             stack.append(r.payload)
         else:
             out.append(_payload_root(r))
+    return tuple(out)
 
 
 def _fchildren(n: FNode) -> tuple:

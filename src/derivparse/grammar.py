@@ -767,31 +767,3 @@ def _enlist(top: GrammarNode, parents: dict, work: list) -> None:
             else:
                 ps.append(n)
 
-
-# --- printing ---------------------------------------------------------------
-
-def describe_node(n: GrammarNode, *, max_depth: int = 6) -> str:
-    """A short structural sketch, cycle-safe.  Inner nodes are numbered in
-    the order the sketch first meets them, and a node met again on its own
-    path prints as its number."""
-    num: dict = {}
-
-    def go(x: GrammarNode, depth: int, seen: frozenset) -> str:
-        if x in seen:
-            return f"#{num[x]}"
-        if depth >= max_depth:
-            return "..."
-        f = x.form
-        if f == EMPTY:
-            return "{}"
-        if f == EPSILON:
-            return "eps"
-        if f == TOKEN:
-            return repr(x.label)
-        i = num.setdefault(x, len(num) + 1)
-        s = seen | {x}
-        kids = " ".join(go(c, depth + 1, s) for c in (x.left, x.right)
-                        if c is not None)
-        return f"({FORM_NAMES[f]}#{i} {kids})"
-
-    return go(n, 0, frozenset())

@@ -15,15 +15,16 @@ The loader's right-recursive twin of a left-recursive rule needs
 fold-left, which turns a base tree and a tail of productions back into
 the left spine the rule as written builds.
 
-A compose holds k >= 2 parts, payload[0] applied last.  Compaction's
-red-compose builds binary ones (compose); a parse keeps the reductions it
-peels off its derivatives, one per token, as one flat chain (chain), whose
-parts are the reductions of memoized derivatives and so recur.  Inside a
-parse, equal reductions built from the same parts are one object
-(grammar._shared_red), so a chain as long as the input holds a handful of
-distinct parts, and a reader of a chain reads it through one memo keyed
-by identity: each distinct part is read once, and every other occurrence
-is a lookup.
+A compose holds k >= 2 parts, payload[0] applied last (compose).
+Compaction's red-compose builds binary ones, which the cyclic fallback
+nests as deep as the input, so readers stream them.  A parse keeps the
+reductions it peels off its derivatives, one per token, as one flat
+chain, whose parts are the reductions of memoized derivatives and so
+recur.  Inside a parse, equal reductions built from the same parts are
+one object (grammar._shared_red), so a chain as long as the input holds a
+handful of distinct parts, and a reader of a chain reads it through one
+memo keyed by identity: each distinct part is read once, and every other
+occurrence is a lookup.
 
 Only the pairing tags reference forests (their payloads), and a composed
 chain runs as long as the input, so each reduction carries a `pairs` bit:
@@ -62,8 +63,8 @@ _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
 class Reduction:
     """A tag and its payload; `pairs` says whether a payload forest is
     referenced anywhere in it (see the module docstring).  A compose of
-    more than two parts, a chain, is built by chain().  A tag equal to
-    one of the module's is stored as the module's own string."""
+    more than two parts is a chain.  A tag equal to one of the module's is
+    stored as the module's own string."""
 
     __slots__ = ("kind", "payload", "pairs")
 
@@ -170,17 +171,13 @@ _REASSOCIATE, _SPLICE, _FOLD_LEFT = map(Reduction,
                                         (REASSOCIATE, SPLICE, FOLD_LEFT))
 
 
-def compose(g: Reduction, f: Reduction) -> Reduction:
-    """g after f: a compose of two parts."""
-    return Reduction(COMPOSE, (g, f))
-
-
-def chain(fns: list) -> Reduction:
-    """fns[0] after fns[1] ... after fns[-1]: one compose of k >= 2 parts,
-    fns[0] applied last, or fns[0] itself when it is the only one."""
-    if len(fns) == 1:
-        return fns[0]
-    return Reduction(COMPOSE, tuple(fns))
+def compose(*parts: Reduction) -> Reduction:
+    """parts[0] after parts[1] ... after parts[-1]: one compose of k >= 2
+    parts, parts[0] applied last, or parts[0] itself when it is the only
+    one."""
+    if len(parts) == 1:
+        return parts[0]
+    return Reduction(COMPOSE, parts)
 
 
 def lift_left(f: Reduction) -> Reduction:

@@ -10,6 +10,7 @@ import pytest
 from derivparse import (Context, Grammar, build_graph, enumerate_language,
                         forest_to_json, grammar, load_bnf, load_grammar, parse,
                         use_context)
+from derivparse.instrumentation import FORM_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,6 +95,33 @@ def mk_empty() -> grammar.GrammarNode:
     n.n_value = grammar.NV_NOT
     n.never_null = True
     return n
+
+
+def describe_node(n: grammar.GrammarNode, *, max_depth: int = 6) -> str:
+    """A short structural sketch, cycle-safe.  Inner nodes are numbered in
+    the order the sketch first meets them, and a node met again on its own
+    path prints as its number."""
+    num: dict = {}
+
+    def go(x: grammar.GrammarNode, depth: int, seen: frozenset) -> str:
+        if x in seen:
+            return f"#{num[x]}"
+        if depth >= max_depth:
+            return "..."
+        f = x.form
+        if f == grammar.EMPTY:
+            return "{}"
+        if f == grammar.EPSILON:
+            return "eps"
+        if f == grammar.TOKEN:
+            return repr(x.label)
+        i = num.setdefault(x, len(num) + 1)
+        s = seen | {x}
+        kids = " ".join(go(c, depth + 1, s) for c in (x.left, x.right)
+                        if c is not None)
+        return f"({FORM_NAMES[f]}#{i} {kids})"
+
+    return go(n, 0, frozenset())
 
 
 def forest_record(fs) -> tuple:

@@ -773,6 +773,25 @@ def test_a_parse_chain_holds_each_distinct_rewrite_once(src, toks, distinct):
     assert len(set(parts)) == distinct
 
 
+@pytest.mark.parametrize("src, toks, reads, occurrences", [
+    (ARITH_SRC, mixed_expression(random.Random(1), 2500), 27, 3098),
+    (DYCK_SRC, nested_dyck(2000), 9, 6000),
+], ids=["arith", "dyck"])
+def test_a_long_chain_is_read_once_per_distinct_part(src, toks, reads,
+                                                     occurrences, monkeypatch):
+    # the payload-roots walk reads each distinct part of a parse's chain
+    # once; a reader per occurrence would read a payload per root it lists
+    g = load_grammar(src)
+    top = _last_derivative(g, toks).fn
+    read = []
+    real = forest._payload_root
+    monkeypatch.setattr(forest, "_payload_root",
+                        lambda r: read.append(r) or real(r))
+    roots = forest._payload_roots(top)
+    assert len(roots) == occurrences
+    assert len(read) == reads
+
+
 def _answers(src: str, words, memo_full: bool) -> list:
     """Verdict, count and the ordered trees at limits 1, 3 and 10 of each
     word, under one memo mode."""

@@ -16,7 +16,7 @@ from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
 from derivparse.grammar import RED, mk_token
 from derivparse.reductions import (
     COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS,
-    PRODUCTION, REASSOCIATE, SPLICE, Reduction, chain, compose, fold_left,
+    PRODUCTION, REASSOCIATE, SPLICE, Reduction, compose, fold_left,
     lift_left, lift_right, pair_left, pair_right, production, reassociate,
     splice,
 )
@@ -524,7 +524,7 @@ def _chain_cases() -> list:
                      lift, pair_right(x)]),
         # recurring pairings of one forest and of two, and a chain inside
         # a chain
-        (Leaf("a"), [lift, two, chain([lift, lift, both]), px, lift, two,
+        (Leaf("a"), [lift, two, compose(lift, lift, both), px, lift, two,
                      px, px]),
         # three pairings, none of them twice
         (Leaf("a"), [production("P", 1), pair_left(z),
@@ -545,7 +545,7 @@ def _applied(red: Reduction, t) -> list:
 @pytest.mark.parametrize("case", range(len(_chain_cases())))
 def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
     t, parts = _chain_cases()[case]
-    flat = chain(parts)
+    flat = compose(*parts)
     assert flat.kind == COMPOSE and flat.payload == tuple(parts)
     inner = ForestSet.single_leaf("t").root
     want = None
@@ -563,7 +563,14 @@ def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
 
 def test_a_chain_of_one_part_is_the_part():
     part = lift_left(production("A", 1))
-    assert chain([part]) is part
+    assert compose(part) is part
+
+
+def test_compose_makes_one_compose_of_every_part():
+    a, b, c = production("A", 1), reassociate(), lift_left(splice())
+    red = compose(a, b, c)
+    assert red.kind == COMPOSE and red.payload == (a, b, c)
+    assert compose(a, b).payload == (a, b)
 
 
 def test_a_flat_sum_parses_to_one_chain_with_a_part_per_peeled_token():

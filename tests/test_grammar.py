@@ -14,14 +14,14 @@ from derivparse import grammar as grammar_mod
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
-    _normalize_step, become_node, collapse_dead, describe_node,
+    _normalize_step, become_node, collapse_dead,
     mk_alt, mk_eps, mk_red, mk_seq, mk_token,
     new_alt, new_red, new_seq,
 )
 from derivparse.nullability import is_nullable_naive
 from derivparse.reductions import production
 from conftest import (
-    ARITH_INDIRECT_SRC, FIXED_CORPUS, all_strings, expr_tokens,
+    ARITH_INDIRECT_SRC, FIXED_CORPUS, all_strings, describe_node, expr_tokens,
     load_unnormalized, mk_empty, probe_words, random_grammar_source,
 )
 
