@@ -81,8 +81,8 @@ compose of its parts in the order they were peeled, the first applied
 last (reductions.compose): the chain red-compose would build, grouped
 flat.  The fns are those of memoized derivatives, so they recur, and the
 parse builds each from the same parts once (grammar._shared_red): the
-2,500 fns of a 2,500-token mixed expression are 18 objects (255 when each
-derivative built its own), and the forest's readers read each once.
+2,500 fns of a 2,500-token mixed expression are 18 objects, and the
+forest's readers read each once.
 That is exact while no derivative cycle exists: the top is then a fresh
 node that nothing reaches but the memo entry it was built for, and
 deriving red(core, F) derives core, as _run does, then rebuilds

@@ -128,15 +128,15 @@ def tree_text(t) -> str:
 
 LEAF, PAIR, PROD, AMB, DEFER = "leaf", "pair", "prod", "amb", "defer"
 
-_fnode_ids = itertools.count(1)
-
-
 class FNode:
-    __slots__ = ("id", "kind", "label", "left", "right", "children", "red",
+    """One forest node.  Every forest table is keyed by the node itself;
+    the JSON export numbers nodes by their place in the forest's postorder
+    (see forest_to_json)."""
+
+    __slots__ = ("kind", "label", "left", "right", "children", "red",
                  "in_progress", "leaked")
 
     def __init__(self, kind: str):
-        self.id = next(_fnode_ids)
         self.kind = kind
         self.label = None
         self.left = None
@@ -147,7 +147,7 @@ class FNode:
         self.leaked = False
 
     def __repr__(self) -> str:
-        return f"<{self.kind}@{self.id}>"
+        return f"<{self.kind}@{id(self):x}>"
 
 
 def leaf_node(label: str) -> FNode:
@@ -309,10 +309,14 @@ def parse_null(node) -> ForestSet:
 
 def build_null_forests(g) -> None:
     """Build the empty-word forest of every node of grammar g, once per
-    grammar.  They are constants of the grammar, built before its first
-    parse derives anything: so every forest node a parse builds comes after
-    them, and a parse's forest is numbered alike on a fresh grammar and on
-    one that parsed before."""
+    grammar, before its first parse derives anything.  They are constants
+    of the grammar, and building them all from its root fixes the node at
+    which parse_null enters each cycle of the grammar.  That node matters:
+    the shell a cycle re-enters stays an ambiguity node even with one
+    child (see _alternatives).  Built lazily, from wherever a parse first
+    reaches the grammar, the forests would depend on what the grammar
+    parsed before: on N0 : N0 N0 | N0 'b' | ; the empty word exports a
+    different forest once the grammar has parsed b words."""
     if not g.null_forests:
         for n in _g.reachable_nodes(g.root):
             parse_null(n)
@@ -394,14 +398,14 @@ def _postorder(root: FNode) -> list:
     back edge, so the forest is cyclic exactly when some child comes later
     than its parent."""
     out = []
-    seen = {root.id}
+    seen = {root}
     kids = _fchildren(root)
     stack = [(root, kids, iter(kids))]
     while stack:
         n, kids, it = stack[-1]
         for c in it:
-            if c.id not in seen:
-                seen.add(c.id)
+            if c not in seen:
+                seen.add(c)
                 ck = _fchildren(c)
                 stack.append((c, ck, iter(ck)))
                 break
@@ -450,7 +454,7 @@ def _add(a, b):
 
 
 def _counts(fs: ForestSet) -> dict:
-    """count_parses of every node of a non-empty forest set, by id: one fold
+    """count_parses of every node of a non-empty forest set, by node: one fold
     over the postorder, kept on the set, so a request that counts and then
     enumerates folds once.  An ambiguity node sums its children, every
     other node multiplies them (a deferred node's children are its inner
@@ -463,12 +467,12 @@ def _counts(fs: ForestSet) -> dict:
             if n.kind == AMB:
                 v = 0
                 for c in kids:
-                    v = _add(v, counts.get(c.id, INFINITE))
+                    v = _add(v, counts.get(c, INFINITE))
             else:
                 v = 1
                 for c in kids:
-                    v = _mul(v, counts.get(c.id, INFINITE))
-            counts[n.id] = v
+                    v = _mul(v, counts.get(c, INFINITE))
+            counts[n] = v
     return counts
 
 
@@ -480,7 +484,7 @@ def count_parses(fs: ForestSet):
     root = fs.root
     if root is None:
         return 0
-    return _counts(fs)[root.id]
+    return _counts(fs)[root]
 
 
 # --- enumeration ------------------------------------------------------------
@@ -576,7 +580,7 @@ def _apply(red: Reduction, t, table) -> list:
                 t, right = halves
                 frames = (f.payload, (_LEFT, (right, frames)))
             elif k is PAIR_LEFT or k is PAIR_LEFT_NULL or k is PAIR_RIGHT:
-                trees = table[_payload_root(f).id]
+                trees = table[_payload_root(f)]
                 right = k is PAIR_RIGHT
                 if len(trees) == 1:
                     t = (t, trees[0]) if right else (trees[0], t)
@@ -633,13 +637,13 @@ def _trees(n: FNode, table: dict, d: int, strict: bool) -> list:
     k = n.kind
     if k == DEFER:
         red = n.red
-        cands = (u for t in table[n.left.id] for u in _apply(red, t, table))
+        cands = (u for t in table[n.left] for u in _apply(red, t, table))
     elif k == AMB:
-        cands = (t for c in n.children for t in table.get(c.id, ()))
+        cands = (t for c in n.children for t in table.get(c, ()))
     elif k == PAIR:  # pairs of distinct trees never repeat
-        right = table[n.right.id]
+        right = table[n.right]
         return list(itertools.islice(
-            (Pair(a, b) for a in table[n.left.id] for b in right), d))
+            (Pair(a, b) for a in table[n.left] for b in right), d))
     elif k == LEAF:
         return [Leaf(n.label)]
     else:  # PROD: always childless, an empty alternative
@@ -657,7 +661,7 @@ def _trees(n: FNode, table: dict, d: int, strict: bool) -> list:
 
 def _demands(order: list, counts: dict, k: int) -> dict:
     """How many trees each node of an acyclic postorder must give for its
-    root to give its first k, by node id; a node none of those trees goes
+    root to give its first k, by node; a node none of those trees goes
     through is absent.  Every count read is finite: the root's is, so every
     demanded node's and its children's are.
 
@@ -670,39 +674,37 @@ def _demands(order: list, counts: dict, k: int) -> dict:
     for min(k, its count) trees, the first (the left half, the inner forest)
     for enough that the product reaches k.
     """
-    want = {order[-1][0].id: k}
+    want = {order[-1][0]: k}
     asked = want.get
     for n, kids in reversed(order):
-        k = asked(n.id)
+        k = asked(n)
         if not k or not kids:
             continue
         if n.kind == AMB:
             for c in kids:
-                i = c.id
-                d = counts[i]
+                d = counts[c]
                 if d:
                     if d > k:
                         d = k
-                    if asked(i, 0) < d:
-                        want[i] = d
+                    if asked(c, 0) < d:
+                        want[c] = d
                     k -= d
                     if not k:
                         break
             continue
         per_tree = 1  # the later children's demands multiplied, until >= k
         for c in kids[1:]:
-            i = c.id
-            d = counts[i]
+            d = counts[c]
             if d > k:
                 d = k
-            if asked(i, 0) < d:
-                want[i] = d
+            if asked(c, 0) < d:
+                want[c] = d
             if per_tree < k:
                 per_tree *= d
-        i = kids[0].id
+        c = kids[0]
         d = -(-k // per_tree)
-        if asked(i, 0) < d:
-            want[i] = d
+        if asked(c, 0) < d:
+            want[c] = d
     return want
 
 
@@ -725,21 +727,21 @@ def _full_fold(order: list, limit: int) -> list:
     table: dict = {}
     cyclic = False
     for n, kids in order:  # a child not in the table yet is a back edge
-        cyclic = cyclic or any(c.id not in table for c in kids)
-        table[n.id] = []
+        cyclic = cyclic or any(c not in table for c in kids)
+        table[n] = []
     size = 0
     for _ in range(len(order) * limit):
         for n, _ in order:
-            old = table[n.id]
+            old = table[n]
             new = _trees(n, table, limit, False)
-            table[n.id] = _dedup(old + new)[:limit] if old else new
-        if not cyclic or len(table[root.id]) >= limit:
+            table[n] = _dedup(old + new)[:limit] if old else new
+        if not cyclic or len(table[root]) >= limit:
             break
         grown = sum(map(len, table.values()))
         if grown == size:
             break
         size = grown
-    return table[root.id]
+    return table[root]
 
 
 def enumerate_trees(fs: ForestSet, limit: int) -> list:
@@ -751,7 +753,7 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     order, with the branch that extends the left half of a nullable
     concatenation first.  A pair or deferred node lists the product of its
     children's trees, the left half or inner forest varying slowest.  The
-    order depends on neither node ids nor hash seeds, so it is stable
+    order depends on neither node addresses nor hash seeds, so it is stable
     across runs.  For a finite forest it is the same under every switch
     but one case: a compacting parse derives a directly left-recursive
     rule through its twin (see loader), which lists the trees that split
@@ -785,25 +787,29 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
         return []
     order = _walk(fs)
     counts = _counts(fs)
-    total = counts[root.id]
+    total = counts[root]
     if total is not INFINITE and total:
         want = _demands(order, counts, min(total, limit))
         table: dict = {}
         for n, _ in order:
-            d = want.get(n.id)
+            d = want.get(n)
             if d:
-                trees = table[n.id] = _trees(n, table, d, True)
+                trees = table[n] = _trees(n, table, d, True)
                 if len(trees) < d:
                     break
         else:
-            return table[root.id]
+            return table[root]
     return _full_fold(order, limit)
 
 
 # --- serialization ----------------------------------------------------------
 
 def forest_to_json(fs: ForestSet) -> dict:
-    """Nodes listed once (ordered by id), edges by id; cycles are fine.
+    """Nodes listed once, in postorder (see _postorder), each with its
+    position in the list as its id; edges by id.  Every child is listed
+    before its parent but over a back edge, which only a cyclic forest has,
+    and the root is listed last.  The ids follow from the forest's shape
+    alone, so equal forests export equal JSON.
 
     Deferred nodes list their inner forest first, then the roots of any
     forest their reduction's payload references.
@@ -811,13 +817,13 @@ def forest_to_json(fs: ForestSet) -> dict:
     root = fs.root
     if root is None:
         return {"root": None, "nodes": []}
-    out = []
+    order = _walk(fs)
+    ids = {n: i for i, (n, _) in enumerate(order)}
     texts: dict = {}
-    for n, kids in sorted(_walk(fs), key=lambda p: p[0].id):
-        out.append({
-            "id": n.id,
-            "kind": n.kind,
-            "label": n.red.describe(texts) if n.kind == DEFER else n.label,
-            "children": [c.id for c in kids],
-        })
-    return {"root": root.id, "nodes": out}
+    out = [{
+        "id": i,
+        "kind": n.kind,
+        "label": n.red.describe(texts) if n.kind == DEFER else n.label,
+        "children": [ids[c] for c in kids],
+    } for i, (n, kids) in enumerate(order)]
+    return {"root": len(out) - 1, "nodes": out}

@@ -277,60 +277,43 @@ def mk_token(label: str) -> GrammarNode:
 # the empty word), epsilon productive, Empty never null; a reduction has its
 # child's marks; a choice is productive if either child is, never null if
 # both are; a concatenation the reverse.  Shells stay unmarked until filled.
-# new_alt, new_seq and new_red apply the rule as they build; fill applies it
-# to a shell.
+# fill is the one place the rule is applied to the inner forms: new_alt,
+# new_seq and new_red build through it.
 
 def fill(n: GrammarNode, a, b) -> GrammarNode:
-    """Give a seq, alt or red shell its children a and b (a reduction's b
-    is its fn) and the marks by the local rule, and return it."""
+    """Give a seq, alt or red node its children a and b (a reduction's b
+    is its fn) and, unless a is None, the marks by the local rule, and
+    return it.  A None a leaves a shell, unmarked until filled."""
     n.left = a
     form = n.form
     if form == RED:
         n.fn = b
-        n.productive = a.productive
-        n.never_null = a.never_null
-        return n
-    n.right = b
-    if form == ALT:
-        n.productive = a.productive or b.productive
-        n.never_null = a.never_null and b.never_null
+        b = a  # its child's marks: those of a choice of the child twice
     else:
-        n.productive = a.productive and b.productive
-        n.never_null = a.never_null or b.never_null
+        n.right = b
+    if a is not None:
+        if form == SEQ:
+            n.productive = a.productive and b.productive
+            n.never_null = a.never_null or b.never_null
+        else:
+            n.productive = a.productive or b.productive
+            n.never_null = a.never_null and b.never_null
     return n
 
 
 def new_alt(left, right) -> GrammarNode:
     """A choice of left and right; a None left makes a shell."""
-    n = _new(ALT)
-    n.left = left
-    n.right = right
-    if left is not None:
-        n.productive = left.productive or right.productive
-        n.never_null = left.never_null and right.never_null
-    return n
+    return fill(_new(ALT), left, right)
 
 
 def new_seq(left, right) -> GrammarNode:
     """A concatenation of left and right; a None left makes a shell."""
-    n = _new(SEQ)
-    n.left = left
-    n.right = right
-    if left is not None:
-        n.productive = left.productive and right.productive
-        n.never_null = left.never_null or right.never_null
-    return n
+    return fill(_new(SEQ), left, right)
 
 
 def new_red(child, fn) -> GrammarNode:
     """child under the reduction fn; a None child makes a shell."""
-    n = _new(RED)
-    n.left = child
-    n.fn = fn
-    if child is not None:
-        n.productive = child.productive
-        n.never_null = child.never_null
-    return n
+    return fill(_new(RED), child, fn)
 
 
 def _shared_seq(left: GrammarNode, right: GrammarNode) -> GrammarNode:
@@ -489,21 +472,11 @@ def reachable_nodes(root: GrammarNode) -> list:
         n = stack.pop()
         # leaves and reductions have no right child, leaves and unfilled
         # shells no left one, and only a left-recursive rule has a twin
-        c = n.left
-        if c is not None and c not in seen:
-            seen.add(c)
-            order.append(c)
-            stack.append(c)
-        c = n.right
-        if c is not None and c not in seen:
-            seen.add(c)
-            order.append(c)
-            stack.append(c)
-        c = n.twin
-        if c is not None and c not in seen:
-            seen.add(c)
-            order.append(c)
-            stack.append(c)
+        for c in (n.left, n.right, n.twin):
+            if c is not None and c not in seen:
+                seen.add(c)
+                order.append(c)
+                stack.append(c)
     return order
 
 
@@ -646,8 +619,9 @@ class Grammar:
     thread, raises RuntimeError.  The activation clears those slots when it
     ends, also when the parse raised, so a parse's derivatives die with it.
     Each node's empty-word forest is a constant of the grammar: the first
-    parse builds them all (`null_forests` says it has), and nothing resets
-    them."""
+    parse builds them all from the root (`null_forests` says it has), so
+    each grammar cycle is entered at one node whatever the parse (see
+    forest.build_null_forests), and nothing resets them."""
 
     __slots__ = ("root", "start", "nonterminal_table", "size_G", "counters",
                  "settings", "bnf", "null_forests", "_lock")

@@ -73,15 +73,6 @@ def test_engine_flags_accepted(ws, capsys):
         assert capsys.readouterr().out.strip() == "accept"
 
 
-def _renumbered(doc: dict) -> tuple:
-    """A forest export with its ids replaced by their rank: forest ids are
-    global, so two parses in one process differ in ids alone."""
-    rank = {n["id"]: i for i, n in enumerate(doc["nodes"])}
-    return rank[doc["root"]], [(n["kind"], n["label"],
-                                [rank[c] for c in n["children"]])
-                               for n in doc["nodes"]]
-
-
 def test_debug_names_work_where_trees_are_needed(ws, capsys):
     # names build the --compaction off graph, so parse and bench take them
     # and answer as that engine does
@@ -89,7 +80,7 @@ def test_debug_names_work_where_trees_are_needed(ws, capsys):
     answers = []
     for flags in (["--debug-names"], ["--compaction", "off"]):
         assert main(["parse", *flags, g(ws), w4]) == 0
-        doc = _renumbered(json.loads(capsys.readouterr().out))
+        doc = capsys.readouterr().out
         assert main(["parse", "--count", *flags, g(ws), w4]) == 0
         count = capsys.readouterr().out
         lines = _bench_lines(ws, capsys, *flags)

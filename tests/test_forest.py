@@ -21,7 +21,8 @@ from derivparse.reductions import (
     splice,
 )
 from conftest import (
-    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
+    ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS,
+    NULL_CYCLE_SRC, WORST_SRC,
     distinct_tokens, expr_tokens, load_unnormalized, mixed_expression,
     nested_dyck, nested_parens, probe_words, random_grammar_source, run_python,
 )
@@ -312,6 +313,52 @@ def test_forest_json_empty_marker():
     assert forest_to_json(parse(g, ["b"])) == {"root": None, "nodes": []}
 
 
+SUM_SRC = "start = E ;\nE : E '+' E | 'n' ;\n"
+
+
+def test_equal_forests_export_equal_json():
+    # ids are positions in the forest's postorder, so they depend on
+    # nothing built before: not another parse in the process, nor what the
+    # grammar parsed
+    toks = list("n+n+n")
+    g = load_grammar(SUM_SRC)
+    first = forest_to_json(parse(g, toks))
+    assert forest_to_json(parse(g, toks)) == first
+    warm = load_grammar(SUM_SRC)
+    for w in ("n", "n+n", "n+"):
+        parse(warm, list(w))
+    assert forest_to_json(parse(warm, toks)) == first
+
+
+def _has_cycle(doc: dict) -> bool:
+    """Whether an export's graph has a cycle: peeling the nodes whose
+    children are all peeled leaves some behind exactly then."""
+    kids = {n["id"]: set(n["children"]) for n in doc["nodes"]}
+    peeled: set = set()
+    while ready := [i for i, cs in kids.items()
+                    if i not in peeled and cs <= peeled]:
+        peeled.update(ready)
+    return len(peeled) < len(kids)
+
+
+def test_the_export_lists_every_child_first_but_over_a_back_edge():
+    seen = set()
+    for src, word in ((SUM_SRC, "n+n+n"), (CATALAN_SRC, "aaaa"),
+                      (ARITH_SRC, "(n+n)*-n"), (UNIT_CYCLE_SRC, "aa"),
+                      (NULL_CYCLE_SRC, ""), (NULL_CYCLE_SRC, "bb")):
+        doc = forest_to_json(parse(load_grammar(src), list(word)))
+        nodes = doc["nodes"]
+        at = {n["id"]: i for i, n in enumerate(nodes)}
+        back = [c for i, n in enumerate(nodes) for c in n["children"]
+                if at[c] >= i]
+        assert bool(back) == _has_cycle(doc), (src, word, back)
+        seen.add(bool(back))
+        # the ids are the positions, the root's the last
+        assert list(at) == list(range(len(nodes)))
+        assert doc["root"] == len(nodes) - 1
+    assert seen == {False, True}
+
+
 def test_ambiguity_nodes_have_at_least_two_children():
     g = load_grammar("start = S ;\nS : S S | 'a' ;")
     payload = forest_to_json(parse(g, ["a"] * 6))
@@ -387,12 +434,12 @@ def test_json_labels_equal_their_reductions_described_alone():
     for toks in (mixed_expression(random.Random(11), 600), nested_parens(40),
                  ["n"] + ["*", "n"] * 100):
         fs = parse(g, toks)
-        by_id = {n.id: n for n, _ in forest._walk(fs)}
+        order = forest._walk(fs)  # an id is a position in the postorder
         nodes = forest_to_json(fs)["nodes"]
         defers = [d for d in nodes if d["kind"] == forest.DEFER]
         assert defers
         for d in defers:
-            assert d["label"] == by_id[d["id"]].red.describe()
+            assert d["label"] == order[d["id"]][0].red.describe()
 
 
 def test_deep_forests_export_at_the_default_recursion_limit():
@@ -426,6 +473,13 @@ for fs in (fs, parse(load_grammar({ARITH_LEFT_SRC!r}), {toks!r}), deep):
 def _defer_entry(doc: dict) -> dict:
     [entry] = [n for n in doc["nodes"] if n["kind"] == "defer"]
     return entry
+
+
+def _defer_children(fs: ForestSet) -> list:
+    """The nodes the export of fs lists as its defer node's children, read
+    by their ids, which are positions in the forest's postorder."""
+    order = forest._walk(fs)
+    return [order[i][0] for i in _defer_entry(forest_to_json(fs))["children"]]
 
 
 def _two(a: str, b: str) -> ForestSet:
@@ -469,8 +523,7 @@ def test_a_hand_built_pairing_inside_a_chain_is_walked():
     assert count_parses(fs) == 4
     assert sorted(tree_text(t) for t in enumerate_trees(fs, 10)) == [
         "P[((x,a),c)]", "P[((x,b),c)]", "P[((y,a),c)]", "P[((y,b),c)]"]
-    entry = _defer_entry(forest_to_json(fs))
-    assert entry["children"] == [pair.id, payload.root.id]
+    assert _defer_children(fs) == [pair, payload.root]
 
 
 def test_a_hand_built_pairing_with_an_empty_payload_counts_zero():
@@ -538,7 +591,7 @@ def _chain_cases() -> list:
 
 def _applied(red: Reduction, t) -> list:
     roots = forest._payload_roots(red)
-    table = {r.id: enumerate_trees(ForestSet(r), 10) for r in roots}
+    table = {r: enumerate_trees(ForestSet(r), 10) for r in roots}
     return [tree_text(u) for u in forest._apply(red, t, table)]
 
 
@@ -626,7 +679,7 @@ def _reference_apply(red: Reduction, t, table) -> list:
                     frames = (f.payload, (_PUT_RIGHT, (t.left, frames)))
                     t = t.right
             elif k in PAIRINGS:
-                trees = table[forest._payload_root(f).id]
+                trees = table[forest._payload_root(f)]
                 work += [(Pair(t, s) if k == PAIR_RIGHT else Pair(s, t), frames)
                          for s in reversed(trees)]
                 break
@@ -781,7 +834,7 @@ def test_a_long_chain_that_pairs_nothing_has_only_its_inner_child():
     inner = ForestSet.single_leaf("a")
     fs = inner.apply(red)
     assert count_parses(fs) == 1
-    assert _defer_entry(forest_to_json(fs))["children"] == [inner.root.id]
+    assert _defer_children(fs) == [inner.root]
 
 
 def test_consumers_of_one_forest_set_walk_it_once(monkeypatch):
