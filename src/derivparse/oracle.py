@@ -4,14 +4,19 @@ A BnfGrammar is the flat production view of the same source text the loader
 turns into an expression graph, so comparisons here are between algorithms,
 not between two hand-written copies of a grammar.
 
-earley_recognize: classic chart recognition (with the nullable-completion
-patch, so empty productions are handled).
+_chart: Earley's chart (with the nullable-completion patch, so empty
+productions are handled), read as its completed items (name, i, j).  Both
+chart oracles read it.
 
-earley_count: counts distinct derivation trees over chart items (name, i, j).
-Same-span unit cycles (an item deriving itself around productions whose other
-symbols all span nothing) mean infinitely many trees; those items are found
-first by cycle detection and preset to INFINITE, which then propagates
-through the counting arithmetic.
+earley_recognize: whether the start symbol completes over the whole input.
+
+earley_count: counts distinct derivation trees over the completed items.
+Every item the count reaches is predicted where it starts, so the chart
+holds every span it asks about.  Each item's count is INFINITE while its sum
+is open: the count re-enters an item only around symbols that span nothing
+and a suffix that can still complete, so a re-entry is a same-span pump (an
+item deriving itself), and INFINITE then propagates through the counting
+arithmetic.
 
 enumerate_language: breadth-first expansion of leftmost sentential forms with
 minimum-terminal-length pruning; exact for word length <= max_len.  The
@@ -62,14 +67,16 @@ def _match(term: Term, tok: str) -> bool:
     return term.label == tok or term.label == WILDCARD
 
 
-def earley_recognize(g: BnfGrammar, tokens) -> bool:
-    tokens = list(tokens)
+def _chart(g: BnfGrammar, tokens: list) -> dict:
+    """Earley's chart, read as its completed items: (name, origin) -> every
+    end such that name, predicted at origin, derives tokens[origin:end].
+    charts[i] holds the items (production, dot, origin) whose prefix derives
+    tokens[origin:i]."""
     prods = [(name, rhs) for name, alts in g.productions.items() for rhs in alts]
     by_name: dict = {}
     for idx, (name, _) in enumerate(prods):
         by_name.setdefault(name, []).append(idx)
-    n = len(tokens)
-    charts = [set() for _ in range(n + 1)]
+    charts = [set() for _ in range(len(tokens) + 1)]
 
     def closure(i: int) -> None:
         chart = charts[i]
@@ -114,30 +121,32 @@ def earley_recognize(g: BnfGrammar, tokens) -> bool:
         charts[0].add((pj, 0, 0))
     closure(0)
     for i, tok in enumerate(tokens):
-        nxt = charts[i + 1]
         for pi, dot, org in charts[i]:
             rhs = prods[pi][1]
             if dot < len(rhs):
                 sym = rhs[dot]
                 if isinstance(sym, Term) and _match(sym, tok):
-                    nxt.add((pi, dot + 1, org))
-        if not nxt:
-            return False
+                    charts[i + 1].add((pi, dot + 1, org))
         closure(i + 1)
-    for pi, dot, org in charts[n]:
-        name, rhs = prods[pi]
-        if name == g.start and dot == len(rhs) and org == 0:
-            return True
-    return False
+    ends: dict = {}
+    for end, chart in enumerate(charts):
+        for pi, dot, org in chart:
+            name, rhs = prods[pi]
+            if dot == len(rhs):
+                ends.setdefault((name, org), set()).add(end)
+    return ends
+
+
+def earley_recognize(g: BnfGrammar, tokens) -> bool:
+    tokens = list(tokens)
+    return len(tokens) in _chart(g, tokens).get((g.start, 0), ())
 
 
 def _add(a, b):
     return INFINITE if INFINITE in (a, b) else a + b
 
 
-def _mul(a, b):  # no trees times infinitely many is still no trees
-    if a == 0 or b == 0:
-        return 0
+def _mul(a, b):  # never 0 here: every factor earley_count takes has a tree
     return INFINITE if INFINITE in (a, b) else a * b
 
 
@@ -145,94 +154,23 @@ def earley_count(g: BnfGrammar, tokens):
     """Distinct derivation trees for the whole input; INFINITE when a
     zero-width pump makes the set unbounded; 0 when rejected."""
     tokens = list(tokens)
-    n = len(tokens)
-    alts = g.productions
-    names = list(alts)
-    spans = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
-
-    derivable: set = set()
-
-    def seq_reach(rhs, i, j) -> set:
-        reach = {i}
-        for sym in rhs:
-            new = set()
-            if isinstance(sym, Term):
-                for p in reach:
-                    if p < j and _match(sym, tokens[p]):
-                        new.add(p + 1)
-            else:
-                nm = sym.name
-                for p in reach:
-                    for q in range(p, j + 1):
-                        if (nm, p, q) in derivable:
-                            new.add(q)
-            reach = new
-            if not reach:
-                break
-        return reach
-
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            for i, j in spans:
-                if (name, i, j) in derivable:
-                    continue
-                for rhs in alts[name]:
-                    if j in seq_reach(rhs, i, j):
-                        derivable.add((name, i, j))
-                        changed = True
-                        break
-
-    if (g.start, 0, n) not in derivable:
-        return 0
-
-    # same-span dependency edges: N covers (i,j) by one alternative in which
-    # a single nonterminal occupies the whole span and everything else spans
-    # nothing.  A cycle of such edges pumps unboundedly many distinct trees.
-    edges: dict = {}
-    for item in derivable:
-        name, i, j = item
-        outs = set()
-        for rhs in alts[name]:
-            for k, sym in enumerate(rhs):
-                if not isinstance(sym, Ref) or (sym.name, i, j) not in derivable:
-                    continue
-                pre = all(isinstance(s, Ref) and (s.name, i, i) in derivable
-                          for s in rhs[:k])
-                suf = all(isinstance(s, Ref) and (s.name, j, j) in derivable
-                          for s in rhs[k + 1:])
-                if pre and suf:
-                    outs.add((sym.name, i, j))
-        if outs:
-            edges[item] = outs
-
-    cyclic: set = set()
-    for item in edges:
-        seen: set = set()
-        stack = list(edges[item])
-        while stack:
-            x = stack.pop()
-            if x == item:
-                cyclic.add(item)
-                break
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(edges.get(x, ()))
-
+    ends = _chart(g, tokens)
     counts: dict = {}
     seq_memo: dict = {}
     feas: dict = {}
 
     def rest_ok(rhs, k, q, j) -> bool:
-        # can rhs[k:] still span (q, j)?  Checked before recursing so the
-        # only same-span re-entries are the edge cycles preset above.
+        # can rhs[k:] still span (q, j)?
         key = (rhs, k, q, j)
         hit = feas.get(key)
         if hit is None:
-            hit = j in seq_reach(rhs[k:], q, j)
-            feas[key] = hit
+            reach = {q}
+            for sym in rhs[k:]:
+                if isinstance(sym, Term):
+                    reach = {p + 1 for p in reach if p < j and _match(sym, tokens[p])}
+                else:
+                    reach = {e for p in reach for e in ends.get((sym.name, p), ()) if e <= j}
+            hit = feas[key] = j in reach
         return hit
 
     def count_item(name, i, j):
@@ -240,14 +178,14 @@ def earley_count(g: BnfGrammar, tokens):
         hit = counts.get(key)
         if hit is not None:
             return hit
-        if key not in derivable:
-            counts[key] = 0
-            return 0
-        if key in cyclic:
-            counts[key] = INFINITE
-            return INFINITE
+        # Every key counted is a completed chart item, so it has a tree.
+        # count_seq descends into a same-span item only after a prefix that
+        # spans nothing (with a tree per symbol) and only once rest_ok admits
+        # the suffix; so a re-entry of this key while its sum is open is a
+        # same-span pump, and the INFINITE stored here is its count.
+        counts[key] = INFINITE
         total = 0
-        for rhs in alts[name]:
+        for rhs in g.productions[name]:
             total = _add(total, count_seq(rhs, 0, i, j))
         counts[key] = total
         return total
@@ -260,27 +198,22 @@ def earley_count(g: BnfGrammar, tokens):
         if hit is not None:
             return hit
         sym = rhs[k]
+        v = 0
         if isinstance(sym, Term):
             if p < j and _match(sym, tokens[p]):
                 v = count_seq(rhs, k + 1, p + 1, j)
-            else:
-                v = 0
         else:
-            v = 0
-            for q in range(p, j + 1):
-                if (sym.name, p, q) not in derivable:
-                    continue
-                if not rest_ok(rhs, k + 1, q, j):
-                    continue
-                c1 = count_item(sym.name, p, q)
-                if c1 == 0:
-                    continue
-                rest = count_seq(rhs, k + 1, q, j)
-                v = _add(v, _mul(c1, rest))
+            for q in ends.get((sym.name, p), ()):
+                # rest_ok before count_item: see count_item
+                if q <= j and rest_ok(rhs, k + 1, q, j):
+                    v = _add(v, _mul(count_item(sym.name, p, q),
+                                     count_seq(rhs, k + 1, q, j)))
         seq_memo[key] = v
         return v
 
-    return count_item(g.start, 0, n)
+    if len(tokens) not in ends.get((g.start, 0), ()):
+        return 0
+    return count_item(g.start, 0, len(tokens))
 
 
 def _min_lengths(alts: dict) -> dict:

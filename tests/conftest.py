@@ -171,6 +171,23 @@ def random_grammar_source(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def unit_grammar_source(rng: random.Random) -> str:
+    """A random grammar in which unit and empty alternatives dominate:
+    1-5 rules of 1-4 alternatives of 0-3 symbols, 60% of them references,
+    over the terminals a and b.  Same-span cycles, the ones that pump
+    infinitely many trees, are common here and rare in
+    random_grammar_source's shapes."""
+    names = NT_POOL[:rng.randint(1, 5)]
+    lines = [f"start = {names[0]} ;"]
+    for name in names:
+        alts = [" ".join(rng.choice(names) if rng.random() < 0.6
+                         else f"'{rng.choice('ab')}'"
+                         for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(1, 4))]
+        lines.append(f"{name} : {' | '.join(alts)} ;")
+    return "\n".join(lines) + "\n"
+
+
 def all_strings(sigma: str, max_len: int):
     """Every token tuple over sigma up to max_len, shortest first."""
     out = [()]
