@@ -14,14 +14,19 @@ counting, enumeration and JSON export are folds over it.  The first
 consumer to walk a ForestSet keeps the postorder on it, so a request that
 counts, enumerates and exports walks the forest once; the counts are kept
 too, and enumeration reads them to build only the trees that its returned
-trees are made of.  A deferred node's children include its reduction's
-payload forests; one walk (_payload_roots) finds them, reading only the
-reduction parts whose `pairs` bit says they reference one.  A parse's top
-reduction is one flat chain whose few distinct parts recur (see
-reductions): that walk reads, and the JSON export renders, each distinct
-part of a chain once, through a memo keyed by identity, and both stream a
-binary compose.  Applying a reduction chain builds a tree node only for
-what the chain leaves behind (see _apply).
+trees are made of.  A deferred node's children are its inner forest, then
+each distinct root of its reduction's payload forests once; one walk
+(_payload_roots) finds them, reading only the reduction parts whose `pairs`
+bit says they reference one, and keeps beside each root how many pairings
+use it.  A parse's top reduction is one flat chain, as long as the input,
+whose few distinct parts recur (see reductions): that walk reads, and the
+JSON export renders, each distinct part of a chain once, through a memo
+keyed by identity, and both stream a binary compose.  So the walk, the
+count (a power per root) and the export's edges (a pairing names its root
+by id) grow with the forest's distinct structure, not with the input, as
+a packed forest reads each shared subforest once.  Applying a reduction
+chain builds a tree node only for what the chain leaves behind (see
+_apply).
 parse_null extracts the forest of empty-word parses from a grammar node,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
@@ -29,6 +34,7 @@ registering a forest shell before a node's children so a cycle re-enters it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,7 +43,7 @@ from . import reductions
 from .nullability import is_nullable
 from .reductions import (
     COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT, PAIR_LEFT_NULL,
-    PAIR_RIGHT, PRODUCTION, REASSOCIATE, SPLICE, Reduction,
+    PAIR_RIGHT, PAIRINGS, PRODUCTION, REASSOCIATE, SPLICE, Reduction,
 )
 
 
@@ -345,15 +351,17 @@ def _payload_root(red: Reduction) -> FNode:
     return fs.root or _NO_TREES
 
 
-def _payload_roots(red: Reduction) -> tuple:
-    """Roots of every forest reduction `red` references (see
-    _payload_root), in chain order, the last part's first; an empty payload
-    forest is _NO_TREES.  Parts whose `pairs` bit is false reference no
-    forest, so the walk never enters them: a composed chain is read only
-    down to its pairings, and one that pairs nothing not at all."""
+def _payload_roots(red: Reduction) -> dict:
+    """{root: occurrences} of every forest reduction `red` references (see
+    _payload_root): each distinct root once, in the order of its first use
+    in the chain, the last part's first, with how many pairings of `red`
+    pair against it; an empty payload forest is _NO_TREES.  Parts whose
+    `pairs` bit is false reference no forest, so the walk never enters
+    them: a composed chain is read only down to its pairings, and one that
+    pairs nothing not at all."""
+    out: dict = {}
     if not red.pairs:
-        return ()
-    out = []
+        return out
     stack = [red]
     while stack:
         r = stack.pop()
@@ -369,55 +377,75 @@ def _payload_roots(red: Reduction) -> tuple:
                     stack.append(f)
             else:
                 # a chain's roots come before those of the rest of the
-                # stack; each distinct part is read once
-                memo = {g: _payload_roots(g) for g in dict.fromkeys(parts)}
-                out += itertools.chain.from_iterable(
-                    map(memo.__getitem__, reversed(parts)))
+                # stack.  Counter counts its occurrences of each distinct
+                # part in C, in the order of first use; each distinct part
+                # is read once, and its roots' occurrences count once per
+                # occurrence of the part
+                for g, times in Counter(reversed(parts)).items():
+                    if g.pairs:
+                        for root, e in _payload_roots(g).items():
+                            out[root] = out.get(root, 0) + e * times
         elif k in reductions.LIFTS:
             stack.append(r.payload)
         else:
-            out.append(_payload_root(r))
-    return tuple(out)
+            root = _payload_root(r)
+            out[root] = out.get(root, 0) + 1
+    return out
 
 
-def _fchildren(n: FNode) -> tuple:
+def _visit(n: FNode) -> tuple:
+    """(n, its children, their occurrences): an entry of _postorder.  A
+    deferred node's children are its inner forest, then each distinct root
+    its reduction pairs against once (see _payload_roots).  Where some
+    root is used more than once, the third item is the {root: occurrences}
+    the roots came from; otherwise every child counts once, and it is
+    None.  A reduction that pairs nothing, or is one pairing, the
+    commonest that pairs, builds no dict."""
     k = n.kind
     if k == PAIR:
-        return (n.left, n.right)
+        return n, (n.left, n.right), None
     if k == AMB:
-        return tuple(n.children or ())
-    if k == DEFER:
-        return (n.left,) + _payload_roots(n.red)
-    return ()
+        return n, tuple(n.children or ()), None
+    if k != DEFER:
+        return n, (), None
+    red = n.red
+    if not red.pairs:
+        return n, (n.left,), None
+    if red.kind in PAIRINGS:
+        return n, (n.left, _payload_root(red)), None
+    roots = _payload_roots(red)
+    return (n, (n.left, *roots),
+            roots if len(roots) < sum(roots.values()) else None)
 
 
 def _postorder(root: FNode) -> list:
-    """Every node reachable from `root` once, as (node, children) pairs in
-    depth-first postorder; the only forest walk, every consumer folds over
-    it, through _walk.  A child that does not come before its parent is a
-    back edge, so the forest is cyclic exactly when some child comes later
-    than its parent."""
+    """Every node reachable from `root` once, as (node, children,
+    occurrences) entries in depth-first postorder (see _visit); the only
+    forest walk, every consumer folds over it, through _walk.  A child that
+    does not come before its parent is a back edge, so the forest is cyclic
+    exactly when some child comes later than its parent."""
     out = []
     seen = {root}
-    kids = _fchildren(root)
-    stack = [(root, kids, iter(kids))]
+    entry = _visit(root)
+    stack = [(entry, iter(entry[1]))]
     while stack:
-        n, kids, it = stack[-1]
+        entry, it = stack[-1]
         for c in it:
             if c not in seen:
                 seen.add(c)
-                ck = _fchildren(c)
-                stack.append((c, ck, iter(ck)))
+                e = _visit(c)
+                stack.append((e, iter(e[1])))
                 break
         else:
             stack.pop()
-            out.append((n, kids))
+            out.append(entry)
     return out
 
 
 def _walk(fs: ForestSet) -> list:
-    """The postorder of a non-empty forest set, walked by the first consumer
-    and kept on the set for the rest.  A forest does not change once built,
+    """The postorder of a non-empty forest set (see _postorder), walked by
+    the first consumer and kept on the set for the rest, occurrences and
+    all: no consumer recounts a chain.  A forest does not change once built,
     and a payload forest is kept on its node (see _payload_root), so the
     kept list is what a new walk would give, however many parses of the
     grammar come in between."""
@@ -457,21 +485,32 @@ def _counts(fs: ForestSet) -> dict:
     """count_parses of every node of a non-empty forest set, by node: one fold
     over the postorder, kept on the set, so a request that counts and then
     enumerates folds once.  An ambiguity node sums its children, every
-    other node multiplies them (a deferred node's children are its inner
-    forest and its reduction's payload forests).  A child not folded yet is
-    a back edge, so a cycle pumps: INFINITE."""
+    other node multiplies them, one multiplication per child.  A deferred
+    node's children are its inner forest and each distinct payload root of
+    its reduction, which counts once per pairing that uses it: its count
+    ** occurrences, a power only a count of 2 or more needs.  So a chain
+    as long as the input costs a multiplication per distinct root, not per
+    token.  A child not folded yet is a back edge, so a cycle pumps:
+    INFINITE."""
     counts = fs._counts
     if counts is None:
         counts = fs._counts = {}
-        for n, kids in _walk(fs):
+        for n, kids, roots in _walk(fs):
             if n.kind == AMB:
                 v = 0
                 for c in kids:
                     v = _add(v, counts.get(c, INFINITE))
-            else:
+            elif roots is None:
                 v = 1
                 for c in kids:
                     v = _mul(v, counts.get(c, INFINITE))
+            else:  # the inner forest, then each payload root's power
+                v = _mul(1, counts.get(n.left, INFINITE))
+                for c, e in roots.items():
+                    d = counts.get(c, INFINITE)
+                    if e > 1 and d is not INFINITE and d > 1:
+                        d **= e
+                    v = _mul(v, d)
             counts[n] = v
     return counts
 
@@ -670,13 +709,15 @@ def _demands(order: list, counts: dict, k: int) -> dict:
     ambiguity node asks its children in order for as many trees as they
     have, until its demand is met.  A pair or deferred node lists the
     product of its children's lists, the last child varying fastest: each
-    later child (the pair's right half, the reduction's payloads) is asked
-    for min(k, its count) trees, the first (the left half, the inner forest)
-    for enough that the product reaches k.
+    later child (the pair's right half, the reduction's payload roots) is
+    asked for min(k, its count) trees, the first (the left half, the inner
+    forest) for enough that the product reaches k.  A payload root that e
+    pairings pair against multiplies the product by d ** e, with e capped
+    at k's bit length: past it, d ** e already exceeds k when d >= 2.
     """
     want = {order[-1][0]: k}
     asked = want.get
-    for n, kids in reversed(order):
+    for n, kids, roots in reversed(order):
         k = asked(n)
         if not k or not kids:
             continue
@@ -700,7 +741,8 @@ def _demands(order: list, counts: dict, k: int) -> dict:
             if asked(c, 0) < d:
                 want[c] = d
             if per_tree < k:
-                per_tree *= d
+                per_tree *= (d if roots is None
+                             else d ** min(roots[c], k.bit_length()))
         c = kids[0]
         d = -(-k // per_tree)
         if asked(c, 0) < d:
@@ -726,12 +768,12 @@ def _full_fold(order: list, limit: int) -> list:
     root = order[-1][0]
     table: dict = {}
     cyclic = False
-    for n, kids in order:  # a child not in the table yet is a back edge
+    for n, kids, _ in order:  # a child not in the table yet is a back edge
         cyclic = cyclic or any(c not in table for c in kids)
         table[n] = []
     size = 0
     for _ in range(len(order) * limit):
-        for n, _ in order:
+        for n, _, _ in order:
             old = table[n]
             new = _trees(n, table, limit, False)
             table[n] = _dedup(old + new)[:limit] if old else new
@@ -791,7 +833,7 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     if total is not INFINITE and total:
         want = _demands(order, counts, min(total, limit))
         table: dict = {}
-        for n, _ in order:
+        for n, _, _ in order:
             d = want.get(n)
             if d:
                 trees = table[n] = _trees(n, table, d, True)
@@ -811,19 +853,28 @@ def forest_to_json(fs: ForestSet) -> dict:
     and the root is listed last.  The ids follow from the forest's shape
     alone, so equal forests export equal JSON.
 
-    Deferred nodes list their inner forest first, then the roots of any
-    forest their reduction's payload references.
+    Deferred nodes list their inner forest first, then each distinct root
+    of a forest their reduction pairs against once, in the order of first
+    use (see _payload_roots).  The label is the reduction described with
+    each pairing naming its payload root by id (pair-left@2), so the export
+    alone rebuilds every tree, and a chain's many pairings with one forest
+    cost one edge.
     """
     root = fs.root
     if root is None:
         return {"root": None, "nodes": []}
     order = _walk(fs)
-    ids = {n: i for i, (n, _) in enumerate(order)}
+    ids = {n: i for i, (n, _, _) in enumerate(order)}
     texts: dict = {}
+
+    def payload_id(red: Reduction) -> int:
+        return ids[_payload_root(red)]
+
     out = [{
         "id": i,
         "kind": n.kind,
-        "label": n.red.describe(texts) if n.kind == DEFER else n.label,
+        "label": (n.red.describe(texts, payload_id) if n.kind == DEFER
+                  else n.label),
         "children": [ids[c] for c in kids],
-    } for i, (n, kids) in enumerate(order)]
+    } for i, (n, kids, _) in enumerate(order)]
     return {"root": len(out) - 1, "nodes": out}

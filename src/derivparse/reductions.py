@@ -22,9 +22,13 @@ reductions it peels off its derivatives, one per token, as one flat
 chain, whose parts are the reductions of memoized derivatives and so
 recur.  Inside a parse, equal reductions built from the same parts are
 one object (grammar._shared_red), so a chain as long as the input holds a
-handful of distinct parts, and a reader of a chain reads it through one
-memo keyed by identity: each distinct part is read once, and every other
-occurrence is a lookup.
+handful of distinct parts, and a reader of a chain reads each distinct
+part once, through a memo keyed by identity.  describe renders each once
+and joins their texts, one lookup per occurrence.  The forest walk
+(forest._payload_roots) counts the chain's occurrences of each part in C
+and keeps each payload root once, with its number of pairings, so the
+forest's walk, count and export edges cost a step per distinct root, not
+per token.
 
 Only the pairing tags reference forests (their payloads), and a composed
 chain runs as long as the input, so each reduction carries a `pairs` bit:
@@ -35,7 +39,7 @@ every other tag.  It is set once, in the constructor, from the parts' bits
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 PAIR_LEFT = "pair-left"            # u -> (s, u) for each s in a known tree set
 PAIR_RIGHT = "pair-right"          # u -> (u, s)
@@ -82,13 +86,16 @@ class Reduction:
         else:
             self.pairs = kind in PAIRINGS
 
-    def describe(self, memo: Optional[dict] = None) -> str:
+    def describe(self, memo: Optional[dict] = None,
+                 payload_name: Optional[Callable] = None) -> str:
         """The reduction as text.  A compose is written as the flat list of
         its parts, so equal reductions, however grouped, read the same.
         `memo`, kept by the caller across calls, holds the text of every
         lift, every other non-compose part and every part of a chain, by
         identity, so a part shared between chains or repeated in one is
-        rendered once; a chain's text joins its parts' texts."""
+        rendered once; a chain's text joins its parts' texts.  With
+        `payload_name`, a pairing is written with the name it gives the
+        pairing's payload, `pair-left@NAME`; a memo serves one naming."""
         if memo is None:
             memo = {}
         # compositions nest as deep as the input is long: no recursion
@@ -112,7 +119,7 @@ class Reduction:
                 else:  # a chain: each distinct part rendered once
                     for p in dict.fromkeys(ps):
                         if p not in memo:
-                            memo[p] = p.describe(memo)
+                            memo[p] = p.describe(memo, payload_name)
                     parts.append(" . ".join(map(memo.__getitem__, ps)))
             elif r in memo:
                 parts.append(memo[r])
@@ -124,6 +131,8 @@ class Reduction:
                 if k is PRODUCTION:
                     name, arity = r.payload
                     k = f"production:{name}/{arity}"
+                elif payload_name is not None and k in PAIRINGS:
+                    k = f"{k}@{payload_name(r)}"
                 parts.append(k)
                 memo[r] = k
         return "".join(parts)

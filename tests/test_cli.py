@@ -2,11 +2,13 @@
 
 import csv
 import json
+import re
 
 import pytest
 
 from derivparse.cli import main
 from derivparse.instrumentation import CSV_FIELDS
+from conftest import ROOT
 
 
 CATALAN_SRC = "start = S ;\nS : S S | 'a' ;\n"
@@ -51,6 +53,22 @@ def test_parse_forest_json(ws, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"root", "nodes"}
     assert payload["root"] is not None
+
+
+def test_parse_prints_the_readmes_forest_json(tmp_path, capsys):
+    # the README's Forest JSON section shows parse on the quick-start
+    # grammar and n + n + n, so the schema it documents cannot drift
+    readme = (ROOT / "README.md").read_text()
+    quick = readme[readme.index("## Quick start"):]
+    grammar = re.search(r'load_grammar\("""\n(.*?)"""\)', quick, re.S)[1]
+    section = readme[readme.index("## Forest JSON"):]
+    assert "the quick-start grammar and `n + n + n`" in section
+    block = re.search(r"```json\n(.*?)```", section, re.S)[1]
+    (tmp_path / "g.txt").write_text(grammar)
+    (tmp_path / "w.txt").write_text("n + n + n\n")
+    assert main(["parse", str(tmp_path / "g.txt"),
+                 str(tmp_path / "w.txt")]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(block)
 
 
 def test_parse_reject_prints_empty_forest(ws, capsys):

@@ -786,14 +786,16 @@ def test_a_parse_chain_holds_each_distinct_rewrite_once(src, toks, distinct):
     assert len(set(parts)) == distinct
 
 
-@pytest.mark.parametrize("src, toks, reads, occurrences", [
-    (ARITH_SRC, mixed_expression(random.Random(1), 2500), 27, 3098),
-    (DYCK_SRC, nested_dyck(2000), 9, 6000),
+@pytest.mark.parametrize("src, toks, reads, occurrences, distinct", [
+    (ARITH_SRC, mixed_expression(random.Random(1), 2500), 27, 3098, 11),
+    (DYCK_SRC, nested_dyck(2000), 9, 6000, 3),
 ], ids=["arith", "dyck"])
 def test_a_long_chain_is_read_once_per_distinct_part(src, toks, reads,
-                                                     occurrences, monkeypatch):
+                                                     occurrences, distinct,
+                                                     monkeypatch):
     # the payload-roots walk reads each distinct part of a parse's chain
-    # once; a reader per occurrence would read a payload per root it lists
+    # once; a reader per occurrence would read a payload per root it lists.
+    # It lists each distinct root once, with its pairing occurrences
     g = load_grammar(src)
     top = _last_derivative(g, toks).fn
     read = []
@@ -801,7 +803,8 @@ def test_a_long_chain_is_read_once_per_distinct_part(src, toks, reads,
     monkeypatch.setattr(forest, "_payload_root",
                         lambda r: read.append(r) or real(r))
     roots = forest._payload_roots(top)
-    assert len(roots) == occurrences
+    assert sum(roots.values()) == occurrences
+    assert len(roots) == distinct
     assert len(read) == reads
 
 

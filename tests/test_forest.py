@@ -1,7 +1,9 @@
 """Parse forests: null parses, counting, enumeration, JSON export."""
 
+import itertools
 import json
 import random
+import re
 from math import comb
 
 import pytest
@@ -429,17 +431,29 @@ def test_a_describe_memo_renders_each_shared_part_once():
 
 def test_json_labels_equal_their_reductions_described_alone():
     # the export keeps one memo for all its labels; the bytes are those of
-    # describing each defer node's reduction by itself
+    # describing each defer node's reduction by itself, each pairing named
+    # by its payload root's id
     g = load_grammar(ARITH_SRC)
     for toks in (mixed_expression(random.Random(11), 600), nested_parens(40),
                  ["n"] + ["*", "n"] * 100):
         fs = parse(g, toks)
         order = forest._walk(fs)  # an id is a position in the postorder
+        ids = {n: i for i, (n, _, _) in enumerate(order)}
+
+        def payload_id(red):
+            return ids[forest._payload_root(red)]
+
         nodes = forest_to_json(fs)["nodes"]
         defers = [d for d in nodes if d["kind"] == forest.DEFER]
         assert defers
+        named = 0
         for d in defers:
-            assert d["label"] == order[d["id"]][0].red.describe()
+            red = order[d["id"]][0].red
+            assert d["label"] == red.describe(None, payload_id)
+            # only the payload names differ from the plain text
+            assert re.sub(r"@\d+", "", d["label"]) == red.describe()
+            named += "@" in d["label"]
+        assert named
 
 
 def test_deep_forests_export_at_the_default_recursion_limit():
@@ -610,8 +624,8 @@ def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
         want = want or got
         assert got == want
     assert want[2] or not flat.pairs
-    # a tree per pick from each pairing's two trees
-    assert len(want[3]) == 2 ** len(want[2])
+    # a tree per pick from each pairing occurrence's two trees
+    assert len(want[3]) == 2 ** sum(want[2].values())
 
 
 def test_a_chain_of_one_part_is_the_part():
@@ -643,6 +657,240 @@ def test_a_flat_sum_parses_to_one_chain_with_a_part_per_peeled_token():
     assert red.kind == COMPOSE
     assert [p.describe() for p in red.payload] == peeled
     assert all(p.kind != COMPOSE or len(p.payload) == 2 for p in red.payload)
+
+
+# --- a chain that pairs with one forest many times ---------------------------
+
+def _paired(t: str, picks, right: bool) -> str:
+    """The tree_text of t paired with each pick in turn."""
+    for s in picks:
+        t = f"({t},{s})" if right else f"({s},{t})"
+    return t
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("make", [pair_right, pair_left], ids=["right", "left"])
+def test_a_repeated_pairing_is_one_edge_that_counts_each_use(make, k):
+    two = _two("x", "y")
+    fs = ForestSet.single_leaf("t").apply(compose(*[make(two)] * k))
+    inner = fs.root.left
+    assert forest._payload_roots(fs.root.red) == {two.root: k}
+    assert _defer_children(fs) == [inner, two.root]
+    assert count_parses(fs) == 2 ** k
+    # the pairing applied first varies slowest, as when the forest listed
+    # the payload once per pairing
+    want = [_paired("t", picks, make is pair_right)
+            for picks in itertools.product("xy", repeat=k)]
+    assert [tree_text(t) for t in enumerate_trees(fs, 2 ** k)] == want
+    assert [tree_text(t) for t in enumerate_trees(ForestSet(fs.root), 3)] \
+        == want[:3]
+    demands = forest._demands(forest._walk(fs), forest._counts(fs), 2 ** k)
+    assert demands[two.root] == 2 and demands[inner] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_repeated_empty_or_pumping_payload_counts_as_each_use_does(k):
+    pumps = amb_node([_leaf("x").root])
+    pumps.children.append(pumps)  # a cycle through the ambiguity node
+    assert count_parses(ForestSet(pumps)) is INFINITE
+    empty = pair_right(EMPTY_SET)
+    cases = [([empty] * k, 0),
+             ([pair_left(ForestSet(pumps))] * k, INFINITE),
+             # no parse remains no parse, however often the other pumps
+             ([pair_left(ForestSet(pumps)), empty] * k, 0)]
+    for parts, count in cases:
+        fs = _leaf("t").apply(compose(*parts))
+        if count is INFINITE:
+            assert count_parses(fs) is INFINITE
+        else:
+            assert count_parses(fs) == 0
+            assert enumerate_trees(fs, 10) == []
+
+
+def test_counting_a_long_parse_multiplies_per_distinct_edge(monkeypatch):
+    # one multiplication per distinct child edge of a product node of the
+    # walk, however many times the chain pairs with each payload root
+    g = load_grammar(ARITH_SRC)
+    real = forest._mul
+    muls = {}
+    for n in (2000, 16000):
+        fs = parse(g, mixed_expression(random.Random(1), n))
+        calls = []
+        monkeypatch.setattr(forest, "_mul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert count_parses(fs) == 1
+        order = forest._walk(fs)
+        edges = sum(len(kids) for node, kids, _ in order
+                    if node.kind != forest.AMB)
+        uses = sum(sum(roots.values()) for _, _, roots in order if roots)
+        assert len(calls) == edges and uses > n
+        muls[n] = len(calls)
+    # 8 times the input, no more multiplications: the 2,000-token input
+    # ends in a product, which leaves one pair node (two multiplications)
+    # more in its forest than the 16,000-token input's sum does
+    assert muls == {2000: 21, 16000: 19}
+
+
+def test_the_export_of_a_long_parse_lists_each_payload_edge_once():
+    g = load_grammar(ARITH_SRC)
+    doc = forest_to_json(parse(g, mixed_expression(random.Random(1), 20000)))
+    assert sum(len(node["children"]) for node in doc["nodes"]) < 50
+
+
+# --- reading an export back, from the JSON alone -----------------------------
+
+def _read_label(label: str) -> list:
+    """A defer label's parts, as written (applied last to first): each a
+    (tag, argument) pair, the argument a lift's own parts, a production's
+    (name, arity), a pairing's payload id, or None."""
+    pos = 0
+
+    def parts() -> list:
+        nonlocal pos
+        out = [part()]
+        while label.startswith(" . ", pos):
+            pos += 3
+            out.append(part())
+        return out
+
+    def part() -> tuple:
+        nonlocal pos
+        for lift in ("lift-left(", "lift-right("):
+            if label.startswith(lift, pos):
+                pos += len(lift)
+                inner = parts()
+                assert label[pos] == ")", label
+                pos += 1
+                return lift[:-1], inner
+        end = pos
+        while end < len(label) and label[end] not in " )":
+            end += 1
+        atom, pos = label[pos:end], end
+        if atom.startswith("production:"):
+            name, _, arity = atom[len("production:"):].rpartition("/")
+            return "production", (name, int(arity))
+        tag, at, payload = atom.partition("@")
+        return tag, int(payload) if at else None
+
+    out = parts()
+    assert pos == len(label), label
+    return out
+
+
+def _rewrite(parts: list, t, trees: dict) -> list:
+    """Every tree the parts map t to, the last part applied first, with the
+    trees of node i in trees[i]; a step that pairs branches, one tree per
+    payload tree, in the payload's order."""
+    out = [t]
+    for tag, arg in reversed(parts):
+        step = []
+        for t in out:
+            if tag in ("pair-left", "pair-left-null"):
+                step += [Pair(s, t) for s in trees[arg]]
+            elif tag == "pair-right":
+                step += [Pair(t, s) for s in trees[arg]]
+            elif tag == "lift-left":
+                step += [Pair(u, t.right) for u in _rewrite(arg, t.left, trees)]
+            elif tag == "lift-right":
+                step += [Pair(t.left, u) for u in _rewrite(arg, t.right, trees)]
+            elif tag == "reassociate":
+                if isinstance(t, Pair) and isinstance(t.right, Pair):
+                    t = Pair(Pair(t.left, t.right.left), t.right.right)
+                step.append(t)
+            elif tag == "production":
+                name, arity = arg
+                kids, cur = [], t
+                while len(kids) < arity - 1 and isinstance(cur, Pair):
+                    kids.append(cur.left)
+                    cur = cur.right
+                kids.append(cur)
+                step.append(Prod(name, tuple(kids) if len(kids) == arity
+                                 else (t,)))
+            elif tag == "splice":
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    t = Prod(t.right.name, (t.left,) + t.right.children)
+                step.append(t)
+            else:
+                assert tag == "fold-left", tag
+                if isinstance(t, Pair) and isinstance(t.right, Prod):
+                    acc, tail = t.left, t.right
+                    while tail.children:
+                        acc = Prod(tail.name, (acc,) + tail.children[:-1])
+                        tail = tail.children[-1]
+                    t = acc
+                step.append(t)
+        out = step
+    return out
+
+
+def _payload_ids(parts: list) -> list:
+    """The payload ids of the parts' pairings, in the order they apply."""
+    out = []
+    for tag, arg in reversed(parts):
+        if tag.startswith("lift"):
+            out += _payload_ids(arg)
+        elif tag.startswith("pair"):
+            out.append(arg)
+    return out
+
+
+def _read_export(doc: dict) -> list:
+    """The trees of an acyclic export, in enumeration order, rebuilt from
+    its JSON alone: a defer node's label names every forest it pairs with,
+    and its children are its inner forest, then each of those once, in the
+    order of first use."""
+    trees: dict = {}
+    for node in doc["nodes"]:
+        i, kind, label, kids = (node["id"], node["kind"], node["label"],
+                                node["children"])
+        assert all(c < i for c in kids)  # no back edge
+        if kind == "leaf":
+            got = [Leaf(label)]
+        elif kind == "prod":
+            got = [Prod(label, ())]
+        elif kind == "pair":
+            got = [Pair(a, b) for a in trees[kids[0]] for b in trees[kids[1]]]
+        elif kind == "amb":
+            got = [t for c in kids for t in trees[c]]
+        else:
+            parts = _read_label(label)
+            assert kids[1:] == list(dict.fromkeys(_payload_ids(parts)))
+            got = [u for t in trees[kids[0]] for u in _rewrite(parts, t, trees)]
+        trees[i] = list(dict.fromkeys(got))
+    return trees[doc["root"]]
+
+
+def _export_inputs() -> list:
+    """(grammar source, words): every probe word of the fixed corpus, mixed
+    and nested expressions on both arithmetic grammars, and the Catalan
+    grammars' ambiguous words."""
+    rng = random.Random(0x7E57)
+    cases = [(src, probe_words(load_bnf(src), "ab")) for src in FIXED_CORPUS]
+    exprs = [mixed_expression(rng, n)
+             for n in (3, 5, 8, 13, 20, 30, 45, 60, 90, 120)]
+    exprs += [nested_parens(6), expr_tokens(30)]
+    cases += [(src, exprs) for src in (ARITH_SRC, ARITH_LEFT_SRC)]
+    cases += [(CATALAN_SRC, ["a" * n for n in range(1, 9)]),
+              (WORST_SRC, [distinct_tokens(n) for n in range(1, 8)])]
+    return cases
+
+
+def test_an_export_alone_rebuilds_the_trees_enumeration_gives():
+    read = 0
+    for src, words in _export_inputs():
+        g = load_grammar(src)
+        for w in words:
+            fs = parse(g, list(w))
+            if fs.is_empty():
+                continue
+            doc = forest_to_json(fs)
+            if any(c >= node["id"] for node in doc["nodes"]
+                   for c in node["children"]):
+                continue  # a cyclic forest: no finite list to rebuild
+            want = enumerate_trees(fs, count_parses(fs))
+            assert _read_export(doc) == want, (src, w)
+            read += 1
+    assert read > 90
 
 
 # --- the applier against a reference that builds a Pair per step -------------
