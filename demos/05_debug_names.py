@@ -17,7 +17,9 @@ from derivparse import derive, is_nullable, load_grammar, reachable_nodes
 
 
 def main() -> None:
-    g = load_grammar("start = S ;\nS : S S | '.' ;")
+    # the grammar names each token: under a wildcard, a token it does not
+    # name would derive by the wildcard's class, and names would carry '.'
+    g = load_grammar("start = S ;\nS : S S | 'a' | 'b' | 'c' | 'd' | 'e' | 'f' ;")
     g.settings.debug_names = True
     toks = list("abcdef")
     word = "".join(toks)

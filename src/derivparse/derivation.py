@@ -2,11 +2,12 @@
 
 derive(n, c) returns a node whose language is every word w such that c
 followed by w is in n's language, with result trees threaded through so the
-final forest rebuilds full parse trees.  Memoized per (node, token).  A
-grammar node's derivative does not depend on the input position, nor do the
-derivatives built from it, so by default a node keeps every token's result:
-the first token it is derived by goes in its slot (d_key, d_val), and only a
-second distinct token makes a map (d_map) for the others (_store).  Most
+final forest rebuilds full parse trees.  Memoized per (node, token class;
+see the end of this docstring).  A grammar node's derivative does not
+depend on the input position, nor do the derivatives built from it, so by
+default a node keeps every token's result: the first token it is derived
+by goes in its slot (d_key, d_val), and only a second distinct token makes
+a map (d_map) for the others (_store).  Most
 derived nodes meet one token only and never make a map.  The single-entry
 mode (memo_full off) is the paper's ablation: one slot, which an insert
 under a different token evicts, and no map is read.
@@ -93,6 +94,24 @@ context's cycled flag, and from the token that set it _run puts the
 chain back and derives as the plain loop does.  recognize keeps no
 chain: a reduction is nullable exactly when its child is, so it drops the
 fns.
+
+A token derives by its class.  A derivative depends on a token only
+through the terminals it matches and the leaf it puts in the trees, and a
+token that a grammar with a wildcard does not name matches the wildcard
+alone: all such tokens derive alike but for their leaves.  So under such
+a grammar (the context's `named`, bound once per activation), each of
+them derives as the wildcard's own label, which no grammar can name, and
+they share one derivative where keyed by value each built its own
+(Owens, Reppy & Turon, JFP 2009, derive by such classes of symbols):
+L : L L | '.' over n distinct tokens builds the graph of n identical
+ones, quadratic, not cubic.  Their leaves read '.', so the last
+derivative gets the input on top, under the input reduction
+(reductions.input_tokens), and parse_null hands the tokens to the forest
+set it makes, whose consumers fill the leaves (forest.ForestSet).  _run
+puts it there once; derive, called once per token, takes it off the node
+it is given and puts it back one token longer, so its loop builds the
+graph _run builds.  A grammar without a wildcard has no classes, and its
+tokens cost nothing more.
 """
 
 from __future__ import annotations
@@ -109,7 +128,7 @@ from .grammar import (
 )
 from .instrumentation import EXTEND, MARK_EXTEND, NamingError, name_node
 from .nullability import is_nullable, is_nullable_naive
-from .reductions import compose, pair_left_null
+from .reductions import INPUT, compose, input_tokens, pair_left_null
 
 
 def _marker(form: int) -> GrammarNode:
@@ -184,8 +203,28 @@ def _reenter(n, c, form, ctx):
 
 
 def derive(n, c: str):
-    """One-token derivative of a grammar node, under the ambient context."""
-    return _derive(n, c, _active.ctx)
+    """One-token derivative of a grammar node, under the ambient context.
+    Under a grammar with a wildcard, c derives by its class, and the
+    result has the input so far on top (see the module docstring)."""
+    ctx = _active.ctx
+    named = ctx.named
+    if named is None:
+        return _derive(n, c, ctx)
+    before = n.fn
+    if before is not None and before.kind is INPUT:
+        n = n.left
+    else:
+        before = None
+    d = _derive(n, c if c in named else WILDCARD, ctx)
+    if d is SHARED_EMPTY:
+        return d
+    return _with_input(d, input_tokens((c,), before))
+
+
+def _with_input(node, red):
+    """node under the input reduction red: a carrier of the input, not
+    part of the derivative graph, so no counter counts it."""
+    return fill(GrammarNode(RED), node, red)
 
 
 def _derive(n, c, ctx):
@@ -295,18 +334,24 @@ def _derive(n, c, ctx):
 # --- whole-input operations --------------------------------------------------
 
 def _run(g: Grammar, tokens: Iterable[str], finish, trees: bool = False):
-    """Derive g by each token in turn, then finish(last derivative, ctx),
-    inside the grammar's activation.  Under compaction, the top reduction of
-    each derivative is peeled off until a derivative cycle closes (see the
-    module docstring).  With `trees`, the grammar's empty-word forests are
-    built first, if no parse has built them yet
-    (forest.build_null_forests), and the peeled reductions are kept, in
-    order, as one chain over the last derivative; without, they are
-    dropped, as a reduction is nullable exactly when its child is."""
+    """Derive g by each token's class in turn, then finish(last derivative,
+    ctx), inside the grammar's activation.  Under compaction, the top
+    reduction of each derivative is peeled off until a derivative cycle
+    closes (see the module docstring).  With `trees`, the grammar's
+    empty-word forests are built first, if no parse has built them yet
+    (forest.build_null_forests), the peeled reductions are kept, in order,
+    as one chain over the last derivative, and under a grammar with a
+    wildcard the input goes on top; without, they are dropped, as a
+    reduction is nullable exactly when its child is."""
     with g.activate() as ctx:
         if trees:
             build_null_forests(g)
         node = g.root
+        named = ctx.named
+        given = None
+        if named is not None:
+            given = list(tokens)
+            tokens = [c if c in named else WILDCARD for c in given]
         tokens = iter(tokens)
         if ctx.compacting:
             fns = []
@@ -322,6 +367,8 @@ def _run(g: Grammar, tokens: Iterable[str], finish, trees: bool = False):
                 node = mk_red(node, compose(*fns))
         for c in tokens:
             node = _derive(node, c, ctx)
+        if trees and given and node is not SHARED_EMPTY:
+            node = _with_input(node, input_tokens(given))
         return finish(node, ctx)
 
 

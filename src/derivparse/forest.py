@@ -42,8 +42,9 @@ from . import grammar as _g
 from . import reductions
 from .nullability import is_nullable
 from .reductions import (
-    COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT, PAIR_LEFT_NULL,
-    PAIR_RIGHT, PAIRINGS, PRODUCTION, REASSOCIATE, SPLICE, Reduction,
+    COMPOSE, FOLD_LEFT, INPUT, LIFT_LEFT, LIFT_RIGHT, PAIR_LEFT,
+    PAIR_LEFT_NULL, PAIR_RIGHT, PAIRINGS, PRODUCTION, REASSOCIATE, SPLICE,
+    Reduction,
 )
 
 
@@ -178,14 +179,21 @@ def defer_node(red: Reduction, inner: FNode) -> FNode:
 class ForestSet:
     """A set of parse trees, represented by one forest root (or none).
 
-    `_order` is the forest's postorder, kept by the first consumer that
-    walks it (see _walk), and `_counts` each node's tree count, kept by the
-    first consumer that counts (see _counts)."""
+    `tokens` is the input of a parse of a grammar with a wildcard (see
+    parse_null), where a token the grammar does not name has a leaf that
+    reads '.' (see derivation); the consumers that read leaves out fill
+    them from it.  A tree's frontier is its input, so its i-th leaf is
+    tokens[i].  Otherwise None, and every leaf holds its token.  `_order`
+    is the forest's postorder, kept by the first consumer that walks it
+    (see _walk), and `_counts` each node's tree count, kept by the first
+    consumer that counts (see _counts)."""
 
-    __slots__ = ("root", "_order", "_counts")
+    __slots__ = ("root", "tokens", "_order", "_counts")
 
-    def __init__(self, root: Optional[FNode] = None):
+    def __init__(self, root: Optional[FNode] = None,
+                 tokens: Optional[list] = None):
         self.root = root
+        self.tokens = tokens
         self._order = None
         self._counts = None
 
@@ -246,6 +254,10 @@ def parse_null(node) -> ForestSet:
     re-entry picks up the shell.  Non-nullable
     nodes short-circuit to the empty set, which prunes cycles that would
     otherwise denote zero finite trees.
+
+    A parse's last derivative under the input reduction, which only a
+    parse puts on top (see derivation), gives its child's forest in a new
+    set that keeps the tokens (see ForestSet), never the child's own.
     """
     memo = node.pn_memo
     if memo is not None:
@@ -253,6 +265,12 @@ def parse_null(node) -> ForestSet:
         if r is not None and r.in_progress:
             r.leaked = True
         return memo
+    fn = node.fn
+    if fn is not None and fn.kind is INPUT:
+        fs = parse_null(node.left)
+        if fs.root is None:
+            return fs
+        return ForestSet(fs.root, reductions.tokens_of(fn))
     ENTER, COMBINE = 0, 1
     work = [(ENTER, node)]
     while work:
@@ -786,6 +804,45 @@ def _full_fold(order: list, limit: int) -> list:
     return table[root]
 
 
+def _fill(t, leaves: list, memo: dict):
+    """Tree t with its i-th leaf, in frontier order, leaves[i].  Rebuilt
+    bottom-up by a work stack, on which a pair (node, place of its first
+    leaf) holds a node whose children are built.  The trees of one
+    enumeration share subtrees, and a subtree filled from one place is
+    filled alike wherever it recurs there: `memo` keeps each, keyed by
+    its identity and that place, with the place after its last leaf."""
+    built = []
+    todo = [t]
+    i = 0
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            x, start = x
+            if type(x) is Pair:
+                right = built.pop()
+                y = built[-1] = Pair(built[-1], right)
+            else:
+                k = len(built) - len(x.children)
+                y = Prod(x.name, tuple(built[k:]))
+                del built[k:]
+                built.append(y)
+            memo[id(x), start] = y, i
+        elif type(x) is Leaf:
+            built.append(leaves[i])
+            i += 1
+        elif (hit := memo.get((id(x), i))) is not None:
+            y, i = hit
+            built.append(y)
+        elif type(x) is Pair:
+            todo += ((x, i), x.right, x.left)
+        elif x.children:
+            todo.append((x, i))
+            todo += reversed(x.children)
+        else:
+            built.append(x)
+    return built[0]
+
+
 def enumerate_trees(fs: ForestSet, limit: int) -> list:
     """Up to `limit` distinct fully resolved trees, deterministically ordered.
 
@@ -823,6 +880,11 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     are exact; a hand-built forest that holds one tree twice is counted
     twice.  Where both folds run, they give the same trees in the same
     order.
+
+    A set that keeps its tokens (see ForestSet) has its trees' leaves
+    filled from them once the trees are picked (_fill).  A tree's frontier
+    is its input, so trees that differ only in the leaves filled are equal:
+    filling changes neither their number nor their order.
     """
     root = fs.root
     if root is None or limit <= 0:
@@ -830,18 +892,25 @@ def enumerate_trees(fs: ForestSet, limit: int) -> list:
     order = _walk(fs)
     counts = _counts(fs)
     total = counts[root]
+    trees = None
     if total is not INFINITE and total:
         want = _demands(order, counts, min(total, limit))
         table: dict = {}
         for n, _, _ in order:
             d = want.get(n)
             if d:
-                trees = table[n] = _trees(n, table, d, True)
-                if len(trees) < d:
+                got = table[n] = _trees(n, table, d, True)
+                if len(got) < d:
                     break
         else:
-            return table[root]
-    return _full_fold(order, limit)
+            trees = table[root]
+    if trees is None:
+        trees = _full_fold(order, limit)
+    if fs.tokens is None:
+        return trees
+    leaves = list(map(Leaf, fs.tokens))
+    memo: dict = {}
+    return [_fill(t, leaves, memo) for t in trees]
 
 
 # --- serialization ----------------------------------------------------------
@@ -858,7 +927,9 @@ def forest_to_json(fs: ForestSet) -> dict:
     use (see _payload_roots).  The label is the reduction described with
     each pairing naming its payload root by id (pair-left@2), so the export
     alone rebuilds every tree, and a chain's many pairings with one forest
-    cost one edge.
+    cost one edge.  A set that keeps its tokens (see ForestSet) exports
+    them as "tokens", and its leaves as they read: a tree's i-th leaf, in
+    frontier order, is the i-th token.
     """
     root = fs.root
     if root is None:
@@ -877,4 +948,7 @@ def forest_to_json(fs: ForestSet) -> dict:
                   else n.label),
         "children": [ids[c] for c in kids],
     } for i, (n, kids, _) in enumerate(order)]
-    return {"root": len(out) - 1, "nodes": out}
+    doc = {"root": len(out) - 1, "nodes": out}
+    if fs.tokens is not None:
+        doc["tokens"] = list(fs.tokens)
+    return doc

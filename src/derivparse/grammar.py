@@ -187,12 +187,14 @@ class Context:
     has None), the same for reductions (`reds`, keyed by the constructor
     and its parts), whether a derivative cycle has closed (`cycled`, set by
     the derivative engine when a cycle re-enters a derivative under
-    construction), and the settings, resolved into plain switch fields when
+    construction), the token labels of the active grammar's classes
+    (`named`, see Grammar; None outside an activation or without a
+    wildcard), and the settings, resolved into plain switch fields when
     the context is created (debug names turn compaction off).  So a switch
     changed on g.settings while g is active applies from the next
     activation."""
 
-    __slots__ = ("counters", "written", "seqs", "reds", "cycled",
+    __slots__ = ("counters", "written", "seqs", "reds", "cycled", "named",
                  "memo_full", "naming", "compacting", "naive_nullability")
 
     def __init__(self, counters: Optional[Counters] = None,
@@ -203,6 +205,7 @@ class Context:
         self.seqs = None
         self.reds = None
         self.cycled = False
+        self.named = None
         self.memo_full = st.memo_full
         self.naming = st.debug_names
         self.compacting = st.compaction and not self.naming
@@ -445,11 +448,6 @@ def _compact_red(child: GrammarNode, fn) -> Optional[GrammarNode]:
     return None
 
 
-def mk_alt(left: GrammarNode, right: GrammarNode) -> GrammarNode:
-    c = _compact_alt(left, right)
-    return c if c is not None else new_alt(left, right)
-
-
 def mk_seq(left: GrammarNode, right: GrammarNode) -> GrammarNode:
     c = _compact_seq(left, right)
     return c if c is not None else new_seq(left, right)
@@ -480,13 +478,18 @@ def reachable_nodes(root: GrammarNode) -> list:
     return order
 
 
-def _mark_grammar(root: GrammarNode) -> int:
-    """Give every node the grammar reaches the grammar mark; returns how
-    many there are (size_G)."""
-    nodes = reachable_nodes(root)
+def _mark_grammar(g: "Grammar") -> None:
+    """Give every node the grammar reaches the grammar mark, and set its
+    size (size_G) and, if one of its tokens is the wildcard, the labels of
+    the others (`named`; None without a wildcard)."""
+    nodes = reachable_nodes(g.root)
+    labels = set()
     for n in nodes:
         n.in_grammar = True
-    return len(nodes)
+        if n.form == TOKEN:
+            labels.add(n.label)
+    g.size_G = len(nodes)
+    g.named = frozenset(labels - {WILDCARD}) if WILDCARD in labels else None
 
 
 # --- normalization ----------------------------------------------------------
@@ -611,8 +614,11 @@ def _normalize_step(n: GrammarNode) -> bool:
 class Grammar:
     """A loaded grammar: root node, table of the nonterminals the start
     symbol reaches (kept for diagnostics and printing), per-grammar counters
-    and settings (the counters given, or new ones), and the BNF twin the
-    loader derived from the same source.
+    and settings (the counters given, or new ones), the BNF twin the
+    loader derived from the same source, and, when one of its tokens is the
+    wildcard, the labels of the others (`named`, None without a wildcard):
+    a token outside them matches the wildcard alone, so a parse derives it
+    as the wildcard's own label (see derivation).
 
     A parse keeps its derivatives in the memo slots of the grammar nodes it
     derives, so one activation at a time: a second, nested or on another
@@ -624,7 +630,7 @@ class Grammar:
     forest.build_null_forests), and nothing resets them."""
 
     __slots__ = ("root", "start", "nonterminal_table", "size_G", "counters",
-                 "settings", "bnf", "null_forests", "_lock")
+                 "settings", "bnf", "named", "null_forests", "_lock")
 
     def __init__(self, root: GrammarNode, start: str,
                  nonterminal_table: Optional[dict] = None, bnf=None,
@@ -632,7 +638,7 @@ class Grammar:
         self.root = root
         self.start = start
         self.nonterminal_table = nonterminal_table or {}
-        self.size_G = _mark_grammar(root)
+        _mark_grammar(self)
         self.counters = counters if counters is not None else Counters()
         self.settings = ParserSettings()
         self.bnf = bnf
@@ -641,12 +647,13 @@ class Grammar:
 
     @contextmanager
     def activate(self):
-        """Make a context for one parse the active one, with tables of
-        shared concatenations and reductions under compaction, and under
-        debug names give every grammar node without a name a fresh one; on
-        the way out, clear the derivative memo of every grammar node it
-        wrote."""
+        """Make a context for one parse the active one, with the grammar's
+        classes, tables of shared concatenations and reductions under
+        compaction, and under debug names give every grammar node without a
+        name a fresh one; on the way out, clear the derivative memo of
+        every grammar node it wrote."""
         ctx = Context(self.counters, self.settings)
+        ctx.named = self.named
         if ctx.compacting:
             ctx.seqs = {}
             ctx.reds = {}
@@ -717,7 +724,7 @@ def normalize_grammar(g) -> "Grammar | GrammarNode":
         work += parents[n]
         _enlist(n, parents, work)
     if isinstance(g, Grammar):
-        g.size_G = _mark_grammar(root)
+        _mark_grammar(g)
     return g
 
 

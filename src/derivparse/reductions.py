@@ -13,7 +13,12 @@ splice: a group of alternatives that share a first symbol parses as
 production's children, so the trees are those of the unfactored rule.
 The loader's right-recursive twin of a left-recursive rule needs
 fold-left, which turns a base tree and a tail of productions back into
-the left spine the rule as written builds.
+the left spine the rule as written builds.  A parse of a grammar with a
+wildcard reads some tokens' leaves as '.' (see derivation), and puts its
+input on top: input maps a tree to the tree whose i-th leaf, in frontier
+order, is the i-th token, and the forest set that parse_null makes of it
+keeps the tokens for its consumers, which fill the leaves (see
+forest.ForestSet).
 
 A compose holds k >= 2 parts, payload[0] applied last (compose).
 Compaction's red-compose builds binary ones, which the cyclic fallback
@@ -51,6 +56,7 @@ FOLD_LEFT = "fold-left"            # (b, N[a1 .. N[a2 .. []]]) -> N[N[b a1 ..] a
 COMPOSE = "compose"                # parts[0] after parts[1] ... after parts[k-1]
 LIFT_LEFT = "lift-left"            # (u1, u2) -> (f(u1), u2)
 LIFT_RIGHT = "lift-right"          # (u1, u2) -> (u1, f(u2))
+INPUT = "input"                    # the i-th leaf, in frontier order -> a leaf of the i-th token
 
 
 PAIRINGS = frozenset((PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL))
@@ -58,7 +64,7 @@ LIFTS = frozenset((LIFT_LEFT, LIFT_RIGHT))
 # each kind's one string object, so the forest layer tests kinds by identity
 _KINDS = {k: k for k in (PAIR_LEFT, PAIR_RIGHT, PAIR_LEFT_NULL, REASSOCIATE,
                          PRODUCTION, SPLICE, FOLD_LEFT, COMPOSE, LIFT_LEFT,
-                         LIFT_RIGHT)}
+                         LIFT_RIGHT, INPUT)}
 
 # shared, not built per use: lift chains run tens of thousands deep
 _LIFT_OPEN = {LIFT_LEFT: f"{LIFT_LEFT}(", LIFT_RIGHT: f"{LIFT_RIGHT}("}
@@ -157,6 +163,28 @@ def pair_left_null(node) -> Reduction:
     forced eagerly on a cyclic graph), so the node itself is carried.
     """
     return Reduction(PAIR_LEFT_NULL, node)
+
+
+def input_tokens(tokens, before: Optional[Reduction] = None) -> Reduction:
+    """The input reduction of `before`'s tokens, if given, then `tokens`.
+    Its payload chains (rest, token) pairs, the last token outermost, so
+    one token more costs a pair, not a copy of the input (see
+    derivation.derive)."""
+    chain = None if before is None else before.payload
+    for c in tokens:
+        chain = (chain, c)
+    return Reduction(INPUT, chain)
+
+
+def tokens_of(red: Reduction) -> list:
+    """The tokens of an input reduction, in order."""
+    out = []
+    chain = red.payload
+    while chain is not None:
+        chain, c = chain
+        out.append(c)
+    out.reverse()
+    return out
 
 
 def reassociate() -> Reduction:

@@ -97,6 +97,14 @@ def mk_empty() -> grammar.GrammarNode:
     return n
 
 
+def mk_alt(left: grammar.GrammarNode,
+           right: grammar.GrammarNode) -> grammar.GrammarNode:
+    """A choice of left and right, or the replacement the compaction rules
+    give for it."""
+    c = grammar._compact_alt(left, right)
+    return c if c is not None else grammar.new_alt(left, right)
+
+
 def describe_node(n: grammar.GrammarNode, *, max_depth: int = 6) -> str:
     """A short structural sketch, cycle-safe.  Inner nodes are numbered in
     the order the sketch first meets them, and a node met again on its own
@@ -263,6 +271,16 @@ def nested_parens(d: int) -> list:
 
 def distinct_tokens(n: int) -> list:
     return [str(i) for i in range(n)]
+
+
+def named_worst_case(n: int) -> tuple:
+    """(source, tokens): L : L L | T with T naming n distinct tokens, and
+    those tokens.  Unlike WORST_SRC's wildcard, which derives every token it
+    alone matches by one class, the named tokens keep every substring's
+    derivative distinct: the input on which the node count stays cubic."""
+    toks = [f"t{i}" for i in range(n)]
+    terms = " | ".join(f"'{t}'" for t in toks)
+    return f"start = L ;\nL : L L | T ;\nT : {terms} ;\n", toks
 
 
 def expr_tokens(n: int) -> list:

@@ -26,7 +26,8 @@ from derivparse.nullability import is_nullable_naive
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS, WORST_SRC,
     all_strings, distinct_tokens, expr_tokens, nested_dyck, nested_parens,
-    created_nodes, probe_words, random_grammar_source, unit_grammar_source,
+    created_nodes, named_worst_case, probe_words, random_grammar_source,
+    unit_grammar_source,
 )
 
 
@@ -104,18 +105,20 @@ def test_criterion_1_oracle_equivalence():
 # --- 2. cubic node bound -----------------------------------------------------
 
 def test_criterion_2_cubic_node_bound():
-    # pairwise-distinct tokens keep every substring's derivative distinct;
-    # the wildcard token accepts them all
+    # pairwise-distinct tokens that the grammar names keep every
+    # substring's derivative distinct
     sizes = [20, 40, 80, 160]
     created = {}
     t0 = time.perf_counter()
     for n in sizes:
-        g = load_grammar(WORST_SRC)
+        src, toks = named_worst_case(n)
+        g = load_grammar(src)
         g.counters.reset()  # count parse work only, not load work
-        fs = parse(g, distinct_tokens(n))
+        fs = parse(g, toks)
         assert not fs.is_empty()
         created[n] = g.counters.nodes_created
     dt = time.perf_counter() - t0
+    assert created == {20: 3_196, 40: 23_196, 80: 177_596, 160: 1_391_996}
 
     ratios = {n: created[n] / n**3 for n in sizes}
     window = max(ratios.values()) / min(ratios.values())
@@ -128,9 +131,21 @@ def test_criterion_2_cubic_node_bound():
         growth = created[b] / created[a]
         assert growth <= 16.0, (a, b, created)
 
+    # tokens only the wildcard matches derive by its class, so distinct
+    # ones build the graph of identical ones: quadratic
+    wild = {}
+    for n in sizes:
+        for toks in (distinct_tokens(n), ["a"] * n):
+            g = load_grammar(WORST_SRC)
+            g.counters.reset()
+            parse(g, toks)
+            wild.setdefault(n, set()).add(g.counters.nodes_created)
+    assert wild == {20: {424}, 40: {1_644}, 80: {6_484}, 160: {25_764}}
+
     assert dt < 60.0, f"criterion 2 exceeded its runtime budget: {dt:.1f}s"
     _report(2, "cubic node bound",
-            f"nodes {created}, ratio window {window:.3f}, {dt:.1f}s")
+            f"named-token nodes {created}, ratio window {window:.3f}; "
+            f"wildcard nodes {wild}, {dt:.1f}s")
 
 
 # --- 3. Catalan counts -------------------------------------------------------

@@ -4,8 +4,9 @@ asserts that the nullability switch changes nullability work only: both
 engines create the same nodes and make the same derive calls.  Demo 05
 asserts the naming discipline on every named node it reaches.
 
-Demo 03 (worst-case node growth, cubic) is left out: it takes about 10 s
-on a 2-CPU host, and CI runs it as a step of its own.
+Demo 03 (worst-case node growth, cubic on named tokens and quadratic on
+unnamed ones) is left out: it takes about 8 s on a 2-CPU host, and CI
+runs it as a step of its own.
 """
 
 import pytest

@@ -10,12 +10,14 @@ import pytest
 
 from derivparse import (
     Context, INFINITE, Leaf, Pair, Prod,
-    count_parses, enumerate_trees, forest_to_json, load_bnf, load_grammar,
-    parse, parse_null, reachable_nodes, recognize, tree_text, use_context,
+    count_parses, derive, earley_count, enumerate_trees, forest_to_json,
+    load_bnf, load_grammar, parse, parse_null, reachable_nodes, recognize,
+    tree_text, use_context,
 )
 from derivparse import derivation, forest
 from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
-from derivparse.grammar import RED, mk_token
+from derivparse.grammar import RED, WILDCARD, mk_token
+from derivparse.oracle import Term
 from derivparse.reductions import (
     COMPOSE, FOLD_LEFT, LIFT_LEFT, LIFTS, PAIR_LEFT, PAIR_RIGHT, PAIRINGS,
     PRODUCTION, REASSOCIATE, SPLICE, Reduction, compose, fold_left,
@@ -834,11 +836,22 @@ def _payload_ids(parts: list) -> list:
     return out
 
 
+def _filled(t, tokens):
+    """t with its leaves, left to right, read from the iterator `tokens`."""
+    if isinstance(t, Leaf):
+        return Leaf(next(tokens))
+    if isinstance(t, Pair):
+        left = _filled(t.left, tokens)
+        return Pair(left, _filled(t.right, tokens))
+    return Prod(t.name, tuple(_filled(c, tokens) for c in t.children))
+
+
 def _read_export(doc: dict) -> list:
     """The trees of an acyclic export, in enumeration order, rebuilt from
     its JSON alone: a defer node's label names every forest it pairs with,
     and its children are its inner forest, then each of those once, in the
-    order of first use."""
+    order of first use.  An export that lists its "tokens" has the i-th
+    leaf of every tree, in frontier order, read the i-th token."""
     trees: dict = {}
     for node in doc["nodes"]:
         i, kind, label, kids = (node["id"], node["kind"], node["label"],
@@ -857,7 +870,10 @@ def _read_export(doc: dict) -> list:
             assert kids[1:] == list(dict.fromkeys(_payload_ids(parts)))
             got = [u for t in trees[kids[0]] for u in _rewrite(parts, t, trees)]
         trees[i] = list(dict.fromkeys(got))
-    return trees[doc["root"]]
+    got = trees[doc["root"]]
+    if "tokens" in doc:
+        got = [_filled(t, iter(doc["tokens"])) for t in got]
+    return got
 
 
 def _export_inputs() -> list:
@@ -965,7 +981,7 @@ def _reference_apply(red: Reduction, t, table) -> list:
 def _enumerated_by_reference(monkeypatch, fs: ForestSet, k: int) -> list:
     with monkeypatch.context() as m:
         m.setattr(forest, "_apply", _reference_apply)
-        return enumerate_trees(ForestSet(fs.root), k)
+        return enumerate_trees(ForestSet(fs.root, fs.tokens), k)
 
 
 def _assert_same_trees(got: list, want: list, where) -> None:
@@ -1186,7 +1202,10 @@ def test_demand_fold_gives_the_full_folds_trees_in_order(monkeypatch):
             for k in (1, 2, 3, 10):
                 fell_back.clear()
                 got = [tree_text(t) for t in enumerate_trees(fs, k)]
-                want = [tree_text(t) for t in full(forest._walk(fs), k)]
+                want = full(forest._walk(fs), k)
+                if fs.tokens is not None:  # a wildcard grammar's input
+                    want = [_filled(t, iter(fs.tokens)) for t in want]
+                want = [tree_text(t) for t in want]
                 assert got == want, (src, w, k)
                 assert bool(fell_back) == pumps, (src, w, k)
             infinite += pumps
@@ -1252,3 +1271,138 @@ def test_counting_then_enumerating_folds_the_counts_once(monkeypatch):
     assert enumerate_trees(fresh, 10) == enumerate_trees(fs, 10)
     assert fresh._counts == counts
     assert calls[0] == 1
+
+
+# --- wildcard grammars: tokens derived by their class --------------------------
+
+# (wildcard grammar, words): tokens the grammar names and tokens it does
+# not, repeated and distinct, accepted and rejected, and the wildcard's own
+# label as a token
+_WILDCARD_CASES = [
+    (WORST_SRC, [distinct_tokens(n) for n in range(1, 7)]
+     + [["a", "a", "b", "a"], [".", "x", "."], ["."] * 4]),
+    ("start = S ;\nS : S S | '.' ;\n",
+     [["x", "y", "x", "z", "y"], ["s"] * 5]),
+    ("start = A ;\nA : '.' '.' ;\n",
+     [["a", "b"], ["x", "x"], [".", "y"], ["a"], ["a", "b", "c"]]),
+    ("start = E ;\nE : E '+' E | '(' E ')' | '.' ;\n",
+     [["a", "+", "b", "+", "c"], ["(", "a", "+", "b", ")"], ["+", "+", "+"],
+      ["(", "(", ")", ")"], ["a", "+"]]),
+    ("start = P ;\nP : '(' P ')' P | '.' P | ;\n",
+     [["(", "a", ")", "b"], ["(", ")", "(", "x", ")"], ["a", "b", "a"], []]),
+]
+
+_SWITCHES = [{}, {"memo_full": False}, {"compaction": False},
+             {"naive_nullability": True}]
+
+
+def _spelled_out(src: str, word) -> str:
+    """src with each alternative that holds the wildcard written once per
+    way to put one of the word's distinct tokens at each wildcard: a
+    grammar without a wildcard, which names every token of the word, with
+    the same trees on it."""
+    bnf = load_bnf(src)
+    toks = [f"'{t}'" for t in dict.fromkeys(word)]
+    lines = [f"start = {bnf.start} ;"]
+    for name, alts in bnf.productions.items():
+        spelled = []
+        for rhs in alts:
+            choices = [toks if type(s) is Term and s.label == WILDCARD
+                       else [f"'{s.label}'" if type(s) is Term else s.name]
+                       for s in rhs]
+            spelled += [" ".join(p) for p in itertools.product(*choices)]
+        lines.append(f"{name} : {' | '.join(spelled)} ;")
+    return "\n".join(lines) + "\n"
+
+
+def _switched(src: str, switches: dict):
+    g = load_grammar(src)
+    for k, v in switches.items():
+        setattr(g.settings, k, v)
+    return g
+
+
+@pytest.mark.parametrize("switches", _SWITCHES,
+                         ids=["default", "single memo", "compaction off",
+                              "naive"])
+def test_wildcard_trees_equal_the_spelled_out_grammars(switches):
+    # a token the grammar does not name derives by the wildcard's class;
+    # the grammar that names the word's tokens instead derives each by
+    # itself, and must give the same trees
+    compared = 0
+    for src, words in _WILDCARD_CASES:
+        bnf = load_bnf(src)
+        g = _switched(src, switches)
+        for w in words:
+            fs = parse(g, w)
+            count = count_parses(fs)
+            assert count == earley_count(bnf, w), (src, w)
+            trees = enumerate_trees(fs, count + 1)
+            assert len(trees) == count, (src, w)
+            assert all(_leaves(t) == w for t in trees), (src, w)
+            if WILDCARD in w or not trees:
+                continue  # no grammar names the wildcard's own label
+            named = _switched(_spelled_out(src, w), switches)
+            assert named.named is None
+            fs = parse(named, w)
+            assert fs.tokens is None  # each token derived by itself
+            want = enumerate_trees(fs, count + 1)
+            assert sorted(map(tree_text, want)) == sorted(map(tree_text, trees))
+            compared += 1
+    assert compared >= 15
+
+
+def test_a_wildcard_forest_exports_its_leaves_as_read_and_its_tokens():
+    g = load_grammar("start = A ;\nA : '.' '.' ;\n")
+    assert g.named == frozenset()
+    doc = forest_to_json(parse(g, ["x", "y"]))
+    assert doc == {"root": 2, "tokens": ["x", "y"], "nodes": [
+        {"id": 0, "kind": "leaf", "label": ".", "children": []},
+        {"id": 1, "kind": "leaf", "label": ".", "children": []},
+        {"id": 2, "kind": "defer", "label": "production:A/2 . pair-left@1",
+         "children": [0, 1]}]}
+    assert _read_export(doc) == [Prod("A", (Leaf("x"), Leaf("y")))]
+    # a grammar without a wildcard keeps no tokens, and a rejected input
+    # has no forest to fill
+    assert load_grammar(CATALAN_SRC).named is None
+    assert "tokens" not in forest_to_json(parse(load_grammar(CATALAN_SRC),
+                                                ["a", "a"]))
+    assert forest_to_json(parse(g, ["x"])) == {"root": None, "nodes": []}
+
+
+def test_a_wildcard_parse_never_writes_its_tokens_on_a_shared_set():
+    # the forest set of a nullable grammar node is a constant of the
+    # grammar; the tokens go on a new set over the same root
+    g = load_grammar("start = P ;\nP : '.' P | ;\n")
+    empty = parse(g, [])
+    assert empty.tokens is None and empty is parse_null(g.root)
+    fs = parse(g, ["a", "b"])
+    assert fs.tokens == ["a", "b"]
+    assert [tree_text(t) for t in enumerate_trees(fs, 2)] == ["P[a P[b P[]]]"]
+    assert enumerate_trees(parse(g, ["c", "d"]), 2) != enumerate_trees(fs, 2)
+    assert parse_null(g.root).tokens is None
+
+
+def _derive_loop(src: str, toks) -> tuple:
+    """(nodes the loop creates, its forest) of a derive call per token."""
+    g = load_grammar(src)
+    made = g.counters.nodes_created
+    with g.activate():
+        node = g.root
+        for c in toks:
+            node = derive(node, c)
+        fs = parse_null(node)
+    return g.counters.nodes_created - made, fs
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_the_derive_loop_derives_by_class_as_parse_does(n):
+    # derive takes the input off the node it is given and puts it back one
+    # token longer: distinct tokens build the graph of identical ones, and
+    # the forest parse builds
+    made, fs = _derive_loop(WORST_SRC, distinct_tokens(n))
+    assert made == _derive_loop(WORST_SRC, ["a"] * n)[0]
+    assert fs.tokens == distinct_tokens(n)
+    parsed = parse(load_grammar(WORST_SRC), distinct_tokens(n))
+    assert forest_to_json(fs) == forest_to_json(parsed)
+    assert enumerate_trees(fs, 10) == enumerate_trees(parsed, 10)

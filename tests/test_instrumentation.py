@@ -11,14 +11,14 @@ from derivparse import (
     load_grammar, parse, recognize, tree_text, use_context,
 )
 from derivparse import derivation, grammar
-from derivparse.grammar import RED, mk_alt, mk_token
+from derivparse.grammar import RED, mk_token
 from derivparse.instrumentation import (
     CSV_FIELDS, EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND, Counters,
     NodeName, emit, fresh_name, name_node,
 )
 from conftest import (
     ARITH_INDIRECT_SRC, ARITH_SRC, DYCK_SRC, FIXED_CORPUS, created_nodes,
-    expr_tokens, mk_empty, probe_words, random_grammar_source,
+    expr_tokens, mk_alt, mk_empty, probe_words, random_grammar_source,
 )
 
 
@@ -261,11 +261,15 @@ def _collect_names(g, tokens):
 
 
 def test_engine_names_are_suffix_contiguous():
-    # every minted name's token labels must be a contiguous run of the input
-    g = load_grammar("start = S ;\nS : S S | '.' ;")
+    # every minted name's token labels must be a contiguous run of the
+    # input's class word: a token the grammar does not name derives by the
+    # wildcard's class, and its names carry '.'
+    g = load_grammar("start = S ;\nS : S S | '.' | '3' ;")
     toks = [str(i) for i in range(12)]
+    classes = [t if t == "3" else "." for t in toks]
     names = _collect_names(g, toks)
     assert names
+    assert any("3" in nm.parts for nm in names)
     for nm in names:
         parts = nm.parts
         if not parts:
@@ -273,7 +277,7 @@ def test_engine_names_are_suffix_contiguous():
         assert len(parts) <= len(toks)
         joined = list(parts)
         pos = [i for i in range(len(toks) - len(joined) + 1)
-               if toks[i:i + len(joined)] == joined]
+               if classes[i:i + len(joined)] == joined]
         assert pos, nm.text()
         assert nm.mark is None or 0 <= nm.mark <= len(parts)
 

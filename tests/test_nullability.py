@@ -8,12 +8,12 @@ import pytest
 from derivparse import Context, derive, is_nullable, load_grammar, use_context
 from derivparse.forest import ForestSet
 from derivparse.grammar import (
-    NV_NOT, NV_NULLABLE, NV_UNKNOWN, ParserSettings, mk_alt, mk_eps, mk_seq,
+    NV_NOT, NV_NULLABLE, NV_UNKNOWN, ParserSettings, mk_eps, mk_seq,
     mk_token, new_alt, new_red, new_seq, reachable_nodes,
 )
 from derivparse.nullability import is_nullable_naive
 from conftest import (
-    ARITH_INDIRECT_SRC, load_unnormalized, mk_empty, probe_words,
+    ARITH_INDIRECT_SRC, load_unnormalized, mk_alt, mk_empty, probe_words,
     random_grammar_source,
 )
 
