@@ -119,7 +119,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .forest import ForestSet, build_null_forests, parse_null
+from .forest import ForestSet, build_null_forests, leaf_node, parse_null
 from .grammar import (
     ALT, EMPTY, RED, SEQ, TOKEN, WILDCARD, SHARED_EMPTY,
     Grammar, GrammarNode, _active, become_node, collapse_dead, fill,
@@ -223,15 +223,16 @@ def derive(n, c: str):
 
 def _with_input(node, red):
     """node under the input reduction red: a carrier of the input, not
-    part of the derivative graph, so no counter counts it."""
+    part of the derivative graph, so nodes_created does not count it; a
+    nullability query through it visits it, one visit more than on node."""
     return fill(GrammarNode(RED), node, red)
 
 
 def _derive(n, c, ctx):
-    # the slot, then (full memo only) the map
+    # the slot, then the map, which only the full memo makes (_store)
     if n.d_key == c:
         hit = n.d_val
-    elif ctx.memo_full and n.d_map is not None:
+    elif n.d_map is not None:
         hit = n.d_map.get(c)
     else:
         hit = None
@@ -255,7 +256,7 @@ def _derive(n, c, ctx):
     form = n.form
     if form <= TOKEN:  # Empty, Epsilon, token
         if form == TOKEN and (n.label == c or n.label == WILDCARD):
-            res = mk_eps(ForestSet.single_leaf(c))
+            res = mk_eps(leaf_node(c))
             _put(n, c, res, ctx)
             return res
         return SHARED_EMPTY

@@ -8,6 +8,10 @@ A forest node denotes a set of parse trees:
   amb    the union of the child sets
   defer  an unapplied Reduction over a child set
 
+Inside the engine a set of trees is its root node: an epsilon node's
+results, a parse_null memo and a pairing's payload are roots, and no trees
+is one node, NO_TREES.  A ForestSet is what parse and parse_null return.
+
 Forests may be cyclic (a cyclic grammar parse can denote infinitely many
 trees).  One iterative, cycle-aware postorder walk serves every consumer:
 counting, enumeration and JSON export are folds over it.  The first
@@ -27,7 +31,7 @@ by id) grow with the forest's distinct structure, not with the input, as
 a packed forest reads each shared subforest once.  Applying a reduction
 chain builds a tree node only for what the chain leaves behind (see
 _apply).
-parse_null extracts the forest of empty-word parses from a grammar node,
+_null_root extracts the root of a grammar node's empty-word parses,
 registering a forest shell before a node's children so a cycle re-enters it.
 """
 
@@ -153,6 +157,24 @@ class FNode:
         self.in_progress = False
         self.leaked = False
 
+    def union(self, other: "FNode") -> "FNode":
+        """The root of both roots' trees (see _alternatives): either root
+        itself when the other is NO_TREES or the same root."""
+        if self is NO_TREES or other is self:
+            return other
+        if other is NO_TREES:
+            return self
+        items = _alternatives((self, other))
+        return items[0] if len(items) == 1 else amb_node(items)
+
+    def apply(self, red: Reduction) -> "FNode":
+        """The root of `red` applied to each of this root's trees."""
+        if self is NO_TREES:
+            return self
+        n = FNode(DEFER)
+        n.red, n.left = red, self
+        return n
+
     def __repr__(self) -> str:
         return f"<{self.kind}@{id(self):x}>"
 
@@ -169,15 +191,18 @@ def amb_node(children: list) -> FNode:
     return n
 
 
-def defer_node(red: Reduction, inner: FNode) -> FNode:
-    n = FNode(DEFER)
-    n.red = red
-    n.left = inner
-    return n
+# No trees: an ambiguity node without children, which every consumer reads
+# as empty.  The engine's epsilon results and pairing payloads never are,
+# but a parse_null memo is whenever a node has no empty-word parse, and a
+# reduction built by hand may pair against it: as an edge it makes the
+# deferred node count 0 and enumerate nothing, as the reduction itself does.
+NO_TREES = amb_node([])
+_g.SHARED_EMPTY.pn_memo = NO_TREES  # so _null_root never writes to it
 
 
 class ForestSet:
-    """A set of parse trees, represented by one forest root (or none).
+    """What parse and parse_null return: a set of parse trees, represented
+    by one forest root, or None when there are no trees.
 
     `tokens` is the input of a parse of a grammar with a wildcard (see
     parse_null), where a token the grammar does not name has a leaf that
@@ -200,41 +225,17 @@ class ForestSet:
     def is_empty(self) -> bool:
         return self.root is None
 
-    def union(self, other: "ForestSet") -> "ForestSet":
-        a, b = self.root, other.root
-        if a is None:
-            return other
-        if b is None or a is b:
-            return self
-        items = _alternatives((a, b))
-        return ForestSet(items[0] if len(items) == 1 else amb_node(items))
-
-    def apply(self, red: Reduction) -> "ForestSet":
-        if self.root is None:
-            return EMPTY_SET
-        return ForestSet(defer_node(red, self.root))
-
-    @staticmethod
-    def single_leaf(label: str) -> "ForestSet":
-        return ForestSet(leaf_node(label))
-
     def __repr__(self) -> str:
         return f"ForestSet({self.root!r})"
 
 
-EMPTY_SET = ForestSet(None)
-_g.SHARED_EMPTY.pn_memo = EMPTY_SET  # so parse_null never writes to it
-
-
 def _alternatives(roots) -> list:
-    """The distinct alternatives a union of forest roots (None for an empty
-    set) offers, in order: a finished ambiguity node gives its children, any
-    other root itself.  A root still under construction is marked leaked, so
-    it stays a node."""
+    """The distinct alternatives a union of forest roots offers, in order:
+    a finished ambiguity node gives its children (NO_TREES none), any other
+    root itself.  A root still under construction is marked leaked, so it
+    stays a node."""
     out: dict = {}
     for r in roots:
-        if r is None:
-            continue
         if r.kind == AMB and not r.in_progress:
             out.update(dict.fromkeys(r.children))
         else:
@@ -247,30 +248,37 @@ def _alternatives(roots) -> list:
 # --- empty-word extraction --------------------------------------------------
 
 def parse_null(node) -> ForestSet:
-    """The forest of parses of the empty word at a grammar node.
+    """The forest set of parses of the empty word at a grammar node: a new
+    set over its root (see _null_root), or over None when it has none.
+
+    A parse's last derivative under the input reduction, which only a
+    parse puts on top (see derivation), gives its child's root in a set
+    that keeps the tokens (see ForestSet).
+    """
+    fn = node.fn
+    tokens = None
+    if fn is not None and fn.kind is INPUT:
+        node = node.left
+        tokens = reductions.tokens_of(fn)
+    root = _null_root(node)
+    return ForestSet() if root is NO_TREES else ForestSet(root, tokens)
+
+
+def _null_root(node) -> FNode:
+    """The forest root of parses of the empty word at a grammar node,
+    NO_TREES when it has none.
 
     Memoized on the node.  Cyclic grammars are handled shell-first: a
     forest shell is registered before children are extracted, so a cycle
-    re-entry picks up the shell.  Non-nullable
-    nodes short-circuit to the empty set, which prunes cycles that would
-    otherwise denote zero finite trees.
-
-    A parse's last derivative under the input reduction, which only a
-    parse puts on top (see derivation), gives its child's forest in a new
-    set that keeps the tokens (see ForestSet), never the child's own.
+    re-entry picks up the shell.  Non-nullable nodes short-circuit to
+    NO_TREES, which prunes cycles that would otherwise denote zero finite
+    trees.
     """
     memo = node.pn_memo
     if memo is not None:
-        r = memo.root
-        if r is not None and r.in_progress:
-            r.leaked = True
+        if memo.in_progress:
+            memo.leaked = True
         return memo
-    fn = node.fn
-    if fn is not None and fn.kind is INPUT:
-        fs = parse_null(node.left)
-        if fs.root is None:
-            return fs
-        return ForestSet(fs.root, reductions.tokens_of(fn))
     ENTER, COMBINE = 0, 1
     work = [(ENTER, node)]
     while work:
@@ -286,7 +294,7 @@ def parse_null(node) -> ForestSet:
             # settles it without a nullability query
             if (n.never_null or form == _g.EMPTY or form == _g.TOKEN
                     or not is_nullable(n)):
-                n.pn_memo = EMPTY_SET
+                n.pn_memo = NO_TREES
                 continue
             if form == _g.ALT:
                 shell = FNode(AMB)
@@ -296,7 +304,7 @@ def parse_null(node) -> ForestSet:
                 shell = FNode(DEFER)
                 shell.red = n.fn
             shell.in_progress = True
-            n.pn_memo = ForestSet(shell)
+            n.pn_memo = shell
             work.append((COMBINE, n))
             if form == _g.RED:
                 work.append((ENTER, n.left))
@@ -304,23 +312,22 @@ def parse_null(node) -> ForestSet:
                 work.append((ENTER, n.right))
                 work.append((ENTER, n.left))
         else:
-            shell = n.pn_memo.root
+            shell = n.pn_memo
             form = n.form
             if form == _g.ALT:
-                items = _alternatives((n.left.pn_memo.root,
-                                       n.right.pn_memo.root))
+                items = _alternatives((n.left.pn_memo, n.right.pn_memo))
                 if not items:
-                    n.pn_memo = EMPTY_SET
+                    n.pn_memo = NO_TREES
                 elif len(items) == 1 and not shell.leaked:
-                    n.pn_memo = ForestSet(items[0])
+                    n.pn_memo = items[0]
                 else:
                     shell.children = items
                     shell.in_progress = False
             else:  # SEQ, RED: no trees unless every child has some
                 kids = (n.left, n.right) if form == _g.SEQ else (n.left,)
-                roots = [k.pn_memo.root for k in kids]
-                if None in roots:
-                    n.pn_memo = EMPTY_SET
+                roots = [k.pn_memo for k in kids]
+                if NO_TREES in roots:
+                    n.pn_memo = NO_TREES
                     continue
                 for r in roots:
                     if r.in_progress:
@@ -343,40 +350,30 @@ def build_null_forests(g) -> None:
     different forest once the grammar has parsed b words."""
     if not g.null_forests:
         for n in _g.reachable_nodes(g.root):
-            parse_null(n)
+            _null_root(n)
         g.null_forests = True
 
 
 # --- the forest walk ---------------------------------------------------------
 
-# Stands in for an empty payload forest.  The engine never builds one (pair
-# payloads are epsilon results, which are never empty, and a null-pairing
-# payload is a nullable node, whose parse_null is never empty), but a
-# reduction built by hand may carry one: as an edge it makes the deferred
-# node count 0 and enumerate nothing, as the reduction itself does.
-_NO_TREES = amb_node([])
-
-
 def _payload_root(red: Reduction) -> FNode:
-    """Root of the forest a pairing reduction pairs against.
-
-    A pair-left-null's forest is its node's parse_null memo, which no later
-    parse resets (see grammar.Grammar), so a kept walk sees the same forest
-    as every later _apply."""
-    fs = red.payload
-    if red.kind == reductions.PAIR_LEFT_NULL:
-        fs = parse_null(fs)
-    return fs.root or _NO_TREES
+    """Root of the forest a pairing reduction pairs against: its payload,
+    or a pair-left-null's node's empty-word root (_null_root), memoized on
+    the node, which no later parse resets (see grammar.Grammar), so a kept
+    walk sees the same forest as every later _apply."""
+    payload = red.payload
+    if red.kind is PAIR_LEFT_NULL:
+        return _null_root(payload)
+    return payload
 
 
 def _payload_roots(red: Reduction) -> dict:
     """{root: occurrences} of every forest reduction `red` references (see
     _payload_root): each distinct root once, in the order of its first use
     in the chain, the last part's first, with how many pairings of `red`
-    pair against it; an empty payload forest is _NO_TREES.  Parts whose
-    `pairs` bit is false reference no forest, so the walk never enters
-    them: a composed chain is read only down to its pairings, and one that
-    pairs nothing not at all."""
+    pair against it.  Parts whose `pairs` bit is false reference no forest,
+    so the walk never enters them: a composed chain is read only down to
+    its pairings, and one that pairs nothing not at all."""
     out: dict = {}
     if not red.pairs:
         return out

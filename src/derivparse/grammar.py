@@ -1,9 +1,10 @@
 """Parsing-expression graph: node forms, constructors, compaction, normalization.
 
 A grammar is a possibly-cyclic graph of six node forms: the empty language,
-the empty word carrying a set of result trees, a single token, concatenation,
-choice, and reduction (a child plus a tree rewrite).  Nonterminal references
-are direct object references, which is where the cycles come from.
+the empty word carrying the forest root of its result trees, a single
+token, concatenation, choice, and reduction (a child plus a tree rewrite).
+Nonterminal references are direct object references, which is where the
+cycles come from.
 
 Compaction is one table of local simplification rules (_compact_alt,
 _compact_seq, _compact_red): each maps a form and its children to a
@@ -106,7 +107,7 @@ class GrammarNode:
 
     left/right: children (SEQ, ALT); left alone: child (RED)
     label: token label (TOKEN)
-    results: tree set for the empty word (EPSILON)
+    results: forest root of the empty word's trees (EPSILON)
     fn: a Reduction (RED)
 
     The remaining slots are engine state: the nullability verdict (unknown
@@ -116,8 +117,9 @@ class GrammarNode:
     the under-construction flag, the productive and never-null
     marks (set only once the structure proves the language non-empty, or
     without the empty word), the grammar mark (set when a loaded grammar
-    reaches the node), the empty-word parse memo (a grammar node's is built
-    once, by its grammar's first parse), and the optional debug name.
+    reaches the node), the empty-word parse memo (a forest root; a grammar
+    node's is built once, by its grammar's first parse), and the optional
+    debug name.
 
     `twin` is set on the node of a directly left-recursive rule only: the
     right-recursive node of the same language and trees that the loader
@@ -257,9 +259,8 @@ SHARED_EMPTY.never_null = True
 
 
 def mk_eps(results) -> GrammarNode:
-    """The empty word, carrying a non-empty set of result trees."""
-    if results is None or results.is_empty():
-        raise ValueError("epsilon node needs a non-empty result set")
+    """The empty word, carrying the forest root of its result trees, of
+    which there is at least one."""
     n = _new(EPSILON)
     n.results = results
     n.n_value = NV_NULLABLE

@@ -163,7 +163,6 @@ def emit(counters: Counters, fmt: str, *, file: str = "", tokens: int = 0,
 MARK = "•"  # printed between the two halves of a split name
 
 # naming rules
-FRESH = "fresh"            # a node present before any token was consumed
 EXTEND = "extend"          # derived node: parent name + consumed token
 MARK_EXTEND = "mark-extend"  # the choice node a nullable-left Seq derives into
 
@@ -219,15 +218,12 @@ def fresh_name() -> NodeName:
 
 
 def name_node(parent: Optional[NodeName], token: Optional[str], rule: str) -> NodeName:
-    """Mint a name under one of the three naming rules.
+    """Mint a name under one of the two naming rules.
 
-    fresh: new base symbol, ignores parent/token.
     extend: parent's name with `token` appended.
     mark-extend: parent's name with the split marker, then `token`, appended;
     rejects parents that already carry a marker.
     """
-    if rule == FRESH:
-        return fresh_name()
     if parent is None or token is None:
         raise NamingError(f"rule {rule!r} needs a parent name and a token")
     if rule == EXTEND:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 
-from .forest import PROD, FNode, ForestSet
+from .forest import PROD, FNode
 from .grammar import (
     RED, Context, Grammar, fill, mk_eps, mk_token, new_alt, new_red, new_seq,
     normalize_grammar, use_context,
@@ -205,7 +205,7 @@ def _runs(alts: list) -> list:
 def _empty_word(name: str):
     empty = FNode(PROD)
     empty.label = name
-    return mk_eps(ForestSet(empty))
+    return mk_eps(empty)
 
 
 def _run_parts(name: str, run: list, symbol, seq=new_seq) -> tuple:

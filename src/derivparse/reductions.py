@@ -35,8 +35,10 @@ and keeps each payload root once, with its number of pairings, so the
 forest's walk, count and export edges cost a step per distinct root, not
 per token.
 
-Only the pairing tags reference forests (their payloads), and a composed
-chain runs as long as the input, so each reduction carries a `pairs` bit:
+Only the pairing tags reference forests: a pair-left's or pair-right's
+payload is a forest root, a pair-left-null's a grammar node whose
+empty-word forest is read when the trees are.  A composed chain runs as
+long as the input, so each reduction carries a `pairs` bit:
 true for a pairing, taken from the parts for a compose or lift, false for
 every other tag.  It is set once, in the constructor, from the parts' bits
 (no walk), and forest walks skip every part whose bit is false.
@@ -46,9 +48,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-PAIR_LEFT = "pair-left"            # u -> (s, u) for each s in a known tree set
+PAIR_LEFT = "pair-left"            # u -> (s, u) for each tree s of a forest root
 PAIR_RIGHT = "pair-right"          # u -> (u, s)
-PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, tree set taken lazily from a node's empty-word parses
+PAIR_LEFT_NULL = "pair-left-null"  # like pair-left, the forest taken lazily from a node's empty-word parses
 REASSOCIATE = "reassociate"        # (t1, (t2, t3)) -> ((t1, t2), t3)
 PRODUCTION = "production"          # right-nested tuple of k children -> named production tree
 SPLICE = "splice"                  # (h, N[k1 .. kn]) -> N[h k1 .. kn]
@@ -147,12 +149,12 @@ class Reduction:
         return f"Reduction({self.describe()})"
 
 
-def pair_left(tree_set) -> Reduction:
-    return Reduction(PAIR_LEFT, tree_set)
+def pair_left(root) -> Reduction:
+    return Reduction(PAIR_LEFT, root)
 
 
-def pair_right(tree_set) -> Reduction:
-    return Reduction(PAIR_RIGHT, tree_set)
+def pair_right(root) -> Reduction:
+    return Reduction(PAIR_RIGHT, root)
 
 
 def pair_left_null(node) -> Reduction:

@@ -327,3 +327,33 @@ def probe_words(bg, extra_sigma: str) -> list:
     words = sorted(enumerate_language(bg, 4), key=lambda w: (len(w), w))
     rejected = [w for w in all_strings(extra_sigma, 3) if w not in set(words)]
     return words[:40] + rejected[:15]
+
+
+# (wildcard grammar, words): tokens the grammar names and tokens it does
+# not, repeated and distinct, accepted and rejected, and the wildcard's own
+# label as a token
+WILDCARD_CASES = [
+    (WORST_SRC, [distinct_tokens(n) for n in range(1, 7)]
+     + [["a", "a", "b", "a"], [".", "x", "."], ["."] * 4]),
+    ("start = S ;\nS : S S | '.' ;\n",
+     [["x", "y", "x", "z", "y"], ["s"] * 5]),
+    ("start = A ;\nA : '.' '.' ;\n",
+     [["a", "b"], ["x", "x"], [".", "y"], ["a"], ["a", "b", "c"]]),
+    ("start = E ;\nE : E '+' E | '(' E ')' | '.' ;\n",
+     [["a", "+", "b", "+", "c"], ["(", "a", "+", "b", ")"], ["+", "+", "+"],
+      ["(", "(", ")", ")"], ["a", "+"]]),
+    ("start = P ;\nP : '(' P ')' P | '.' P | ;\n",
+     [["(", "a", ")", "b"], ["(", ")", "(", "x", ")"], ["a", "b", "a"], []]),
+]
+
+# the default engine and each paper switch flipped alone
+SWITCHES = [{}, {"memo_full": False}, {"compaction": False},
+            {"naive_nullability": True}]
+SWITCH_IDS = ["default", "single memo", "compaction off", "naive"]
+
+
+def switched_grammar(src: str, switches: dict) -> Grammar:
+    g = load_grammar(src)
+    for k, v in switches.items():
+        setattr(g.settings, k, v)
+    return g

@@ -15,7 +15,7 @@ from derivparse import (
     reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse import derivation, forest, grammar, nullability, reductions
-from derivparse.forest import EMPTY_SET, ForestSet
+from derivparse.forest import NO_TREES, ForestSet, leaf_node
 from derivparse.grammar import (
     ALT, EMPTY, EPSILON, NV_NOT, RED, SEQ, SHARED_EMPTY, TOKEN,
     ParserSettings, mk_eps, mk_token, new_alt, new_seq,
@@ -208,7 +208,7 @@ HIT_OWNERS = {
     "token": (lambda: mk_token("a"), EXTEND),
     "seq": (lambda: new_seq(mk_token("a"), mk_token("b")), EXTEND),
     "nullable-left seq": (
-        lambda: new_seq(mk_eps(ForestSet.single_leaf("_")), mk_token("b")),
+        lambda: new_seq(mk_eps(leaf_node("_")), mk_token("b")),
         MARK_EXTEND),
 }
 
@@ -338,7 +338,7 @@ def test_every_step_leaves_finished_nodes_and_the_shared_empty_untouched(
         EMPTY, None, None, None, None, None)
     assert (e.d_key, e.d_val, e.d_map, e.name) == (None, None, None, None)
     assert (e.n_value, e.in_progress, e.productive) == (NV_NOT, False, False)
-    assert e.pn_memo is EMPTY_SET
+    assert e.pn_memo is NO_TREES
 
 
 def _flat_nodes_per_token(src: str, tokens, sizes) -> dict:
@@ -744,7 +744,7 @@ def test_only_a_parse_shares_reductions():
     f = reductions.production("A", 1)
     makers = [(reductions.compose, f, reductions.reassociate()),
               (reductions.lift_left, f),
-              (reductions.pair_left, ForestSet.single_leaf("a")),
+              (reductions.pair_left, leaf_node("a")),
               (reductions.pair_left_null, mk_token("a"))]
     with use_context(Context()) as ctx:
         assert ctx.reds is None

@@ -15,7 +15,9 @@ from derivparse import (
     tree_text, use_context,
 )
 from derivparse import derivation, forest
-from derivparse.forest import EMPTY_SET, PAIR, FNode, ForestSet, amb_node
+from derivparse.forest import (
+    NO_TREES, PAIR, FNode, ForestSet, amb_node, leaf_node,
+)
 from derivparse.grammar import RED, WILDCARD, mk_token
 from derivparse.oracle import Term
 from derivparse.reductions import (
@@ -26,9 +28,10 @@ from derivparse.reductions import (
 )
 from conftest import (
     ARITH_LEFT_SRC, ARITH_SRC, CATALAN_SRC, DYCK_SRC, FIXED_CORPUS,
-    NULL_CYCLE_SRC, WORST_SRC,
+    NULL_CYCLE_SRC, SWITCH_IDS, SWITCHES, WILDCARD_CASES, WORST_SRC,
     distinct_tokens, expr_tokens, load_unnormalized, mixed_expression,
     nested_dyck, nested_parens, probe_words, random_grammar_source, run_python,
+    switched_grammar,
 )
 
 
@@ -90,7 +93,7 @@ def test_catalan_counts():
 
 def test_deferred_node_with_empty_payload_counts_zero():
     # pairing against no trees leaves no trees, whatever the inner count
-    fs = ForestSet.single_leaf("a").apply(pair_left(EMPTY_SET))
+    fs = ForestSet(leaf_node("a").apply(pair_left(NO_TREES)))
     assert count_parses(fs) == 0
     assert enumerate_trees(fs, 10) == []
 
@@ -132,7 +135,7 @@ def test_enumeration_order_does_not_depend_on_node_ids():
         with use_context(Context()):
             for _ in range(shift):
                 mk_token("x")
-                ForestSet.single_leaf("x")
+                leaf_node("x")
         assert first_trees() == expected, shift
 
 
@@ -283,17 +286,18 @@ def test_parse_null_of_non_nullable_is_empty():
 
 
 def test_union_deduplicates_and_flattens():
-    with use_context(Context()):
-        a = ForestSet.single_leaf("a")
-        b = ForestSet.single_leaf("b")
-        u = a.union(b)
-        assert count_parses(u) == 2
-        assert count_parses(u.union(a)) == 2   # same object, deduplicated
-        fresh = ForestSet.single_leaf("a")
-        assert count_parses(u.union(fresh)) == 3  # same label, new object
-        assert u.union(u) is u
-        assert EMPTY_SET.union(a) is a
-        assert a.union(EMPTY_SET) is a
+    def count(root):
+        return count_parses(ForestSet(root))
+
+    a, b = leaf_node("a"), leaf_node("b")
+    u = a.union(b)
+    assert count(u) == 2
+    assert count(u.union(a)) == 2   # same object, deduplicated
+    fresh = leaf_node("a")
+    assert count(u.union(fresh)) == 3  # same label, new object
+    assert u.union(u) is u
+    assert NO_TREES.union(a) is a
+    assert a.union(NO_TREES) is a
 
 
 def test_forest_json_schema():
@@ -407,7 +411,7 @@ def test_nested_dyck_json_grows_linearly():
 
 def test_describe_writes_a_compose_chain_flat():
     a, b = lift_left(production("E", 3)), reassociate()
-    c = lift_right(compose(pair_right(EMPTY_SET), reassociate()))
+    c = lift_right(compose(pair_right(NO_TREES), reassociate()))
     red = compose(a, compose(b, c))
     assert red.describe() == (
         "lift-left(production:E/3) . reassociate"
@@ -498,8 +502,8 @@ def _defer_children(fs: ForestSet) -> list:
     return [order[i][0] for i in _defer_entry(forest_to_json(fs))["children"]]
 
 
-def _two(a: str, b: str) -> ForestSet:
-    return ForestSet.single_leaf(a).union(ForestSet.single_leaf(b))
+def _two(a: str, b: str) -> FNode:
+    return leaf_node(a).union(leaf_node(b))
 
 
 def _pair_node(left: FNode, right: FNode) -> FNode:
@@ -508,25 +512,25 @@ def _pair_node(left: FNode, right: FNode) -> FNode:
     return pair
 
 
-def _pairs_with_c(fs: ForestSet) -> FNode:
-    """A pair node: each tree of fs paired with the leaf c."""
-    return _pair_node(fs.root, ForestSet.single_leaf("c").root)
+def _pairs_with_c(root: FNode) -> FNode:
+    """A pair node: each tree of root paired with the leaf c."""
+    return _pair_node(root, leaf_node("c"))
 
 
 def test_pairs_bit_follows_the_parts():
-    fs = ForestSet.single_leaf("a")
-    assert Reduction(PAIR_LEFT, fs).pairs
-    assert pair_right(fs).pairs
+    root = leaf_node("a")
+    assert Reduction(PAIR_LEFT, root).pairs
+    assert pair_right(root).pairs
     assert not reassociate().pairs
     assert not production("E", 2).pairs
-    assert lift_right(Reduction(PAIR_LEFT, fs)).pairs
+    assert lift_right(Reduction(PAIR_LEFT, root)).pairs
     assert not lift_left(reassociate()).pairs
-    assert compose(reassociate(), pair_right(fs)).pairs
-    assert compose(pair_right(fs), reassociate()).pairs
+    assert compose(reassociate(), pair_right(root)).pairs
+    assert compose(pair_right(root), reassociate()).pairs
     assert not compose(reassociate(), lift_left(production("E", 2))).pairs
     # a tag built at run time is stored as the module's own string, which
     # enumeration compares by identity
-    assert Reduction("-".join(("pair", "left")), fs).kind is PAIR_LEFT
+    assert Reduction("-".join(("pair", "left")), root).kind is PAIR_LEFT
 
 
 def test_a_hand_built_pairing_inside_a_chain_is_walked():
@@ -535,34 +539,34 @@ def test_a_hand_built_pairing_inside_a_chain_is_walked():
     pair = _pairs_with_c(_two("a", "b"))
     red = compose(production("P", 1),
                   lift_left(Reduction(PAIR_LEFT, payload)))
-    fs = ForestSet(pair).apply(red)
+    fs = ForestSet(pair.apply(red))
     assert count_parses(fs) == 4
     assert sorted(tree_text(t) for t in enumerate_trees(fs, 10)) == [
         "P[((x,a),c)]", "P[((x,b),c)]", "P[((y,a),c)]", "P[((y,b),c)]"]
-    assert _defer_children(fs) == [pair, payload.root]
+    assert _defer_children(fs) == [pair, payload]
 
 
 def test_a_hand_built_pairing_with_an_empty_payload_counts_zero():
-    red = compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, EMPTY_SET)))
-    fs = ForestSet(_pairs_with_c(_two("a", "b"))).apply(red)
+    red = compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, NO_TREES)))
+    fs = ForestSet(_pairs_with_c(_two("a", "b")).apply(red))
     assert count_parses(fs) == 0
     assert enumerate_trees(fs, 10) == []
 
 
-@pytest.mark.parametrize("fs, red", [
+@pytest.mark.parametrize("root, red", [
     # counted 0, but enumerated a and b
     (_two("a", "b"),
-     compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, EMPTY_SET)))),
+     compose(reassociate(), lift_right(Reduction(PAIR_RIGHT, NO_TREES)))),
     # counted 2, but enumerated one tree
-    (ForestSet.single_leaf("a"),
+    (leaf_node("a"),
      lift_left(Reduction(PAIR_RIGHT, _two("x", "y")))),
 ], ids=["empty-payload", "two-tree-payload"])
-def test_a_lift_of_a_tree_that_is_not_a_pair_raises(fs, red):
+def test_a_lift_of_a_tree_that_is_not_a_pair_raises(root, red):
     # count_parses multiplies by the pairings inside a lift wherever it
     # sits; a lift skipped on a tree that is not a pair enumerated trees
     # that disagree with the count
     with pytest.raises(ValueError):
-        enumerate_trees(fs.apply(red), 10)
+        enumerate_trees(ForestSet(root.apply(red)), 10)
 
 
 # --- a parse's flat chain against the same parts composed two at a time ------
@@ -616,10 +620,10 @@ def test_a_flat_chain_reads_as_its_parts_composed_two_at_a_time(case):
     t, parts = _chain_cases()[case]
     flat = compose(*parts)
     assert flat.kind == COMPOSE and flat.payload == tuple(parts)
-    inner = ForestSet.single_leaf("t").root
+    inner = leaf_node("t")
     want = None
     for red in (flat, _grouped(parts, True), _grouped(parts, False)):
-        fs = ForestSet(inner).apply(red)
+        fs = ForestSet(inner.apply(red))
         entry = _defer_entry(forest_to_json(fs))
         got = (red.describe(), red.pairs, forest._payload_roots(red),
                _applied(red, t), entry["label"], entry["children"])
@@ -674,10 +678,10 @@ def _paired(t: str, picks, right: bool) -> str:
 @pytest.mark.parametrize("make", [pair_right, pair_left], ids=["right", "left"])
 def test_a_repeated_pairing_is_one_edge_that_counts_each_use(make, k):
     two = _two("x", "y")
-    fs = ForestSet.single_leaf("t").apply(compose(*[make(two)] * k))
+    fs = ForestSet(leaf_node("t").apply(compose(*[make(two)] * k)))
     inner = fs.root.left
-    assert forest._payload_roots(fs.root.red) == {two.root: k}
-    assert _defer_children(fs) == [inner, two.root]
+    assert forest._payload_roots(fs.root.red) == {two: k}
+    assert _defer_children(fs) == [inner, two]
     assert count_parses(fs) == 2 ** k
     # the pairing applied first varies slowest, as when the forest listed
     # the payload once per pairing
@@ -687,21 +691,21 @@ def test_a_repeated_pairing_is_one_edge_that_counts_each_use(make, k):
     assert [tree_text(t) for t in enumerate_trees(ForestSet(fs.root), 3)] \
         == want[:3]
     demands = forest._demands(forest._walk(fs), forest._counts(fs), 2 ** k)
-    assert demands[two.root] == 2 and demands[inner] == 1
+    assert demands[two] == 2 and demands[inner] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_a_repeated_empty_or_pumping_payload_counts_as_each_use_does(k):
-    pumps = amb_node([_leaf("x").root])
+    pumps = amb_node([leaf_node("x")])
     pumps.children.append(pumps)  # a cycle through the ambiguity node
     assert count_parses(ForestSet(pumps)) is INFINITE
-    empty = pair_right(EMPTY_SET)
+    empty = pair_right(NO_TREES)
     cases = [([empty] * k, 0),
-             ([pair_left(ForestSet(pumps))] * k, INFINITE),
+             ([pair_left(pumps)] * k, INFINITE),
              # no parse remains no parse, however often the other pumps
-             ([pair_left(ForestSet(pumps)), empty] * k, 0)]
+             ([pair_left(pumps), empty] * k, 0)]
     for parts, count in cases:
-        fs = _leaf("t").apply(compose(*parts))
+        fs = ForestSet(leaf_node("t").apply(compose(*parts)))
         if count is INFINITE:
             assert count_parses(fs) is INFINITE
         else:
@@ -1000,61 +1004,60 @@ def test_enumeration_gives_the_reference_appliers_trees(monkeypatch):
                                    (src, w, k))
 
 
-def _leaf(a: str) -> ForestSet:
-    return ForestSet.single_leaf(a)
-
-
-def _tail(*labels: str) -> ForestSet:
+def _tail(*labels: str) -> FNode:
     """The tree N[l1 N[l2 … []]] of a twin's tail, one step per label."""
-    end = FNode("prod")
-    end.label = ""
-    fs = ForestSet(end)
+    root = FNode("prod")
+    root.label = ""
     for a in reversed(labels):
-        fs = _leaf(a).apply(compose(production("N", 2), pair_right(fs)))
-    return fs
+        root = leaf_node(a).apply(compose(production("N", 2),
+                                          pair_right(root)))
+    return root
 
 
-@pytest.mark.parametrize("fs, red, texts", [
+@pytest.mark.parametrize("root, red, texts", [
     # a spine shorter than the arity: the whole pair is the one child
-    (_leaf("a"), compose(production("P", 3), pair_right(_leaf("b"))),
+    (leaf_node("a"), compose(production("P", 3), pair_right(leaf_node("b"))),
      ["P[(a,b)]"]),
     # a splice onto a right half that is not a production changes nothing
-    (_leaf("a"), compose(splice(), pair_right(_two("b", "c"))),
+    (leaf_node("a"), compose(splice(), pair_right(_two("b", "c"))),
      ["(a,b)", "(a,c)"]),
     # a splice whose head is a pair the chain made
-    (ForestSet(_pairs_with_c(_leaf("a"))),
+    (_pairs_with_c(leaf_node("a")),
      compose(splice(), compose(lift_right(production("N", 1)),
-                               lift_left(pair_right(_leaf("b"))))),
+                               lift_left(pair_right(leaf_node("b"))))),
      ["N[(a,b) c]"]),
     # a reassociation of a pair whose right half is not a pair
-    (_leaf("a"), compose(reassociate(), pair_left(_leaf("b"))), ["(b,a)"]),
+    (leaf_node("a"), compose(reassociate(), pair_left(leaf_node("b"))),
+     ["(b,a)"]),
     # a reassociation of a table pair whose right half is a table pair
-    (ForestSet(_pair_node(_leaf("a").root, _pairs_with_c(_leaf("b")))),
+    (_pair_node(leaf_node("a"), _pairs_with_c(leaf_node("b"))),
      reassociate(), ["((a,b),c)"]),
     # a lift of a table pair: the inner tree of a pair node
-    (ForestSet(_pairs_with_c(_two("a", "b"))), lift_left(production("P", 1)),
+    (_pairs_with_c(_two("a", "b")), lift_left(production("P", 1)),
      ["(P[a],c)", "(P[b],c)"]),
     # a pairing with two payload trees inside a lift inside a compose
-    (ForestSet(_pairs_with_c(_leaf("a"))),
+    (_pairs_with_c(leaf_node("a")),
      compose(production("Q", 3), lift_right(pair_right(_two("x", "y")))),
      ["Q[a c x]", "Q[a c y]"]),
     # a fold of a base onto a tail of two steps, and onto an empty tail
-    (_leaf("a"), compose(fold_left(), pair_right(_tail("b", "c"))),
+    (leaf_node("a"), compose(fold_left(), pair_right(_tail("b", "c"))),
      ["N[N[a b] c]"]),
-    (_leaf("a"), compose(fold_left(), pair_right(_tail())), ["a"]),
+    (leaf_node("a"), compose(fold_left(), pair_right(_tail())), ["a"]),
     # a fold whose base is a pair the chain made
-    (_leaf("a"), compose(fold_left(), compose(lift_left(pair_right(_leaf("b"))),
-                                              pair_right(_tail("c")))),
+    (leaf_node("a"),
+     compose(fold_left(), compose(lift_left(pair_right(leaf_node("b"))),
+                                  pair_right(_tail("c")))),
      ["N[(a,b) c]"]),
     # a fold onto a right half that is not a production changes nothing
-    (_leaf("a"), compose(fold_left(), pair_right(_leaf("b"))), ["(a,b)"]),
+    (leaf_node("a"), compose(fold_left(), pair_right(leaf_node("b"))),
+     ["(a,b)"]),
 ], ids=["short-spine", "splice-no-prod", "splice-pair-head",
         "reassociate-no-pair", "reassociate-table-pairs", "lift-table-pair",
         "pairing-in-lift-in-compose", "fold-left", "fold-left-empty-tail",
         "fold-left-pair-base", "fold-left-no-prod"])
-def test_each_case_of_the_applier_matches_the_reference(monkeypatch, fs, red,
-                                                        texts):
-    fs = fs.apply(red)
+def test_each_case_of_the_applier_matches_the_reference(monkeypatch, root,
+                                                        red, texts):
+    fs = ForestSet(root.apply(red))
     got = enumerate_trees(fs, 10)
     assert [tree_text(t) for t in got] == texts
     _assert_same_trees(got, _enumerated_by_reference(monkeypatch, fs, 10), red)
@@ -1081,11 +1084,11 @@ def test_a_first_tree_builds_about_its_own_nodes(monkeypatch, src):
 
 def test_a_chain_of_pairings_becomes_a_tree_without_recursion():
     # 50,000 pairings nest the chain's cells deeper than the recursion limit
-    b = _leaf("b")
+    b = leaf_node("b")
     red = pair_right(b)
     for _ in range(49_999):
         red = compose(pair_right(b), red)
-    [t] = enumerate_trees(_leaf("a").apply(red), 1)
+    [t] = enumerate_trees(ForestSet(leaf_node("a").apply(red)), 1)
     assert tree_text(t) == "(" * 50_000 + "a" + ",b)" * 50_000
 
 
@@ -1095,10 +1098,10 @@ def test_a_long_chain_that_pairs_nothing_has_only_its_inner_child():
         part = lift_left(reassociate()) if i % 2 else production("P", 1)
         red = compose(part, red)
     assert not red.pairs
-    inner = ForestSet.single_leaf("a")
-    fs = inner.apply(red)
+    inner = leaf_node("a")
+    fs = ForestSet(inner.apply(red))
     assert count_parses(fs) == 1
-    assert _defer_children(fs) == [inner.root]
+    assert _defer_children(fs) == [inner]
 
 
 def test_consumers_of_one_forest_set_walk_it_once(monkeypatch):
@@ -1115,6 +1118,29 @@ def test_consumers_of_one_forest_set_walk_it_once(monkeypatch):
     assert len(enumerate_trees(fs, 10)) == 10
     forest_to_json(fs)
     assert walks[0] == 1
+
+
+@pytest.mark.parametrize("src, toks", [
+    (NULL_CYCLE_SRC, ["b", "b"]),
+    (WORST_SRC, distinct_tokens(6)),
+], ids=["cyclic", "wildcard"])
+def test_a_request_builds_one_forest_set(monkeypatch, src, toks):
+    # inside the engine a set of trees is its root node: an epsilon's
+    # results, a parse_null memo and a pairing's payload are roots, and only
+    # parse_null, at the end of a parse, makes a set
+    made = [0]
+    real = ForestSet.__init__
+
+    def counted(self, *args):
+        made[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(ForestSet, "__init__", counted)
+    fs = parse(load_grammar(src), toks)
+    assert count_parses(fs) in (INFINITE, 42)
+    assert len(enumerate_trees(fs, 10)) == 10
+    forest_to_json(fs)
+    assert made[0] == 1
 
 
 @pytest.mark.parametrize("src, toks", [
@@ -1238,7 +1264,7 @@ def test_a_forest_that_repeats_a_tree_enumerates_it_once():
     # the count (3) promises a second tree in the first two alternatives;
     # the shortfall sends the enumeration to the full fold
     with use_context(Context()):
-        a1, a2, b, c = (ForestSet.single_leaf(x).root for x in "aabc")
+        a1, a2, b, c = map(leaf_node, "aabc")
         fs = ForestSet(amb_node([a1, a2, b]))
         assert count_parses(fs) == 3
         assert [tree_text(t) for t in enumerate_trees(fs, 2)] == ["a", "b"]
@@ -1275,27 +1301,6 @@ def test_counting_then_enumerating_folds_the_counts_once(monkeypatch):
 
 # --- wildcard grammars: tokens derived by their class --------------------------
 
-# (wildcard grammar, words): tokens the grammar names and tokens it does
-# not, repeated and distinct, accepted and rejected, and the wildcard's own
-# label as a token
-_WILDCARD_CASES = [
-    (WORST_SRC, [distinct_tokens(n) for n in range(1, 7)]
-     + [["a", "a", "b", "a"], [".", "x", "."], ["."] * 4]),
-    ("start = S ;\nS : S S | '.' ;\n",
-     [["x", "y", "x", "z", "y"], ["s"] * 5]),
-    ("start = A ;\nA : '.' '.' ;\n",
-     [["a", "b"], ["x", "x"], [".", "y"], ["a"], ["a", "b", "c"]]),
-    ("start = E ;\nE : E '+' E | '(' E ')' | '.' ;\n",
-     [["a", "+", "b", "+", "c"], ["(", "a", "+", "b", ")"], ["+", "+", "+"],
-      ["(", "(", ")", ")"], ["a", "+"]]),
-    ("start = P ;\nP : '(' P ')' P | '.' P | ;\n",
-     [["(", "a", ")", "b"], ["(", ")", "(", "x", ")"], ["a", "b", "a"], []]),
-]
-
-_SWITCHES = [{}, {"memo_full": False}, {"compaction": False},
-             {"naive_nullability": True}]
-
-
 def _spelled_out(src: str, word) -> str:
     """src with each alternative that holds the wildcard written once per
     way to put one of the word's distinct tokens at each wildcard: a
@@ -1315,24 +1320,15 @@ def _spelled_out(src: str, word) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _switched(src: str, switches: dict):
-    g = load_grammar(src)
-    for k, v in switches.items():
-        setattr(g.settings, k, v)
-    return g
-
-
-@pytest.mark.parametrize("switches", _SWITCHES,
-                         ids=["default", "single memo", "compaction off",
-                              "naive"])
+@pytest.mark.parametrize("switches", SWITCHES, ids=SWITCH_IDS)
 def test_wildcard_trees_equal_the_spelled_out_grammars(switches):
     # a token the grammar does not name derives by the wildcard's class;
     # the grammar that names the word's tokens instead derives each by
     # itself, and must give the same trees
     compared = 0
-    for src, words in _WILDCARD_CASES:
+    for src, words in WILDCARD_CASES:
         bnf = load_bnf(src)
-        g = _switched(src, switches)
+        g = switched_grammar(src, switches)
         for w in words:
             fs = parse(g, w)
             count = count_parses(fs)
@@ -1342,7 +1338,7 @@ def test_wildcard_trees_equal_the_spelled_out_grammars(switches):
             assert all(_leaves(t) == w for t in trees), (src, w)
             if WILDCARD in w or not trees:
                 continue  # no grammar names the wildcard's own label
-            named = _switched(_spelled_out(src, w), switches)
+            named = switched_grammar(_spelled_out(src, w), switches)
             assert named.named is None
             fs = parse(named, w)
             assert fs.tokens is None  # each token derived by itself
@@ -1371,11 +1367,11 @@ def test_a_wildcard_forest_exports_its_leaves_as_read_and_its_tokens():
 
 
 def test_a_wildcard_parse_never_writes_its_tokens_on_a_shared_set():
-    # the forest set of a nullable grammar node is a constant of the
-    # grammar; the tokens go on a new set over the same root
+    # the forest of a nullable grammar node is a constant of the grammar;
+    # the tokens go on a new set over the same root
     g = load_grammar("start = P ;\nP : '.' P | ;\n")
     empty = parse(g, [])
-    assert empty.tokens is None and empty is parse_null(g.root)
+    assert empty.tokens is None and empty.root is parse_null(g.root).root
     fs = parse(g, ["a", "b"])
     assert fs.tokens == ["a", "b"]
     assert [tree_text(t) for t in enumerate_trees(fs, 2)] == ["P[a P[b P[]]]"]

@@ -11,7 +11,7 @@ from derivparse import (
     parse, reachable_nodes, recognize, tree_text, use_context,
 )
 from derivparse import grammar as grammar_mod
-from derivparse.forest import ForestSet
+from derivparse.forest import ForestSet, leaf_node
 from derivparse.grammar import (
     ALT, EMPTY, EPSILON, RED, SEQ, TOKEN,
     _normalize_step, become_node, collapse_dead,
@@ -27,7 +27,7 @@ from conftest import (
 
 
 def eps(label: str = "_"):
-    return mk_eps(ForestSet.single_leaf(label))
+    return mk_eps(leaf_node(label))
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +45,8 @@ def test_alt_drops_empty_branches():
 def test_alt_merges_epsilon_branches():
     n = mk_alt(eps("x"), eps("y"))
     assert n.form == EPSILON
-    assert sorted(tree_text(t) for t in enumerate_trees(n.results, 10)) == ["x", "y"]
+    trees = enumerate_trees(ForestSet(n.results), 10)
+    assert sorted(tree_text(t) for t in trees) == ["x", "y"]
 
 
 def test_seq_annihilates_on_empty_left():
@@ -81,7 +82,8 @@ def test_red_collapses_empty_and_epsilon():
     assert mk_red(mk_empty(), production("K", 1)).form == EMPTY
     folded = mk_red(eps(), production("K", 1))
     assert folded.form == EPSILON
-    assert [tree_text(t) for t in enumerate_trees(folded.results, 10)] == ["K[_]"]
+    trees = enumerate_trees(ForestSet(folded.results), 10)
+    assert [tree_text(t) for t in trees] == ["K[_]"]
 
 
 def test_red_composes_with_inner_red():

@@ -13,7 +13,7 @@ from derivparse import (
 from derivparse import derivation, grammar
 from derivparse.grammar import RED, mk_token
 from derivparse.instrumentation import (
-    CSV_FIELDS, EXTEND, FORM_NAMES, FRESH, MARK, MARK_EXTEND, Counters,
+    CSV_FIELDS, EXTEND, FORM_NAMES, MARK, MARK_EXTEND, Counters,
     NodeName, emit, fresh_name, name_node,
 )
 from conftest import (

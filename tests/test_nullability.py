@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from derivparse import Context, derive, is_nullable, load_grammar, use_context
-from derivparse.forest import ForestSet
+from derivparse.forest import leaf_node
 from derivparse.grammar import (
     NV_NOT, NV_NULLABLE, NV_UNKNOWN, ParserSettings, mk_eps, mk_seq,
     mk_token, new_alt, new_red, new_seq, reachable_nodes,
@@ -18,7 +18,7 @@ from conftest import (
 )
 
 
-EPS_TREES = ForestSet.single_leaf("_")
+EPS_TREES = leaf_node("_")
 
 
 @pytest.mark.parametrize("naive", [False, True])
